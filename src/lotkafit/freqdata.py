@@ -40,6 +40,9 @@ __all__ = [
 ]
 
 DISTRIBUTION_HEADER = "level,count"
+# Largest accepted level: every level, and twice any sampled level, then
+# fits in an int64.
+MAX_LEVEL = 1 << 62
 RECORDS_HEADER = "paper_id,position,author"
 
 
@@ -58,10 +61,10 @@ def round_half_up(value: float, places: int = 2) -> float:
 class FrequencyDistribution:
     """Sorted ``(level, authors)`` pairs plus a display name.
 
-    Levels are strictly increasing positive integers; author counts are
-    non-negative integers with at least one positive entry. Zero-count
-    levels may be stored (they survive round trips) but are ignored by
-    ``max_level``. The name is a label only and does not take part in
+    Levels are strictly increasing positive integers no larger than 2^62;
+    author counts are non-negative integers with at least one positive
+    entry. Zero-count levels may be stored (they survive round trips) but
+    are ignored by ``max_level``. The name is a label only and does not take part in
     equality.
     """
 
@@ -76,6 +79,8 @@ class FrequencyDistribution:
             authors = int(authors)
             if level < 1:
                 raise InputError(f"level must be >= 1, got {level}")
+            if level > MAX_LEVEL:
+                raise InputError(f"level must be <= 2^62, got {level}")
             if authors < 0:
                 raise InputError(f"author count must be >= 0, got {authors} at level {level}")
             if level <= previous:

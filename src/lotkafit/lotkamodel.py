@@ -7,12 +7,16 @@ zeta(alpha, xmin) is the Hurwitz zeta sum over the support. The running
 through this normalization; at alpha = 2, xmin = 1 the level-1 fraction
 is 6/pi^2, about 0.6079.
 
-The normalizer is computed by direct summation plus an Euler-Maclaurin
-tail, accurate to well under 1e-12 absolute error. Sampling is by
-inverse-CDF lookup against a precomputed cumulative table, with an exact
-zeta-bisection search for draws beyond the table, and is reproducible:
-all randomness flows through numpy's PCG64 generator consuming uniform
-doubles only, so identical (model, count, seed) gives identical output.
+One array evaluator computes the normalizer zeta(alpha, s) for many
+exponents and start points at once, together with the first two
+alpha-derivatives of its logarithm that the maximum-likelihood fit
+needs: a dense suffix sum below level 256 plus an Euler-Maclaurin tail,
+accurate to well under 1e-12 absolute error. Sampling is by inverse-CDF
+lookup against a precomputed cumulative table, with one exact
+doubling-plus-bisection over all draws beyond the table, and is
+reproducible: all randomness flows through numpy's PCG64 generator
+consuming uniform doubles only, so identical (model, count, seed) gives
+identical output.
 That generator choice is a pinned contract, not an implementation detail.
 """
 
@@ -25,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InputError
-from .freqdata import FrequencyDistribution
+from .freqdata import MAX_LEVEL, FrequencyDistribution
 
 __all__ = [
     "PowerLawModel",
@@ -36,10 +40,18 @@ __all__ = [
     "sample",
 ]
 
-# Direct-summation block length before the Euler-Maclaurin tail takes over.
-# With six Bernoulli correction terms the remainder at this length is below
-# 1e-30 for alpha in (1, 10], so float64 rounding dominates the error.
-_DIRECT_TERMS = 256
+# Start of the Euler-Maclaurin tail: zeta sums below it are dense suffix
+# sums. With six Bernoulli correction terms the remainder at this start is
+# below 1e-30 for alpha in (1, 10], so float64 rounding dominates the error.
+_TAIL_START = 256
+# The dense block k = _TAIL_START-1 down to 1, descending so that running
+# sums along it are the suffix sums zeta needs.
+_DENSE_LOGS = np.log(np.arange(_TAIL_START - 1, 0, -1, dtype=float))
+# Weights of k^(-alpha) in the moments of order 0, 1, 2 of ln k - c over
+# the dense block, with c = ln _TAIL_START.
+_DENSE_WEIGHTS = (_DENSE_LOGS - math.log(_TAIL_START)) ** np.arange(3)[:, None]
+_ORDERS = np.arange(3, dtype=float).reshape(-1, 1, 1)
+_FACTORIALS = np.array([1.0, 1.0, 2.0]).reshape(-1, 1, 1)
 
 # B_{2j} / (2j)! for j = 1..6.
 _EM_COEFFS = (
@@ -50,6 +62,8 @@ _EM_COEFFS = (
     1.0 / 47900160.0,
     -691.0 / 1307674368000.0,
 )
+_EM_ARRAY = np.array(_EM_COEFFS)
+_RISE_STEPS = np.arange(2 * len(_EM_COEFFS) - 1, dtype=float)
 
 # Sampler cumulative table: stop at the 1 - 1e-9 quantile or this many rows,
 # whichever comes first. Rarer draws fall through to exact bisection.
@@ -57,42 +71,86 @@ _TABLE_CAP = 1 << 20
 _TABLE_TAIL_MASS = 1e-9
 
 
-def _em_tail(alpha: float, start: float) -> float:
-    """Sum of k^(-alpha) for k >= start via the Euler-Maclaurin expansion."""
-    total = start ** (1.0 - alpha) / (alpha - 1.0) + 0.5 * start ** (-alpha)
-    rising = alpha
-    power = start ** (-alpha - 1.0)
-    inv_sq = 1.0 / (start * start)
-    for j, coeff in enumerate(_EM_COEFFS, start=1):
-        total += coeff * rising * power
-        rising *= (alpha + 2 * j - 1) * (alpha + 2 * j)
-        power *= inv_sq
-    return total
+def _series_coeffs(alpha: np.ndarray, moments: int) -> np.ndarray:
+    """Per-exponent coefficients of the Euler-Maclaurin correction series.
+
+    Term j of the series is c_j r_j(alpha) n^(-alpha-2j+1), with r_j the
+    rising product alpha (alpha+1) ... (alpha+2j-2). For alpha of shape
+    (R, 1) the result has shape (moments, R, 6): first c_j r_j, then
+    -c_j r_j g_j and c_j r_j (g_j^2 + h_j), where g_j and h_j are the
+    first and second alpha-derivatives of ln r_j. These weight the same
+    powers of n in the moments of order 0, 1 and 2 of ln k - ln n.
+    """
+    factors = alpha + _RISE_STEPS
+    c0 = factors.cumprod(axis=1)[:, ::2] * _EM_ARRAY
+    if moments == 1:
+        return c0[None]
+    inv = 1.0 / factors
+    g = inv.cumsum(axis=1)[:, ::2]
+    minus_h = (inv * inv).cumsum(axis=1)[:, ::2]
+    return np.stack([c0, -c0 * g, c0 * (g * g - minus_h)])
+
+
+def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Sum over j of coeffs[..., j] x^j, with x broadcast against the rows."""
+    total = coeffs[..., -1:] * x
+    for j in range(coeffs.shape[-1] - 2, 0, -1):
+        total = (total + coeffs[..., j : j + 1]) * x
+    return total + coeffs[..., :1]
+
+
+def _zeta(alpha, starts, derivatives: bool = False):
+    """zeta(alpha_r, s) for a row of exponents against an array of start points.
+
+    ``alpha`` has shape (R,) and ``starts`` shape (R, M) or (1, M); start
+    points are positive integers held as floats. Below _TAIL_START the
+    sum is a dense suffix sum of k^(-alpha) over k < _TAIL_START plus the
+    Euler-Maclaurin tail at _TAIL_START; at or above it, the tail runs
+    directly from the start point. With ``derivatives`` the result is
+    (zeta, d/dalpha ln zeta, d^2/dalpha^2 ln zeta): the second is minus
+    the model mean of ln k over k >= s and the third its variance, both
+    computed from moments of ln k - c with c = ln max(s, _TAIL_START), so
+    that no large terms cancel. This is the only zeta formula in the
+    package.
+    """
+    orders = 3 if derivatives else 1
+    a = np.asarray(alpha, dtype=float).reshape(-1, 1)
+    s = np.asarray(starts, dtype=float)
+    n = np.maximum(s, float(_TAIL_START))
+    shift = np.log(n)
+    power = np.exp(-a * shift)
+    inv_am1 = 1.0 / (a - 1.0)
+    lead = n * power * inv_am1
+    # Moment p of ln k - c over k >= n: the integral term lead p! / (alpha-1)^p,
+    # the endpoint term (order 0 only, as ln n - c = 0 there), the series.
+    moments = lead * (_FACTORIALS[:orders] * inv_am1 ** _ORDERS[:orders])
+    moments[0] += 0.5 * power
+    moments += (power / n) * _horner(_series_coeffs(a, orders), 1.0 / (n * n))
+    if (s < _TAIL_START).any():
+        # suffix[..., i] sums the dense terms for k >= _TAIL_START - i.
+        terms = np.exp(-a * _DENSE_LOGS) * _DENSE_WEIGHTS[:orders, None, :]
+        suffix = np.zeros(terms.shape[:-1] + (_TAIL_START,))
+        terms.cumsum(axis=-1, out=suffix[..., 1:])
+        col = _TAIL_START - np.minimum(s, _TAIL_START).astype(np.intp)
+        moments += suffix[:, np.arange(a.shape[0]).reshape(-1, 1), col]
+    if not derivatives:
+        return moments[0]
+    zeta, m1, m2 = moments
+    mean = m1 / zeta
+    return zeta, -(shift + mean), m2 / zeta - mean * mean
 
 
 def hurwitz_zeta(alpha: float, xmin: int = 1) -> float:
     """Sum of k^(-alpha) over integer k >= xmin.
 
-    Direct summation of the first _DIRECT_TERMS terms, then the
-    Euler-Maclaurin tail. Absolute error is below 1e-12 for
-    alpha in (1, 10] and any xmin >= 1.
+    Dense summation below _TAIL_START, then the Euler-Maclaurin tail.
+    Absolute error is below 1e-12 for alpha in (1, 10] and any xmin >= 1.
     """
     if alpha <= 1.0:
         raise InputError(f"zeta sum diverges for alpha <= 1, got {alpha}")
     if xmin < 1:
         raise InputError(f"xmin must be >= 1, got {xmin}")
-    levels = np.arange(xmin, xmin + _DIRECT_TERMS, dtype=float)
-    return _zeta_from_logs(alpha, np.log(levels), float(xmin + _DIRECT_TERMS))
-
-
-def _zeta_from_logs(alpha: float, log_levels: np.ndarray, tail_start: float) -> float:
-    """hurwitz_zeta with the direct block's logs precomputed (hot path).
-
-    This is the single zeta formula in the package; hurwitz_zeta wraps it
-    so repeated evaluations at varying alpha (the MLE search) can reuse
-    the log array.
-    """
-    return float(np.exp(-alpha * log_levels).sum()) + _em_tail(alpha, tail_start)
+    return float(_zeta([alpha], [[float(xmin)]])[0, 0])
 
 
 @dataclass(frozen=True)
@@ -148,8 +206,9 @@ class _CdfTable:
 
     Covers levels from xmin up to the 1 - 1e-9 quantile, capped at
     _TABLE_CAP rows; draws landing beyond the table are resolved exactly
-    by bisection on the zeta-based CDF. Building the table is the
-    expensive part, so bootstrap code constructs one and reuses it.
+    by one doubling-plus-bisection over all of them on the zeta-based CDF.
+    Building the table is the expensive part, so bootstrap code constructs
+    one and reuses it.
     """
 
     def __init__(self, model: PowerLawModel) -> None:
@@ -172,36 +231,46 @@ class _CdfTable:
         levels = (self.model.xmin + idx).astype(np.int64)
         overflow = idx == len(self.cdf)
         if overflow.any():
-            for i in np.nonzero(overflow)[0]:
-                levels[i] = _quantile_beyond_table(self.model, self.last_level, float(u[i]))
+            levels[overflow] = self._beyond_table(u[overflow])
         return levels
 
+    def _beyond_table(self, u: np.ndarray) -> np.ndarray:
+        """Smallest level k > last_level with CDF(k) >= u, for every u at once.
 
-def _quantile_beyond_table(model: PowerLawModel, table_end: int, u: float) -> int:
-    """Smallest level k > table_end with CDF(k) >= u, by zeta bisection.
+        CDF(k) >= u is equivalent to zeta(alpha, k+1) <= (1-u) * zeta(alpha,
+        xmin), which is monotone in k, so doubling plus bisection finds the
+        exact level. Quantiles beyond 2^62, the largest level a distribution
+        accepts, are refused; for alpha around 2 that has probability under
+        1e-18 per draw.
+        """
+        alpha = [self.model.alpha]
+        target = (1.0 - u) * self.model.normalizer
 
-    CDF(k) >= u is equivalent to zeta(alpha, k+1) <= (1-u) * zeta(alpha,
-    xmin), which is monotone in k, so doubling plus bisection finds the
-    exact level. Quantiles beyond ~2^62 are refused; for alpha around 2
-    that has probability under 1e-18 per draw.
-    """
-    target = (1.0 - u) * model.normalizer
-    lo = table_end
-    hi = table_end
-    while hurwitz_zeta(model.alpha, hi + 1) > target:
-        hi *= 2
-        if hi > 1 << 62:
-            raise RuntimeError(
-                "sample quantile beyond representable range; "
-                "alpha is too close to 1 for exact sampling"
-            )
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if hurwitz_zeta(model.alpha, mid + 1) <= target:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+        def above(k: np.ndarray, where: np.ndarray) -> np.ndarray:
+            return _zeta(alpha, (k[where] + 1.0).reshape(1, -1))[0] > target[where]
+
+        lo = np.full(u.shape, self.last_level, dtype=np.int64)
+        hi = lo.copy()
+        grow = np.ones(u.shape, dtype=bool)
+        while True:
+            grow[grow] = above(hi, grow)
+            if not grow.any():
+                break
+            if (hi[grow] > MAX_LEVEL // 2).any():
+                raise InputError(
+                    f"a sampled level lies beyond 2^62; alpha {self.model.alpha:g} "
+                    "is too close to 1 for exact sampling"
+                )
+            hi[grow] *= 2
+        while True:
+            active = hi - lo > 1
+            if not active.any():
+                return hi
+            mid = (lo + hi) // 2
+            beyond = np.zeros(u.shape, dtype=bool)
+            beyond[active] = above(mid, active)
+            hi = np.where(active & ~beyond, mid, hi)
+            lo = np.where(beyond, mid, lo)
 
 
 def sample(model: PowerLawModel, count: int, seed: int) -> FrequencyDistribution:

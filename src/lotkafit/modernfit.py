@@ -1,10 +1,14 @@
 """Modern discrete power-law estimation and the historical comparison.
 
 The estimator here is the likelihood route: fit the exponent of the
-zeta-normalized pmf by maximizing the discrete log-likelihood over a
-bracket, pick the lower cutoff xmin by minimizing the Kolmogorov-Smirnov
-distance between empirical and model CDFs on the tail, and judge fit
-quality with a semi-parametric bootstrap. compare_methods and
+zeta-normalized pmf by solving the discrete likelihood's score equation
+inside a bracket, pick the lower cutoff xmin by minimizing the
+Kolmogorov-Smirnov distance between empirical and model CDFs on the
+tail, and judge fit quality with a semi-parametric bootstrap. Every xmin
+candidate is fitted and scored in one vectorized pass: suffix sums give
+each tail's count and mean log level, a safeguarded Newton iteration
+runs all candidates in lockstep, and the KS distances come from zeta
+values at the observed levels only. compare_methods and
 bias_experiment put this estimator next to the historical log-log
 regression and measure how far the two disagree.
 """
@@ -19,7 +23,7 @@ import numpy as np
 from .errors import DegenerateFitError, InputError
 from .freqdata import FrequencyDistribution, truncate_right, truncation_report
 from .loglogfit import Denominator, FitResult, fit_historical
-from .lotkamodel import _DIRECT_TERMS, PowerLawModel, _CdfTable, _zeta_from_logs, hurwitz_zeta
+from .lotkamodel import PowerLawModel, _CdfTable, _zeta
 
 __all__ = [
     "MleResult",
@@ -35,15 +39,21 @@ __all__ = [
     "bias_experiment",
 ]
 
-# Exponent search bracket and absolute tolerance of the scalar search.
+# Exponent search bracket and absolute tolerance of the exponent.
 ALPHA_BRACKET = (1.01, 10.0)
 ALPHA_TOL = 1e-6
 
-# Above this level span the KS computation evaluates zeta per observed
-# level instead of materializing a dense prefix-sum array.
-_DENSE_SPAN_LIMIT = 1 << 21
+# A maximum within this distance of a bracket end counts as pinned to it:
+# the root search runs inside [lo + _EDGE, hi - _EDGE].
+_EDGE = 5 * ALPHA_TOL
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Newton stops once its step is this small; convergence is quadratic
+# there, so the exponent is then exact to far below ALPHA_TOL.
+_NEWTON_STEP = 1e-10
+_NEWTON_MAX_ITER = 100
+
+# Largest block of candidates x levels model-CDF cells the KS pass holds.
+_KS_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -155,30 +165,6 @@ def _tail_arrays(
     return levels, counts
 
 
-def _golden_section_max(f, lo: float, hi: float, tol: float = ALPHA_TOL) -> float:
-    """Argmax of a unimodal scalar function by golden-section search.
-
-    The bracket may be given in either order; the result is the midpoint
-    of the final bracket, within tol of the maximizer.
-    """
-    if lo > hi:
-        lo, hi = hi, lo
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
 def log_likelihood(dist: FrequencyDistribution, model: PowerLawModel) -> float:
     """Discrete power-law log-likelihood of the tail at levels >= xmin.
 
@@ -193,21 +179,40 @@ def log_likelihood(dist: FrequencyDistribution, model: PowerLawModel) -> float:
     return -model.alpha * weighted_log - n_tail * math.log(model.normalizer)
 
 
-def _ks_from_arrays(levels: np.ndarray, counts: np.ndarray, model: PowerLawModel) -> float:
-    """KS distance over the observed levels, both CDFs conditioned on >= xmin."""
-    n_tail = float(counts.sum())
-    empirical = np.cumsum(counts.astype(float)) / n_tail
-    z = model.normalizer
-    span = int(levels[-1]) - model.xmin + 1
-    if span <= _DENSE_SPAN_LIMIT:
-        powers = np.power(np.arange(model.xmin, int(levels[-1]) + 1, dtype=float), -model.alpha)
-        prefix = np.cumsum(powers)
-        model_cdf = prefix[levels - model.xmin] / z
-    else:
-        model_cdf = np.array(
-            [1.0 - hurwitz_zeta(model.alpha, int(k) + 1) / z for k in levels]
-        )
-    return float(np.max(np.abs(empirical - model_cdf)))
+def _ks(
+    levels: np.ndarray,
+    counts: np.ndarray,
+    starts: np.ndarray,
+    alpha: np.ndarray,
+    normalizer: np.ndarray,
+) -> np.ndarray:
+    """KS distance of each candidate tail levels[starts[i]:] from its model.
+
+    Both CDFs are conditioned on the tail; the model CDF at an observed
+    level k is 1 - zeta(alpha, k+1) / zeta(alpha, xmin), with
+    ``normalizer`` holding zeta(alpha, xmin). ``starts`` must be
+    ascending. Candidates are processed in blocks of at most
+    _KS_BLOCK_CELLS candidate-level cells, so the cost is O(L) per
+    candidate and the memory bounded.
+    """
+    cum = np.cumsum(counts)
+    before = cum[starts] - counts[starts]
+    n_tail = cum[-1] - before
+    next_levels = (levels + 1).astype(float)
+    ks = np.empty(len(starts))
+    r0 = 0
+    while r0 < len(starts):
+        first = int(starts[r0])
+        width = len(levels) - first
+        r1 = min(len(starts), r0 + max(1, _KS_BLOCK_CELLS // width))
+        rows = slice(r0, r1)
+        model = 1.0 - _zeta(alpha[rows], next_levels[None, first:]) / normalizer[rows, None]
+        empirical = (cum[None, first:] - before[rows, None]) / n_tail[rows, None]
+        gap = np.abs(empirical - model)
+        gap[np.arange(width)[None, :] < (starts[rows] - first)[:, None]] = 0.0
+        ks[rows] = gap.max(axis=1)
+        r0 = r1
+    return ks
 
 
 def ks_distance(dist: FrequencyDistribution, model: PowerLawModel) -> float:
@@ -215,52 +220,113 @@ def ks_distance(dist: FrequencyDistribution, model: PowerLawModel) -> float:
     levels, counts = _tail_arrays(dist, model.xmin)
     if len(levels) == 0:
         raise DegenerateFitError(f"no authors at levels >= xmin {model.xmin}")
-    return _ks_from_arrays(levels, counts, model)
+    alpha, normalizer = np.array([model.alpha]), np.array([model.normalizer])
+    return float(_ks(levels, counts, np.zeros(1, dtype=np.intp), alpha, normalizer)[0])
 
 
-def _fit_tail(levels: np.ndarray, counts: np.ndarray, xmin: int) -> MleResult:
-    """MLE for pre-extracted tail arrays; shared by mle_alpha and select_xmin."""
-    if len(levels) < 2:
-        raise DegenerateFitError(
-            f"degenerate tail: need >= 2 distinct populated levels >= xmin {xmin}"
+@dataclass(frozen=True)
+class _TailFits:
+    """Per-candidate results of _fit_tails; see there."""
+
+    alpha: np.ndarray
+    ks: np.ndarray
+    log_likelihood: np.ndarray
+    n_tail: np.ndarray
+    xmin: np.ndarray
+
+    def result(self, i: int) -> MleResult:
+        return MleResult(
+            alpha_hat=float(self.alpha[i]),
+            xmin=int(self.xmin[i]),
+            ks=float(self.ks[i]),
+            n_tail=int(self.n_tail[i]),
+            log_likelihood=float(self.log_likelihood[i]),
         )
-    weighted_log = float((counts * np.log(levels.astype(float))).sum())
-    n_tail = float(counts.sum())
-    log_direct = np.log(np.arange(xmin, xmin + _DIRECT_TERMS, dtype=float))
-    tail_start = float(xmin + _DIRECT_TERMS)
 
-    def loglik(alpha: float) -> float:
-        return -alpha * weighted_log - n_tail * math.log(
-            _zeta_from_logs(alpha, log_direct, tail_start)
-        )
 
-    lo, hi = ALPHA_BRACKET
-    alpha_hat = _golden_section_max(loglik, lo, hi)
-    if alpha_hat - lo < 5 * ALPHA_TOL or hi - alpha_hat < 5 * ALPHA_TOL:
-        raise DegenerateFitError(
-            f"likelihood maximized at the bracket edge (alpha ~ {alpha_hat:.4f}); "
-            "tail is too degenerate to fit"
-        )
-    model = PowerLawModel(alpha_hat, xmin)
-    return MleResult(
-        alpha_hat=alpha_hat,
-        xmin=xmin,
-        ks=_ks_from_arrays(levels, counts, model),
-        n_tail=int(n_tail),
-        log_likelihood=loglik(alpha_hat),
-    )
+def _fit_tails(
+    levels: np.ndarray, counts: np.ndarray, starts: np.ndarray, xmins: np.ndarray
+) -> _TailFits:
+    """MLE and KS for every candidate tail at once.
+
+    Candidate i is the tail levels[starts[i]:] of the populated arrays,
+    with support bound xmins[i] <= levels[starts[i]]; starts ascend. The
+    maximum of the log-likelihood -alpha * sum(c ln k) - n ln zeta(alpha,
+    xmin) is the root of the score psi(alpha) = d/dalpha ln zeta + mean
+    ln k, which increases strictly (its slope is the model variance of
+    ln k). A candidate whose psi has one sign over the whole inner
+    bracket has its maximum pinned to a bracket end: its alpha is that
+    end and its ks and log_likelihood are NaN. The others run a Newton
+    iteration in lockstep that falls back to bisection whenever a step
+    leaves the bracket known to hold the root.
+    """
+    log_levels = np.log(levels.astype(float))
+    n_tail = np.cumsum(counts[::-1])[::-1][starts]
+    total_log = np.cumsum((counts * log_levels)[::-1])[::-1][starts]
+    mean_log = total_log / n_tail
+    x = xmins.astype(float)
+
+    def score(alpha: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        _, dlog, d2log = _zeta(alpha, x[rows, None], derivatives=True)
+        return dlog[:, 0] + mean_log[rows], d2log[:, 0]
+
+    lo, hi = ALPHA_BRACKET[0] + _EDGE, ALPHA_BRACKET[1] - _EDGE
+    edges = np.repeat([lo, hi], len(starts))
+    psi_lo, psi_hi = score(edges, np.tile(np.arange(len(starts)), 2))[0].reshape(2, -1)
+    alpha = np.where(psi_lo >= 0.0, ALPHA_BRACKET[0], ALPHA_BRACKET[1])
+    inside = np.nonzero((psi_lo < 0.0) & (psi_hi > 0.0))[0]
+
+    # Start from the continuous approximation (Clauset et al. 2009, eq. 3.7).
+    rows = inside
+    guess = 1.0 + 1.0 / (mean_log[rows] - np.log(x[rows] - 0.5))
+    current = np.clip(guess, lo, hi)
+    a, b = np.full(len(rows), lo), np.full(len(rows), hi)
+    for _ in range(_NEWTON_MAX_ITER):
+        if len(rows) == 0:
+            break
+        psi, slope = score(current, rows)
+        below = psi < 0.0
+        a = np.where(below, current, a)
+        b = np.where(below, b, current)
+        step = current - psi / slope
+        step = np.where((step >= a) & (step <= b), step, 0.5 * (a + b))
+        alpha[rows] = step
+        moving = np.abs(step - current) > _NEWTON_STEP
+        rows, current, a, b = rows[moving], step[moving], a[moving], b[moving]
+
+    ks = np.full(len(starts), np.nan)
+    log_likelihood = np.full(len(starts), np.nan)
+    if len(inside):
+        fitted = alpha[inside]
+        normalizer = _zeta(fitted, x[inside, None])[:, 0]
+        log_likelihood[inside] = -fitted * total_log[inside] - n_tail[inside] * np.log(normalizer)
+        ks[inside] = _ks(levels, counts, starts[inside], fitted, normalizer)
+    return _TailFits(alpha, ks, log_likelihood, n_tail, xmins)
 
 
 def mle_alpha(dist: FrequencyDistribution, xmin: int) -> MleResult:
     """Maximum-likelihood exponent for the tail at a fixed xmin.
 
-    The search is a derivative-free golden-section bracket over
-    ALPHA_BRACKET to absolute tolerance 1e-6.
+    Solves the score equation zeta'(alpha)/zeta(alpha) = -mean ln k
+    (Clauset et al. 2009, App. B) by safeguarded Newton inside
+    ALPHA_BRACKET; the exponent is exact to well under 1e-6. This is the
+    one-candidate case of the fit select_xmin runs over all candidates.
     """
     if xmin < 1:
         raise InputError(f"xmin must be >= 1, got {xmin}")
-    levels, counts = _tail_arrays(dist, xmin)
-    return _fit_tail(levels, counts, xmin)
+    levels, counts = _tail_arrays(dist, 1)
+    start = int(np.searchsorted(levels, xmin))
+    if len(levels) - start < 2:
+        raise DegenerateFitError(
+            f"degenerate tail: need >= 2 distinct populated levels >= xmin {xmin}"
+        )
+    fits = _fit_tails(levels, counts, np.array([start]), np.array([xmin], dtype=np.int64))
+    if math.isnan(fits.ks[0]):
+        raise DegenerateFitError(
+            f"likelihood maximized at the bracket edge (alpha ~ {fits.alpha[0]:.4f}); "
+            "tail is too degenerate to fit"
+        )
+    return fits.result(0)
 
 
 def select_xmin(dist: FrequencyDistribution) -> MleResult:
@@ -268,24 +334,21 @@ def select_xmin(dist: FrequencyDistribution) -> MleResult:
 
     Candidates are the populated levels except the top two (a fit needs a
     tail of at least two distinct levels beyond the candidate); ties in
-    KS go to the smallest xmin, which keeps the most data.
+    KS go to the smallest xmin, which keeps the most data. All candidates
+    are fitted together; one pinned to the bracket edge is skipped.
     """
     levels, counts = _tail_arrays(dist, 1)
     if len(levels) < 3:
         raise DegenerateFitError(
             f"need >= 3 distinct populated levels to select xmin, got {len(levels)}"
         )
-    best: MleResult | None = None
-    for i in range(len(levels) - 2):
-        try:
-            candidate = _fit_tail(levels[i:], counts[i:], int(levels[i]))
-        except DegenerateFitError:
-            continue
-        if best is None or candidate.ks < best.ks:
-            best = candidate
-    if best is None:
+    starts = np.arange(len(levels) - 2)
+    fits = _fit_tails(levels, counts, starts, levels[starts])
+    ks = np.where(np.isnan(fits.ks), np.inf, fits.ks)
+    best = int(np.argmin(ks))
+    if not math.isfinite(ks[best]):
         raise DegenerateFitError("no xmin candidate produced a non-degenerate fit")
-    return best
+    return fits.result(best)
 
 
 def gof_bootstrap(
@@ -353,7 +416,9 @@ def gof_bootstrap(
             except DegenerateFitError:
                 continue
         if refit is None:
-            raise RuntimeError(f"bootstrap replicate {r} could not be refit after 10 attempts")
+            raise DegenerateFitError(
+                f"bootstrap replicate {r} could not be refit after 10 attempts"
+            )
         ks_replicates[r] = refit.ks
     return float(np.mean(ks_replicates >= result.ks))
 

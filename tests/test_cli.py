@@ -67,6 +67,41 @@ class TestExitCodes:
         assert code == 2
         assert "exceeds max level" in err
 
+    def test_level_above_two_to_the_62_exits_two(self, capsys, tmp_path):
+        huge = tmp_path / "huge.csv"
+        huge.write_text("level,count\n1,5\n2,3\n100000000000000000000000,1\n")
+        code, out, err = run_cli(capsys, ["fit", "mle", "--dist", str(huge)])
+        assert code == 2
+        assert out == ""
+        assert "2^62" in err and "huge.csv" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_sample_beyond_level_bound_exits_two(self, capsys, tmp_path):
+        # At alpha 1.2 about one draw in 1e4 would land beyond 2^62.
+        out_file = tmp_path / "x.csv"
+        code, _, err = run_cli(
+            capsys,
+            ["simulate", "--alpha", "1.2", "--authors", "20000", "--seed", "3", "--out", str(out_file)],
+        )
+        assert code == 2
+        assert "2^62" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out_file.exists()
+
+    def test_unrefittable_bootstrap_exits_three(self, capsys, tmp_path):
+        # Three authors on three levels: a replicate draws three authors and
+        # needs three distinct levels to reselect xmin, which fails often
+        # enough that some replicate exhausts its ten attempts.
+        tiny = tmp_path / "tiny.csv"
+        tiny.write_text("level,count\n1,1\n2,1\n3,1\n")
+        code, out, err = run_cli(
+            capsys, ["fit", "mle", "--dist", str(tiny), "--bootstrap", "100", "--seed", "1"]
+        )
+        assert code == 3
+        assert out == ""
+        assert "could not be refit after 10 attempts" in err
+        assert len(err.strip().splitlines()) == 1
+
 
 class TestIngest:
     def test_round_trip(self, capsys, tmp_path):

@@ -17,6 +17,7 @@ from lotkafit import (
     predicted_fraction,
     sample,
 )
+from lotkafit.lotkamodel import _zeta
 
 
 def brute_force_zeta(alpha, xmin=1, terms=10**6):
@@ -54,6 +55,33 @@ class TestHurwitzZeta:
                 assert hurwitz_zeta(alpha, xmin) == pytest.approx(
                     reference, abs=1e-12
                 ), (alpha, xmin)
+
+    @pytest.mark.parametrize("alpha", [1.01, 1.5, 2.0, 10.0])
+    def test_evaluator_and_log_derivatives_against_mpmath(self, alpha):
+        # The array evaluator gives zeta and the first two alpha-derivatives
+        # of ln zeta (minus the model mean of ln k, and its variance) on
+        # both sides of the dense/Euler-Maclaurin switch at 256.
+        mpmath.mp.dps = 40
+        starts = [1, 255, 256, 257, 10**4, 10**7]
+        zeta, dlog, d2log = _zeta([alpha], [[float(s) for s in starts]], derivatives=True)
+        for i, s in enumerate(starts):
+            z = mpmath.zeta(alpha, s)
+            z1 = mpmath.zeta(alpha, s, 1) / z
+            z2 = mpmath.zeta(alpha, s, 2) / z - z1**2
+            assert zeta[0, i] == pytest.approx(float(z), rel=1e-13), s
+            assert dlog[0, i] == pytest.approx(float(z1), rel=1e-13, abs=1e-13), s
+            assert d2log[0, i] == pytest.approx(float(z2), rel=1e-10), s
+
+    def test_evaluator_rows_are_independent(self):
+        # Each row's values depend only on its own exponent and start
+        # points, so a fit of one candidate equals its row in a batch.
+        alphas = [1.3, 2.0, 7.5]
+        starts = np.array([[1.0, 40.0, 255.0, 256.0, 3e5, 2.0**62]])
+        batch = _zeta(alphas, starts)
+        for r, alpha in enumerate(alphas):
+            assert np.array_equal(_zeta([alpha], starts)[0], batch[r])
+            for i, s in enumerate(starts[0]):
+                assert batch[r, i] == hurwitz_zeta(alpha, int(s))
 
     def test_divergent_alpha(self):
         with pytest.raises(InputError, match="diverges"):

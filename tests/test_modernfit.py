@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -20,7 +21,6 @@ from lotkafit import (
     sample,
     select_xmin,
 )
-from lotkafit.modernfit import _golden_section_max
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +28,20 @@ def noiseless_square_law():
     values = expected_counts(10**6, PowerLawModel(2.0, 1), 10**4)
     counts = {k: round(v) for k, v in values if round(v) > 0}
     return FrequencyDistribution.from_counts(counts, name="noiseless")
+
+
+def brute_force_select(d):
+    """Oracle for select_xmin: mle_alpha at every candidate, first minimum wins."""
+    levels = [l for l, a in d.entries if a > 0]
+    best = None
+    for xmin in levels[:-2]:
+        try:
+            fit = mle_alpha(d, xmin)
+        except DegenerateFitError:
+            continue
+        if best is None or fit.ks < best.ks:
+            best = fit
+    return best
 
 
 @pytest.fixture(scope="module")
@@ -97,19 +111,6 @@ class TestMleAlpha:
         with pytest.raises(InputError):
             mle_alpha(d, 0)
 
-    def test_golden_section_bracket_order_invariant(self, big_sample):
-        levels = np.array([l for l, a in big_sample.entries if a > 0], dtype=np.int64)
-        counts = np.array([a for l, a in big_sample.entries if a > 0], dtype=np.int64)
-        weighted = float((counts * np.log(levels.astype(float))).sum())
-        n = float(counts.sum())
-
-        def loglik(alpha):
-            return -alpha * weighted - n * math.log(hurwitz_zeta(alpha, 1))
-
-        forward = _golden_section_max(loglik, 1.01, 10.0)
-        backward = _golden_section_max(loglik, 10.0, 1.01)
-        assert forward == pytest.approx(backward, abs=1e-6)
-
 
 class TestKsDistance:
     def test_zero_for_exact_model_increments(self):
@@ -128,6 +129,19 @@ class TestKsDistance:
         counts[deep] = n - assigned
         d = FrequencyDistribution.from_counts(counts)
         assert ks_distance(d, model) < 1e-12
+
+    @pytest.mark.parametrize("alpha, xmin", [(1.7, 1), (2.0, 3), (2.6, 300)])
+    def test_matches_dense_prefix_sum_reference(self, alpha, xmin):
+        # Reference: the model CDF as a dense prefix sum over every level
+        # from xmin to the top, normalized by mpmath's zeta.
+        mpmath.mp.dps = 30
+        d = sample(PowerLawModel(alpha, xmin), 20_000, 17)
+        levels = np.array([l for l, a in d.entries if a > 0])
+        counts = np.array([a for l, a in d.entries if a > 0], dtype=float)
+        span = np.arange(xmin, levels[-1] + 1, dtype=float)
+        model_cdf = np.cumsum(span**-alpha)[levels - xmin] / float(mpmath.zeta(alpha, xmin))
+        reference = np.max(np.abs(np.cumsum(counts) / counts.sum() - model_cdf))
+        assert ks_distance(d, PowerLawModel(alpha, xmin)) == pytest.approx(reference, abs=1e-13)
 
     def test_point_mass_at_one(self):
         d = FrequencyDistribution.from_counts({1: 1000})
@@ -192,6 +206,28 @@ class TestSelectXmin:
             if xmin >= result.xmin:
                 break
             assert mle_alpha(d, xmin).ks > result.ks
+
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_equals_brute_force_on_samples(self, seed):
+        d = sample(PowerLawModel(2.0, 1), 3000, seed)
+        assert select_xmin(d) == brute_force_select(d)
+
+    def test_equals_brute_force_on_spliced_body(self):
+        tail = sample(PowerLawModel(2.0, 6), 3000, 4)
+        counts = {level: 600 for level in range(1, 6)}
+        counts.update(tail.as_dict())
+        d = FrequencyDistribution.from_counts(counts)
+        result = select_xmin(d)
+        assert result == brute_force_select(d)
+        assert result.xmin >= 6
+
+    def test_equals_brute_force_beyond_two_to_the_21(self):
+        # A heavy tail whose level span exceeds 2^21, with levels on both
+        # sides of the zeta evaluator's dense/tail switch at 256.
+        d = sample(PowerLawModel(1.5, 1), 4000, 8)
+        assert d.max_level - 1 > 1 << 21
+        assert select_xmin(d) == brute_force_select(d)
 
 
 class TestGofBootstrap:
