@@ -1,25 +1,33 @@
 """Frequency-of-frequency data model for author productivity counts.
 
-The central value type is :class:`FrequencyDistribution`: an immutable,
-sorted sequence of ``(level, authors)`` pairs, where ``level`` is a number
-of works and ``authors`` is how many people produced exactly that many.
-Ingestion from per-paper author records, right truncation, half-cutoff
-binning, and truncation reports all live here. Every operation is a pure
-function on immutable values.
+The central value type is :class:`FrequencyDistribution`: two read-only
+int64 arrays, strictly increasing ``levels`` and their ``counts``, where
+a level is a number of works and its count is how many people produced
+exactly that many. Totals are exact Python ints computed once at
+construction; every consumer reads the arrays, and a tail is a slice of
+them. Ingestion from per-paper author records, right truncation,
+half-cutoff binning, and truncation reports all live here. Every
+operation is a pure function on immutable values.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import math
+import operator
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import InputError
+
+if TYPE_CHECKING:
+    from numpy.typing import ArrayLike
 
 __all__ = [
     "FrequencyDistribution",
@@ -41,9 +49,17 @@ __all__ = [
 
 DISTRIBUTION_HEADER = "level,count"
 # Largest accepted level: every level, and twice any sampled level, then
-# fits in an int64.
-MAX_LEVEL = 1 << 62
+# fits in an int64. Author counts and their total share the bound, so
+# every sum of counts fits as well.
+MAX_LEVEL = MAX_AUTHORS = 1 << 62
 RECORDS_HEADER = "paper_id,position,author"
+
+
+def _parse_int(text: str) -> int:
+    """Parse ASCII digits after an optional '-'; int() alone also takes ' +1_0 ' and '١'."""
+    if text.isascii() and (text.isdigit() or text[:1] == "-" and text[1:].isdigit()):
+        return int(text)
+    raise ValueError(text)
 
 
 def round_half_up(value: float, places: int = 2) -> float:
@@ -57,39 +73,54 @@ def round_half_up(value: float, places: int = 2) -> float:
     return float(Decimal(repr(float(value))).quantize(quantum, rounding=ROUND_HALF_UP))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class FrequencyDistribution:
-    """Sorted ``(level, authors)`` pairs plus a display name.
+    """Author counts per level as two read-only int64 arrays, plus a name.
 
-    Levels are strictly increasing positive integers no larger than 2^62;
-    author counts are non-negative integers with at least one positive
-    entry. Zero-count levels may be stored (they survive round trips) but
-    are ignored by ``max_level``. The name is a label only and does not take part in
-    equality.
+    ``levels`` strictly increases within [1, 2^62]; ``counts[i]`` authors
+    produced exactly ``levels[i]`` works. Counts are non-negative, one at
+    least is positive, and they total at most 2^62, so no int64 sum over
+    them wraps. Zero-count levels may be stored (they survive round
+    trips) but are ignored by ``max_level`` and ``populated_arrays``.
+    The totals are exact Python ints computed once. ``entries`` gives the
+    ``(level, authors)`` pairs back. Equality and the hash compare the
+    arrays; the name is a label only.
     """
 
-    entries: tuple[tuple[int, int], ...]
-    name: str = field(default="dist", compare=False)
+    levels: np.ndarray
+    counts: np.ndarray
+    name: str
+    total_authors: int = field(repr=False)
+    total_works: int = field(repr=False)
+    max_level: int = field(repr=False)
 
-    def __post_init__(self) -> None:
-        cleaned = []
-        previous = 0
-        for level, authors in self.entries:
-            level = int(level)
-            authors = int(authors)
-            if level < 1:
-                raise InputError(f"level must be >= 1, got {level}")
-            if level > MAX_LEVEL:
-                raise InputError(f"level must be <= 2^62, got {level}")
-            if authors < 0:
-                raise InputError(f"author count must be >= 0, got {authors} at level {level}")
-            if level <= previous:
-                raise InputError(f"levels must be strictly increasing (level {level} out of order)")
-            previous = level
-            cleaned.append((level, authors))
-        if not any(authors > 0 for _, authors in cleaned):
+    def __init__(self, entries: Iterable[tuple[int, int]], name: str = "dist") -> None:
+        rows = tuple(entries)
+        self.__post_init__([row[0] for row in rows], [row[1] for row in rows], name)
+
+    def __post_init__(self, levels: ArrayLike, counts: ArrayLike, name: str) -> None:
+        """Check and store the 1-D arrays and their totals; every constructor ends here.
+
+        The name is the dataclass hook's: bench/tracer.py times construction through it.
+        """
+        try:
+            levels = np.array(levels, dtype=np.int64)
+            counts = np.array(counts, dtype=np.int64)
+        except OverflowError:  # beyond int64 is beyond the accepted range too
+            raise InputError(_first_fault(zip(levels, counts))) from None
+        valid = (levels >= 1) & (levels <= MAX_LEVEL) & (counts >= 0) & (counts <= MAX_AUTHORS)
+        valid[1:] &= levels[1:] > levels[:-1]
+        if not valid.all():
+            raise InputError(_first_fault(zip(levels.tolist(), counts.tolist())))
+        populated = np.flatnonzero(counts)
+        if not len(populated):
             raise InputError("distribution has no populated level")
-        object.__setattr__(self, "entries", tuple(cleaned))
+        total_authors, total_works = _exact_totals(levels, counts)
+        if total_authors > MAX_AUTHORS:
+            raise InputError(f"author total must be <= 2^62, got {total_authors}")
+        levels.flags.writeable = counts.flags.writeable = False
+        vars(self).update(levels=levels, counts=counts, name=name, total_works=total_works,
+                          total_authors=total_authors, max_level=int(levels[populated[-1]]))
 
     @classmethod
     def from_counts(
@@ -100,31 +131,74 @@ class FrequencyDistribution:
         items = counts.items() if isinstance(counts, Mapping) else counts
         return cls(tuple(sorted((int(k), int(v)) for k, v in items)), name=name)
 
-    @property
-    def total_authors(self) -> int:
-        return sum(a for _, a in self.entries)
+    @classmethod
+    def from_arrays(
+        cls, levels: ArrayLike, counts: ArrayLike, name: str = "dist"
+    ) -> "FrequencyDistribution":
+        """Build from parallel arrays of levels and author counts; both are copied."""
+        dist = cls.__new__(cls)
+        dist.__post_init__(levels, counts, name)
+        return dist
 
-    @property
-    def total_works(self) -> int:
-        return sum(level * a for level, a in self.entries)
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FrequencyDistribution):
+            return NotImplemented
+        return np.array_equal(self.levels, other.levels) and np.array_equal(self.counts, other.counts)
 
-    @property
-    def max_level(self) -> int:
-        return max(level for level, a in self.entries if a > 0)
+    def __hash__(self) -> int:
+        return hash((self.levels.tobytes(), self.counts.tobytes()))
+
+    @cached_property
+    def entries(self) -> tuple[tuple[int, int], ...]:
+        """The ``(level, authors)`` pairs as Python ints, zero counts included."""
+        return tuple(zip(self.levels.tolist(), self.counts.tolist()))
+
+    @cached_property
+    def populated_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (levels, counts) without the zero-count levels."""
+        keep = self.counts > 0
+        levels, counts = self.levels[keep], self.counts[keep]
+        levels.flags.writeable = counts.flags.writeable = False
+        return levels, counts
 
     @property
     def populated(self) -> tuple[tuple[int, int], ...]:
         """Entries with at least one author."""
-        return tuple((level, a) for level, a in self.entries if a > 0)
+        levels, counts = self.populated_arrays
+        return tuple(zip(levels.tolist(), counts.tolist()))
 
     def authors_at(self, level: int) -> int:
-        for lv, a in self.entries:
-            if lv == level:
-                return a
-        return 0
+        i = int(np.searchsorted(self.levels, level))
+        return int(self.counts[i]) if i < len(self.levels) and self.levels[i] == level else 0
 
     def as_dict(self) -> dict[int, int]:
-        return {level: a for level, a in self.entries}
+        return dict(self.entries)
+
+
+def _first_fault(rows: Iterable[tuple[int, int]]) -> str:
+    """Why the first invalid ``(level, authors)`` row, in order, is invalid."""
+    previous = 0
+    for level, authors in rows:
+        if not 1 <= level <= MAX_LEVEL:
+            return f"level must lie in [1, 2^62], got {level}"
+        if not 0 <= authors <= MAX_AUTHORS:
+            return f"author count must lie in [0, 2^62], got {authors} at level {level}"
+        if level <= previous:
+            return f"levels must be strictly increasing (level {level} out of order)"
+        previous = level
+    return "levels and author counts must be integers"
+
+
+def _exact_totals(levels: np.ndarray, counts: np.ndarray) -> tuple[int, int]:
+    """Sums of counts and of levels * counts as Python ints, which cannot wrap."""
+    counts = counts.tolist()
+    return sum(counts), sum(map(operator.mul, levels.tolist(), counts))
+
+
+def _tally(draws: np.ndarray, name: str) -> FrequencyDistribution:
+    """The distribution of sampled levels: each distinct level and how often it was drawn."""
+    levels, counts = np.unique(draws, return_counts=True)
+    return FrequencyDistribution.from_arrays(levels, counts, name=name)
 
 
 @dataclass(frozen=True)
@@ -161,24 +235,15 @@ class TruncationReport:
 
     cutoff: int
     removed_level_range: int
-    removed_works: int
-    removed_authors_from_denominator: int
     pct_range: float
+    removed_works: int
     pct_works: float
+    removed_authors_from_denominator: int
     pct_authors: float
     removed_authors_physical: int
 
     def to_dict(self) -> dict:
-        return {
-            "cutoff": self.cutoff,
-            "removed_level_range": self.removed_level_range,
-            "pct_range": self.pct_range,
-            "removed_works": self.removed_works,
-            "pct_works": self.pct_works,
-            "removed_authors_from_denominator": self.removed_authors_from_denominator,
-            "pct_authors": self.pct_authors,
-            "removed_authors_physical": self.removed_authors_physical,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -220,8 +285,8 @@ def parse_distribution(text: str, name: str = "dist") -> FrequencyDistribution:
         if len(parts) != 2:
             raise InputError(f"line {lineno}: expected 'integer,integer', got {line!r}")
         try:
-            level = int(parts[0])
-            count = int(parts[1])
+            level = _parse_int(parts[0])
+            count = _parse_int(parts[1])
         except ValueError:
             raise InputError(f"line {lineno}: expected 'integer,integer', got {line!r}") from None
         if level < 1:
@@ -243,16 +308,21 @@ def serialize_distribution(dist: FrequencyDistribution) -> str:
     return "\n".join(rows) + "\n"
 
 
-def read_distribution(path: str | Path) -> FrequencyDistribution:
+def _read(path: str | Path, parse):
+    """parse(text, path) on a UTF-8 file; errors name the file."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}") from None
     try:
-        return parse_distribution(text, name=path.stem)
+        return parse(text, path)
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from None
+
+
+def read_distribution(path: str | Path) -> FrequencyDistribution:
+    return _read(path, lambda text, path: parse_distribution(text, name=path.stem))
 
 
 def write_distribution(dist: FrequencyDistribution, path: str | Path) -> None:
@@ -274,7 +344,6 @@ def parse_records(text: str) -> list[AuthorRecord]:
     if [h.strip() for h in header] != RECORDS_HEADER.split(","):
         raise InputError(f"line 1: expected header {RECORDS_HEADER!r}, got {','.join(header)!r}")
     by_paper: dict[str, dict[int, str]] = {}
-    order: list[str] = []
     for lineno, row in enumerate(reader, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             raise InputError(f"line {lineno}: blank line")
@@ -284,7 +353,7 @@ def parse_records(text: str) -> list[AuthorRecord]:
         if not paper_id:
             raise InputError(f"line {lineno}: empty paper_id")
         try:
-            position = int(row[1])
+            position = _parse_int(row[1])
         except ValueError:
             raise InputError(f"line {lineno}: position must be an integer, got {row[1]!r}") from None
         if position < 1:
@@ -292,18 +361,14 @@ def parse_records(text: str) -> list[AuthorRecord]:
         author = row[2].strip()
         if not author:
             raise InputError(f"line {lineno}: empty author name")
-        if paper_id not in by_paper:
-            by_paper[paper_id] = {}
-            order.append(paper_id)
-        slots = by_paper[paper_id]
+        slots = by_paper.setdefault(paper_id, {})
         if position in slots:
             raise InputError(f"line {lineno}: duplicate position {position} for paper {paper_id!r}")
         slots[position] = author
     if not by_paper:
         raise InputError("empty input: no data rows")
     records = []
-    for paper_id in order:
-        slots = by_paper[paper_id]
+    for paper_id, slots in by_paper.items():
         if 1 not in slots:
             raise InputError(f"paper {paper_id!r} has no position-1 (senior) author row")
         records.append(AuthorRecord(paper_id, tuple(slots[p] for p in sorted(slots))))
@@ -311,15 +376,7 @@ def parse_records(text: str) -> list[AuthorRecord]:
 
 
 def read_records(path: str | Path) -> list[AuthorRecord]:
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"{path}: {exc.strerror or exc}") from None
-    try:
-        return parse_records(text)
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from None
+    return _read(path, lambda text, path: parse_records(text))
 
 
 def from_author_records(
@@ -351,10 +408,10 @@ def truncate_right(dist: FrequencyDistribution, cutoff: int) -> FrequencyDistrib
     """
     if cutoff < 1:
         raise InputError(f"cutoff must be >= 1, got {cutoff}")
-    kept = tuple((level, a) for level, a in dist.entries if level <= cutoff)
-    if not any(a > 0 for _, a in kept):
+    end = int(np.searchsorted(dist.levels, cutoff, side="right"))
+    if not dist.counts[:end].any():
         raise InputError(f"cutoff {cutoff} leaves no populated levels")
-    return FrequencyDistribution(kept, name=dist.name)
+    return FrequencyDistribution.from_arrays(dist.levels[:end], dist.counts[:end], name=dist.name)
 
 
 def truncation_report(dist: FrequencyDistribution, cutoff: int) -> TruncationReport:
@@ -369,8 +426,8 @@ def truncation_report(dist: FrequencyDistribution, cutoff: int) -> TruncationRep
     if cutoff > max_level:
         raise InputError(f"cutoff {cutoff} exceeds max level {max_level}")
     removed_range = max_level - cutoff
-    removed_works = sum(level * a for level, a in dist.entries if level > cutoff)
-    removed_authors = sum(a for level, a in dist.entries if level > cutoff)
+    start = int(np.searchsorted(dist.levels, cutoff, side="right"))
+    removed_authors, removed_works = _exact_totals(dist.levels[start:], dist.counts[start:])
     return TruncationReport(
         cutoff=cutoff,
         removed_level_range=removed_range,
@@ -392,12 +449,14 @@ def bin_histogram(dist: FrequencyDistribution, bin_width: int) -> HistogramBins:
     """
     if bin_width < 1:
         raise InputError(f"bin width must be >= 1, got {bin_width}")
-    n_bins = math.ceil(dist.max_level / bin_width)
-    total = dist.total_authors
-    bins = []
-    for k in range(1, n_bins + 1):
-        start = (k - 1) * bin_width + 1
-        end = k * bin_width
-        count = sum(a for level, a in dist.entries if start <= level <= end)
-        bins.append((start, end, count, 100.0 * count / total))
-    return HistogramBins(bin_width=bin_width, bins=tuple(bins))
+    n_bins = -(-dist.max_level // bin_width)
+    # A width beyond max_level gives one bin either way; clamping it keeps
+    # the bin index in int64 for any width.
+    width = min(bin_width, dist.max_level)
+    levels, counts = dist.populated_arrays
+    tallies = np.zeros(n_bins, dtype=np.int64)
+    np.add.at(tallies, (levels - 1) // width, counts)
+    percents = 100.0 * tallies / dist.total_authors
+    top = n_bins * bin_width
+    starts, ends = range(1, top + 1, bin_width), range(bin_width, top + 1, bin_width)
+    return HistogramBins(bin_width, tuple(zip(starts, ends, tallies.tolist(), percents.tolist())))

@@ -121,7 +121,8 @@ def to_percent_series(
         denom = int(denominator)
         if denom <= 0:
             raise InputError(f"denominator must be positive, got {denom}")
-    points = tuple((level, 100.0 * a / denom) for level, a in dist.entries if a > 0)
+    levels, counts = dist.populated_arrays
+    points = tuple(zip(levels.tolist(), (100.0 * counts / denom).tolist()))
     return PercentSeries(points=points, denominator=denom)
 
 

@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InputError
-from .freqdata import MAX_LEVEL, FrequencyDistribution
+from .freqdata import MAX_LEVEL, FrequencyDistribution, _tally
 
 __all__ = [
     "PowerLawModel",
@@ -284,7 +284,4 @@ def sample(model: PowerLawModel, count: int, seed: int) -> FrequencyDistribution
     if seed < 0:
         raise InputError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
-    levels = _CdfTable(model).draw(rng, count)
-    values, tallies = np.unique(levels, return_counts=True)
-    entries = tuple((int(v), int(c)) for v, c in zip(values, tallies))
-    return FrequencyDistribution(entries, name="sample")
+    return _tally(_CdfTable(model).draw(rng, count), "sample")

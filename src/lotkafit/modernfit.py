@@ -16,12 +16,13 @@ regression and measure how far the two disagree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from contextlib import suppress
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import DegenerateFitError, InputError
-from .freqdata import FrequencyDistribution, truncate_right, truncation_report
+from .freqdata import FrequencyDistribution, _tally, truncate_right, truncation_report
 from .loglogfit import Denominator, FitResult, fit_historical
 from .lotkamodel import PowerLawModel, _CdfTable, _zeta
 
@@ -67,13 +68,7 @@ class MleResult:
     log_likelihood: float
 
     def to_dict(self) -> dict:
-        return {
-            "alpha_hat": self.alpha_hat,
-            "xmin": self.xmin,
-            "ks": self.ks,
-            "n_tail": self.n_tail,
-            "log_likelihood": self.log_likelihood,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -122,24 +117,11 @@ class BiasTable:
     rows: tuple[BiasRow, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "authors": self.authors,
-            "replicates": self.replicates,
-            "seed": self.seed,
-            "rows": [
-                {
-                    "cutoff": r.cutoff,
-                    "mean_hist_err": _none_if_nan(r.mean_hist_err),
-                    "sd_hist_err": _none_if_nan(r.sd_hist_err),
-                    "mean_mle_err": _none_if_nan(r.mean_mle_err),
-                    "sd_mle_err": _none_if_nan(r.sd_mle_err),
-                    "n_hist": r.n_hist,
-                    "n_mle": r.n_mle,
-                }
-                for r in self.rows
-            ],
-        }
+        payload = asdict(self)
+        payload["rows"] = [
+            {key: _none_if_nan(value) for key, value in row.items()} for row in payload["rows"]
+        ]
+        return payload
 
     def to_text_rows(self) -> str:
         lines = ["cutoff,mean_hist_err,sd_hist_err,mean_mle_err,sd_mle_err"]
@@ -151,18 +133,17 @@ class BiasTable:
         return "\n".join(lines) + "\n"
 
 
-def _none_if_nan(x: float) -> float | None:
-    return None if math.isnan(x) else x
+def _none_if_nan(x: float | int) -> float | int | None:
+    return None if isinstance(x, float) and math.isnan(x) else x
 
 
-def _tail_arrays(
-    dist: FrequencyDistribution, xmin: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Populated (levels, counts) arrays restricted to levels >= xmin."""
-    pairs = [(level, a) for level, a in dist.entries if a > 0 and level >= xmin]
-    levels = np.array([p[0] for p in pairs], dtype=np.int64)
-    counts = np.array([p[1] for p in pairs], dtype=np.int64)
-    return levels, counts
+def _tail_arrays(dist: FrequencyDistribution, xmin: int) -> tuple[np.ndarray, np.ndarray]:
+    """Populated (levels, counts) arrays restricted to levels >= xmin, as slices."""
+    levels, counts = dist.populated_arrays
+    start = int(np.searchsorted(levels, xmin))
+    if start == len(levels):
+        raise DegenerateFitError(f"no authors at levels >= xmin {xmin}")
+    return levels[start:], counts[start:]
 
 
 def log_likelihood(dist: FrequencyDistribution, model: PowerLawModel) -> float:
@@ -172,8 +153,6 @@ def log_likelihood(dist: FrequencyDistribution, model: PowerLawModel) -> float:
     -alpha*ln(k) - ln(zeta(alpha, xmin)).
     """
     levels, counts = _tail_arrays(dist, model.xmin)
-    if len(levels) == 0:
-        raise DegenerateFitError(f"no authors at levels >= xmin {model.xmin}")
     weighted_log = float((counts * np.log(levels.astype(float))).sum())
     n_tail = float(counts.sum())
     return -model.alpha * weighted_log - n_tail * math.log(model.normalizer)
@@ -218,8 +197,6 @@ def _ks(
 def ks_distance(dist: FrequencyDistribution, model: PowerLawModel) -> float:
     """Supremum gap between empirical and model CDFs on the tail."""
     levels, counts = _tail_arrays(dist, model.xmin)
-    if len(levels) == 0:
-        raise DegenerateFitError(f"no authors at levels >= xmin {model.xmin}")
     alpha, normalizer = np.array([model.alpha]), np.array([model.normalizer])
     return float(_ks(levels, counts, np.zeros(1, dtype=np.intp), alpha, normalizer)[0])
 
@@ -236,11 +213,8 @@ class _TailFits:
 
     def result(self, i: int) -> MleResult:
         return MleResult(
-            alpha_hat=float(self.alpha[i]),
-            xmin=int(self.xmin[i]),
-            ks=float(self.ks[i]),
-            n_tail=int(self.n_tail[i]),
-            log_likelihood=float(self.log_likelihood[i]),
+            float(self.alpha[i]), int(self.xmin[i]), float(self.ks[i]), int(self.n_tail[i]),
+            float(self.log_likelihood[i]),
         )
 
 
@@ -314,7 +288,7 @@ def mle_alpha(dist: FrequencyDistribution, xmin: int) -> MleResult:
     """
     if xmin < 1:
         raise InputError(f"xmin must be >= 1, got {xmin}")
-    levels, counts = _tail_arrays(dist, 1)
+    levels, counts = dist.populated_arrays
     start = int(np.searchsorted(levels, xmin))
     if len(levels) - start < 2:
         raise DegenerateFitError(
@@ -337,7 +311,7 @@ def select_xmin(dist: FrequencyDistribution) -> MleResult:
     KS go to the smallest xmin, which keeps the most data. All candidates
     are fitted together; one pinned to the bracket edge is skipped.
     """
-    levels, counts = _tail_arrays(dist, 1)
+    levels, counts = dist.populated_arrays
     if len(levels) < 3:
         raise DegenerateFitError(
             f"need >= 3 distinct populated levels to select xmin, got {len(levels)}"
@@ -375,46 +349,23 @@ def gof_bootstrap(
         raise InputError(f"seed must be non-negative, got {seed}")
     model = PowerLawModel(result.alpha_hat, result.xmin)
     table = _CdfTable(model)
-    body_levels_list = [
-        (level, a) for level, a in dist.entries if a > 0 and level < result.xmin
-    ]
-    body_pool = (
-        np.repeat(
-            np.array([p[0] for p in body_levels_list], dtype=np.int64),
-            np.array([p[1] for p in body_levels_list], dtype=np.int64),
-        )
-        if body_levels_list
-        else np.empty(0, dtype=np.int64)
-    )
+    levels, counts = dist.populated_arrays
+    body = int(np.searchsorted(levels, result.xmin))
+    body_pool = np.repeat(levels[:body], counts[:body])
     n = dist.total_authors
-    n_tail = n - int(body_pool.size)
-    p_tail = n_tail / n
+    p_tail = (n - body_pool.size) / n
     ks_replicates = np.empty(n_boot)
     for r in range(n_boot):
         refit: MleResult | None = None
         for attempt in range(10):
             rng = np.random.default_rng((seed, r, attempt))
-            in_tail = rng.random(n) < p_tail
-            k_tail = int(in_tail.sum())
-            parts = []
-            if k_tail:
-                parts.append(table.draw(rng, k_tail))
-            if n - k_tail:
-                picks = (rng.random(n - k_tail) * body_pool.size).astype(np.int64)
-                parts.append(body_pool[picks])
-            drawn = np.concatenate(parts)
-            values, tallies = np.unique(drawn, return_counts=True)
-            replicate = FrequencyDistribution(
-                tuple((int(v), int(c)) for v, c in zip(values, tallies)), name="bootstrap"
-            )
-            try:
-                if reselect_xmin:
-                    refit = select_xmin(replicate)
-                else:
-                    refit = mle_alpha(replicate, result.xmin)
+            k_tail = int((rng.random(n) < p_tail).sum())
+            tail = table.draw(rng, k_tail)
+            picks = (rng.random(n - k_tail) * body_pool.size).astype(np.int64)
+            replicate = _tally(np.concatenate([tail, body_pool[picks]]), "bootstrap")
+            with suppress(DegenerateFitError):
+                refit = select_xmin(replicate) if reselect_xmin else mle_alpha(replicate, result.xmin)
                 break
-            except DegenerateFitError:
-                continue
         if refit is None:
             raise DegenerateFitError(
                 f"bootstrap replicate {r} could not be refit after 10 attempts"
@@ -501,24 +452,14 @@ def bias_experiment(
     hist_errors: dict[int, list[float]] = {c: [] for c in cutoffs}
     mle_errors: dict[int, list[float]] = {c: [] for c in cutoffs}
     for r in range(replicates):
-        rng = np.random.default_rng((seed, r))
-        drawn = table.draw(rng, authors)
-        values, tallies = np.unique(drawn, return_counts=True)
-        population = FrequencyDistribution(
-            tuple((int(v), int(c)) for v, c in zip(values, tallies)), name="bias"
-        )
+        population = _tally(table.draw(np.random.default_rng((seed, r)), authors), "bias")
         for cutoff in cutoffs:
-            try:
+            with suppress(DegenerateFitError, InputError):
                 fit = fit_historical(population, cutoff, Denominator.FULL)
                 hist_errors[cutoff].append(fit.exponent - alpha)
-            except (DegenerateFitError, InputError):
-                pass
-            try:
-                truncated = truncate_right(population, cutoff)
-                modern = select_xmin(truncated)
+            with suppress(DegenerateFitError, InputError):
+                modern = select_xmin(truncate_right(population, cutoff))
                 mle_errors[cutoff].append(modern.alpha_hat - alpha)
-            except (DegenerateFitError, InputError):
-                pass
     rows = []
     for cutoff in cutoffs:
         hist = hist_errors[cutoff]

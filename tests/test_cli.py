@@ -76,6 +76,15 @@ class TestExitCodes:
         assert "2^62" in err and "huge.csv" in err
         assert len(err.strip().splitlines()) == 1
 
+    def test_count_above_two_to_the_62_exits_two(self, capsys, tmp_path):
+        huge = tmp_path / "huge.csv"
+        huge.write_text("level,count\n1,100000000000000000000000\n2,3\n")
+        code, out, err = run_cli(capsys, ["fit", "mle", "--dist", str(huge)])
+        assert code == 2
+        assert out == ""
+        assert "2^62" in err and "huge.csv" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_sample_beyond_level_bound_exits_two(self, capsys, tmp_path):
         # At alpha 1.2 about one draw in 1e4 would land beyond 2^62.
         out_file = tmp_path / "x.csv"
@@ -260,6 +269,16 @@ class TestPlot:
         second = rows[2].split(",")
         assert (first[0], first[1], first[2]) == ("1", "15", "6354")
         assert (second[0], second[1], second[2]) == ("16", "30", "424")
+
+    def test_histogram_width_beyond_int64_is_one_bin(self, capsys, ca_file, tmp_path):
+        svg = tmp_path / "hist.svg"
+        width = "100000000000000000000"
+        code, _, _ = run_cli(
+            capsys, ["plot", "histogram", "--dist", ca_file, "--bin-width", width, "--out", str(svg)]
+        )
+        assert code == 0
+        rows = (tmp_path / "hist.csv").read_text().strip().split("\n")
+        assert rows[1:] == [f"1,{width},6891,100.0"]
 
     def test_fit_flag_rejected_for_histogram(self, capsys, ca_file, tmp_path):
         fit_file = tmp_path / "fit.json"

@@ -1,5 +1,7 @@
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from lotkafit import (
     truncate_right,
     truncation_report,
 )
+from lotkafit.freqdata import _tally
 
 distributions = st.dictionaries(
     st.integers(min_value=1, max_value=400),
@@ -55,6 +58,59 @@ class TestFrequencyDistribution:
         b = FrequencyDistribution.from_counts({1: 1}, name="b")
         assert a == b
 
+    def test_equal_across_names_and_constructors_hash_equal(self):
+        a = FrequencyDistribution.from_counts({1: 1, 4: 0}, name="a")
+        b = FrequencyDistribution.from_arrays(np.array([1, 4]), np.array([1, 0]), name="b")
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != FrequencyDistribution.from_counts({1: 1})
+        assert a != FrequencyDistribution.from_counts({1: 2, 4: 0})
+
+    def test_arrays_read_only(self):
+        levels = np.array([1, 3, 9])
+        d = FrequencyDistribution.from_arrays(levels, np.array([5, 0, 2]))
+        levels[0] = 2
+        assert d.levels.tolist() == [1, 3, 9]
+        assert d.levels.dtype == d.counts.dtype == np.int64
+        for array in (d.levels, d.counts, *d.populated_arrays):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 7
+        assert [a.tolist() for a in d.populated_arrays] == [[1, 9], [5, 2]]
+
+    def test_total_works_exact_beyond_int64(self):
+        d = FrequencyDistribution.from_counts({2**62: 3})
+        assert d.total_works == 3 * 2**62
+        assert (d.total_authors, d.max_level) == (3, 2**62)
+        d = FrequencyDistribution.from_counts({1: 2**61, 2: 2**61 - 5, 2**62: 2})
+        assert d.total_authors == 2**62 - 3
+        assert d.total_works == 2**61 + 2 * (2**61 - 5) + 2**63
+        r = truncation_report(FrequencyDistribution.from_counts({1: 1, 2**62: 3}), 1)
+        assert (r.removed_works, r.removed_authors_physical) == (3 * 2**62, 3)
+
+    @pytest.mark.parametrize(
+        "counts,fragment",
+        [
+            ({1: 10**23, 2: 3}, "author count must lie in \\[0, 2\\^62\\]"),
+            ({1: 2**62 + 1}, "author count must lie in \\[0, 2\\^62\\]"),
+            ({1: 2**62, 2: 1, 3: 1}, "author total must be <= 2\\^62"),
+            ({1: 2**62, 2: 2**62, 3: 2**62}, "author total must be <= 2\\^62"),
+            ({1: -(10**23)}, "author count must lie in"),
+            ({-(10**23): 1}, "level must lie in"),
+        ],
+    )
+    def test_rejects_counts_beyond_int64_safe_bound(self, counts, fragment):
+        with pytest.raises(InputError, match=fragment):
+            FrequencyDistribution.from_counts(counts)
+
+    def test_tally_matches_unique(self):
+        for seed in range(5):
+            draws = np.random.default_rng(seed).zipf(2.0, 5000)
+            values, counts = np.unique(draws, return_counts=True)
+            d = _tally(draws, "tally")
+            assert d.entries == tuple(zip(values.tolist(), counts.tolist()))
+            assert (d.name, d.total_authors) == ("tally", 5000)
+
 
 class TestParseDistribution:
     def test_basic(self):
@@ -81,6 +137,13 @@ class TestParseDistribution:
             ("", "header"),
             ("count,level\n1,2", "header"),
             ("level,count\n\n1,2", "blank"),
+            ("level,count\n 1_0 ,+5", "expected 'integer,integer'"),
+            ("level,count\n1_0,5", "expected 'integer,integer'"),
+            ("level,count\n1,+5", "expected 'integer,integer'"),
+            ("level,count\n 1,5", "expected 'integer,integer'"),
+            ("level,count\n\u0661,5", "expected 'integer,integer'"),
+            ("level,count\n1,\uff15", "expected 'integer,integer'"),
+            ("level,count\n1,--5", "expected 'integer,integer'"),
         ],
     )
     def test_errors(self, text, fragment):
@@ -169,6 +232,10 @@ class TestParseRecords:
             ("paper_id,position,author\n", "no data rows"),
             ("wrong,header,here\nP1,1,A\n", "header"),
             ("paper_id,position,author\nP1,1\n", "line 2"),
+            ("paper_id,position,author\nP1,+1,A\n", "position must be an integer"),
+            ("paper_id,position,author\nP1, 1,A\n", "position must be an integer"),
+            ("paper_id,position,author\nP1,1_0,A\n", "position must be an integer"),
+            ("paper_id,position,author\nP1,\u0661,A\n", "position must be an integer"),
         ],
     )
     def test_errors(self, text, fragment):
@@ -248,7 +315,29 @@ class TestTruncationReport:
         assert payload["removed_authors_physical"] == 113
 
 
+def _rescan_bins(dist, bin_width):
+    """Reference binning: rescan every entry for every bin."""
+    n_bins = math.ceil(dist.max_level / bin_width)
+    total = dist.total_authors
+    bins = []
+    for k in range(1, n_bins + 1):
+        start = (k - 1) * bin_width + 1
+        end = k * bin_width
+        count = sum(a for level, a in dist.entries if start <= level <= end)
+        bins.append((start, end, count, 100.0 * count / total))
+    return tuple(bins)
+
+
 class TestBinHistogram:
+    @given(
+        distributions,
+        st.one_of(st.integers(1, 50), st.just("max_level"), st.integers(2**63, 2**80)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_bin_rescan(self, d, width):
+        width = d.max_level if width == "max_level" else width
+        assert bin_histogram(d, width).bins == _rescan_bins(d, width)
+
     def test_small_example(self):
         d = FrequencyDistribution.from_counts({1: 6, 2: 3, 16: 1})
         bins = bin_histogram(d, 15)
