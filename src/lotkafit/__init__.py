@@ -16,6 +16,7 @@ from .freqdata import (
     TruncationReport,
     bin_histogram,
     from_author_records,
+    ingest_records,
     parse_distribution,
     parse_records,
     read_distribution,
@@ -87,6 +88,7 @@ __all__ = [
     "from_author_records",
     "gof_bootstrap",
     "hurwitz_zeta",
+    "ingest_records",
     "ks_distance",
     "log_likelihood",
     "mle_alpha",

@@ -15,13 +15,7 @@ import sys
 from pathlib import Path
 
 from .errors import DegenerateFitError, InputError
-from .freqdata import (
-    from_author_records,
-    read_distribution,
-    read_records,
-    truncation_report,
-    write_distribution,
-)
+from .freqdata import ingest_records, read_distribution, truncation_report, write_distribution
 from .loglogfit import Denominator, FitResult, fit_historical, ols_loglog, to_percent_series
 from .lotkamodel import PowerLawModel, sample
 from .modernfit import bias_experiment, compare_methods, gof_bootstrap, mle_alpha, select_xmin
@@ -73,11 +67,10 @@ def _print_json(payload: dict) -> None:
 
 
 def _cmd_ingest(args) -> int:
-    records = read_records(args.records)
-    dist = from_author_records(records, name=Path(args.out).stem)
+    dist = ingest_records(args.records, name=Path(args.out).stem)
     write_distribution(dist, args.out)
     print(
-        f"{len(records)} papers -> {dist.total_authors} credited authors, "
+        f"{dist.total_works} papers -> {dist.total_authors} credited authors, "
         f"{dist.total_works} works",
         file=sys.stderr,
     )
@@ -181,7 +174,7 @@ def _load_fit(path: str) -> FitResult:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}") from None
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"{path}: not valid JSON ({exc})") from None
     try:
         return FitResult(

@@ -5,7 +5,8 @@ int64 arrays, strictly increasing ``levels`` and their ``counts``, where
 a level is a number of works and its count is how many people produced
 exactly that many. Totals are exact Python ints computed once at
 construction; every consumer reads the arrays, and a tail is a slice of
-them. Ingestion from per-paper author records, right truncation,
+them. Ingestion from per-paper author records (checked column-wise:
+one streaming CSV pass, then bulk checks), right truncation,
 half-cutoff binning, and truncation reports all live here. Every
 operation is a pure function on immutable values.
 """
@@ -15,10 +16,10 @@ from __future__ import annotations
 import csv
 import io
 import operator
-from collections import Counter
 from dataclasses import asdict, dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from functools import cached_property
+from itertools import compress
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
@@ -40,6 +41,7 @@ __all__ = [
     "write_distribution",
     "parse_records",
     "read_records",
+    "ingest_records",
     "from_author_records",
     "truncate_right",
     "truncation_report",
@@ -50,8 +52,11 @@ __all__ = [
 DISTRIBUTION_HEADER = "level,count"
 # Largest accepted level: every level, and twice any sampled level, then
 # fits in an int64. Author counts and their total share the bound, so
-# every sum of counts fits as well.
+# every sum of counts fits as well. Author positions in records share it.
 MAX_LEVEL = MAX_AUTHORS = 1 << 62
+# Most bins a histogram may have: 2^20 bins already take seconds and
+# hundreds of MiB to build and write.
+MAX_BINS = 1 << 20
 RECORDS_HEADER = "paper_id,position,author"
 
 
@@ -315,10 +320,20 @@ def _read(path: str | Path, parse):
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
     try:
         return parse(text, path)
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from None
+
+
+def _write_text(path: str | Path, text: str) -> None:
+    """Write text to a UTF-8 file; errors name the file, as in _read."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"{path}: {exc.strerror or exc}") from None
 
 
 def read_distribution(path: str | Path) -> FrequencyDistribution:
@@ -326,57 +341,139 @@ def read_distribution(path: str | Path) -> FrequencyDistribution:
 
 
 def write_distribution(dist: FrequencyDistribution, path: str | Path) -> None:
-    Path(path).write_text(serialize_distribution(dist), encoding="utf-8")
+    _write_text(path, serialize_distribution(dist))
 
 
-def parse_records(text: str) -> list[AuthorRecord]:
-    """Parse the ``paper_id,position,author`` file into author records.
+def _record_columns(text: str) -> tuple[list[str], np.ndarray, list[str], np.ndarray]:
+    """Check a records file; return its paper ids, positions, author names and paper codes.
 
     One row per (paper, author position); position 1 marks the senior
-    author and every paper must have exactly one position-1 row. Fields
-    containing commas may be quoted as in ordinary CSV.
+    author and every paper must have exactly one position-1 row. Rows
+    stream from csv.reader into three column lists, and the columns are
+    checked in bulk. Ids and names come back stripped, positions as
+    int64, and each row's paper code is the index of the paper's first
+    row, so codes order papers as the file first lists them. When a bulk
+    check fails, _record_fault rescans the rows to word the first fault.
     """
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
     except StopIteration:
         raise InputError(f"empty input: expected header {RECORDS_HEADER!r}") from None
+    except csv.Error as exc:
+        raise InputError(f"line 1: {exc}") from None
     if [h.strip() for h in header] != RECORDS_HEADER.split(","):
         raise InputError(f"line 1: expected header {RECORDS_HEADER!r}, got {','.join(header)!r}")
-    by_paper: dict[str, dict[int, str]] = {}
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            raise InputError(f"line {lineno}: blank line")
-        if len(row) != 3:
-            raise InputError(f"line {lineno}: expected 'paper_id,position,author', got {row!r}")
-        paper_id = row[0].strip()
-        if not paper_id:
-            raise InputError(f"line {lineno}: empty paper_id")
-        try:
-            position = _parse_int(row[1])
-        except ValueError:
-            raise InputError(f"line {lineno}: position must be an integer, got {row[1]!r}") from None
-        if position < 1:
-            raise InputError(f"line {lineno}: position must be >= 1, got {position}")
-        author = row[2].strip()
-        if not author:
-            raise InputError(f"line {lineno}: empty author name")
-        slots = by_paper.setdefault(paper_id, {})
-        if position in slots:
-            raise InputError(f"line {lineno}: duplicate position {position} for paper {paper_id!r}")
-        slots[position] = author
-    if not by_paper:
+    # Each row list is freed once read, so the cyclic GC never scans a large heap.
+    papers: list[str] = []
+    positions: list[str] = []
+    authors: list[str] = []
+    add_paper, add_position, add_author = papers.append, positions.append, authors.append
+    try:
+        for paper_id, position, author in reader:
+            add_paper(paper_id)
+            add_position(position)
+            add_author(author)
+    except (ValueError, csv.Error):  # a row without three fields, or one csv cannot read
+        raise InputError(_record_fault(text)) from None
+    if not papers:
         raise InputError("empty input: no data rows")
-    records = []
-    for paper_id, slots in by_paper.items():
-        if 1 not in slots:
-            raise InputError(f"paper {paper_id!r} has no position-1 (senior) author row")
-        records.append(AuthorRecord(paper_id, tuple(slots[p] for p in sorted(slots))))
-    return records
+    papers, authors = list(map(str.strip, papers)), list(map(str.strip, authors))
+    if not (all(papers) and all(authors) and all(map(str.isascii, positions))
+            and all(map(str.isdigit, positions))):
+        raise InputError(_record_fault(text))
+    n = len(papers)
+    try:
+        pos = np.fromiter(map(int, positions), np.int64, n)
+    except (OverflowError, ValueError):  # beyond int64, or beyond int()'s digit limit
+        raise InputError(_record_fault(text)) from None
+    ids: dict[str, int] = {}
+    codes = np.fromiter(map(ids.setdefault, papers, range(n)), np.intp, n)
+    order = np.lexsort((pos, codes))
+    repeated = (np.diff(codes[order]) == 0) & (np.diff(pos[order]) == 0)
+    # With no (paper, position) repeated, every paper has a position-1 row
+    # exactly when there are as many position-1 rows as papers.
+    seniors = np.count_nonzero(pos == 1)
+    if pos.min() < 1 or pos.max() > MAX_LEVEL or repeated.any() or seniors != len(ids):
+        raise InputError(_record_fault(text))
+    return papers, pos, authors, codes
+
+
+def _record_fault(text: str) -> str:
+    """Why the first invalid row of a records file, in order, is invalid.
+
+    These are the row-by-row checks of the records format, in their
+    order, with their 1-based row numbers. Only text whose header passed
+    and whose rows failed a bulk check in _record_columns comes here.
+    """
+    reader = csv.reader(io.StringIO(text))
+    next(reader)
+    slots: dict[str, set[int]] = {}
+    lineno = 1
+    try:
+        for lineno, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                return f"line {lineno}: blank line"
+            if len(row) != 3:
+                return f"line {lineno}: expected 'paper_id,position,author', got {row!r}"
+            paper_id = row[0].strip()
+            if not paper_id:
+                return f"line {lineno}: empty paper_id"
+            try:
+                position = _parse_int(row[1])
+            except ValueError:
+                return f"line {lineno}: position must be an integer, got {row[1]!r}"
+            if position < 1:
+                return f"line {lineno}: position must be >= 1, got {position}"
+            if position > MAX_LEVEL:
+                return f"line {lineno}: position must be <= 2^62, got {position}"
+            if not row[2].strip():
+                return f"line {lineno}: empty author name"
+            held = slots.setdefault(paper_id, set())
+            if position in held:
+                return f"line {lineno}: duplicate position {position} for paper {paper_id!r}"
+            held.add(position)
+    except csv.Error as exc:
+        return f"line {lineno + 1}: {exc}"
+    for paper_id, held in slots.items():
+        if 1 not in held:
+            return f"paper {paper_id!r} has no position-1 (senior) author row"
+    raise AssertionError("records failed a bulk check, but no row is invalid")
+
+
+def parse_records(text: str) -> list[AuthorRecord]:
+    """Parse the ``paper_id,position,author`` file into author records.
+
+    One record per paper, in the order the file first lists them, with
+    its authors in position order. Fields containing commas may be
+    quoted as in ordinary CSV. See _record_columns for the checks.
+    """
+    papers, positions, authors, codes = _record_columns(text)
+    order = np.lexsort((positions, codes)).tolist()
+    names = [authors[i] for i in order]
+    starts = np.flatnonzero(np.diff(codes[order], prepend=-1)).tolist()
+    return [
+        AuthorRecord(papers[order[start]], tuple(names[start:end]))
+        for start, end in zip(starts, starts[1:] + [len(order)])
+    ]
 
 
 def read_records(path: str | Path) -> list[AuthorRecord]:
     return _read(path, lambda text, path: parse_records(text))
+
+
+def ingest_records(path: str | Path, name: str = "records") -> FrequencyDistribution:
+    """The senior-author distribution of a records file, with no per-paper objects.
+
+    Equal to ``from_author_records(read_records(path), name)``; its
+    ``total_works`` is the number of papers.
+    """
+
+    def tally(text: str, path: Path) -> FrequencyDistribution:
+        _, positions, authors, _ = _record_columns(text)
+        return _senior_tally(list(compress(authors, (positions == 1).tolist())), name)
+
+    return _read(path, tally)
 
 
 def from_author_records(
@@ -390,14 +487,22 @@ def from_author_records(
     if not records:
         raise InputError("no records given")
     seen_ids = set()
-    credits: Counter[str] = Counter()
     for record in records:
         if record.paper_id in seen_ids:
             raise InputError(f"duplicate paper_id {record.paper_id!r}")
         seen_ids.add(record.paper_id)
-        credits[record.senior_author] += 1
-    level_counts = Counter(credits.values())
-    return FrequencyDistribution.from_counts(level_counts, name=name)
+    return _senior_tally([record.senior_author for record in records], name)
+
+
+def _senior_tally(seniors: Sequence[str], name: str) -> FrequencyDistribution:
+    """How many authors hold each number of credits, given one senior name per paper."""
+    first: dict[str, int] = {}
+    codes = np.fromiter(map(first.setdefault, seniors, range(len(seniors))), np.intp, len(seniors))
+    # Credits sit at each name's first index; the zeros elsewhere tally at level 0.
+    per_level = np.bincount(np.bincount(codes))
+    per_level[0] = 0
+    levels = np.flatnonzero(per_level)
+    return FrequencyDistribution.from_arrays(levels, per_level[levels], name=name)
 
 
 def truncate_right(dist: FrequencyDistribution, cutoff: int) -> FrequencyDistribution:
@@ -445,11 +550,16 @@ def bin_histogram(dist: FrequencyDistribution, bin_width: int) -> HistogramBins:
 
     Empty bins are kept so that the bins partition [1, top edge]; the
     top edge is the smallest multiple of ``bin_width`` covering
-    ``max_level``.
+    ``max_level``. At most 2^20 bins are built.
     """
     if bin_width < 1:
         raise InputError(f"bin width must be >= 1, got {bin_width}")
     n_bins = -(-dist.max_level // bin_width)
+    if n_bins > MAX_BINS:
+        raise InputError(
+            f"bin width {bin_width} gives {n_bins} bins, more than 2^20; "
+            f"the smallest width that fits is {-(-dist.max_level // MAX_BINS)}"
+        )
     # A width beyond max_level gives one bin either way; clamping it keeps
     # the bin index in int64 for any width.
     width = min(bin_width, dist.max_level)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFitError, InputError
-from .freqdata import FrequencyDistribution, truncate_right
+from .freqdata import MAX_AUTHORS, FrequencyDistribution, truncate_right
 
 __all__ = [
     "Denominator",
@@ -121,6 +121,8 @@ def to_percent_series(
         denom = int(denominator)
         if denom <= 0:
             raise InputError(f"denominator must be positive, got {denom}")
+        if denom > MAX_AUTHORS:
+            raise InputError(f"denominator must be <= 2^62, got {denom}")
     levels, counts = dist.populated_arrays
     points = tuple(zip(levels.tolist(), (100.0 * counts / denom).tolist()))
     return PercentSeries(points=points, denominator=denom)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import InputError
-from .freqdata import FrequencyDistribution, bin_histogram
+from .freqdata import FrequencyDistribution, _write_text, bin_histogram
 from .loglogfit import Denominator, FitResult, to_percent_series
 
 __all__ = ["PlotKind", "PlotSpec", "emit_plot"]
@@ -172,6 +172,6 @@ def emit_plot(
     sidecar_path = out.with_suffix(".csv")
     if sidecar_path == out:
         sidecar_path = out.with_suffix(".points.csv")
-    out.write_text(svg, encoding="utf-8")
-    sidecar_path.write_text(sidecar, encoding="utf-8")
+    _write_text(out, svg)
+    _write_text(sidecar_path, sidecar)
     return out, sidecar_path

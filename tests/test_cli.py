@@ -1,7 +1,13 @@
+import io
 import json
 import math
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lotkafit import (
     Denominator,
@@ -112,7 +118,98 @@ class TestExitCodes:
         assert len(err.strip().splitlines()) == 1
 
 
+    @pytest.mark.parametrize("flag", ["--dist", "--records", "--fit"])
+    def test_non_utf8_file_exits_two(self, capsys, ca_file, tmp_path, flag):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"level,count\n1,\xff\n")
+        argv = {
+            "--dist": ["fit", "loglog", "--dist", str(bad)],
+            "--records": ["ingest", "--records", str(bad), "--out", str(tmp_path / "out.csv")],
+            "--fit": ["plot", "loglog", "--dist", ca_file, "--fit", str(bad),
+                      "--out", str(tmp_path / "l.svg")],
+        }[flag]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {bad}: not ") and "invalid start byte" in err
+        assert len(err.splitlines()) == 1
+
+    def test_csv_field_over_limit_exits_two(self, capsys, tmp_path):
+        records = tmp_path / "records.csv"
+        records.write_text('paper_id,position,author\nP1,1,"' + "x" * 200_000 + '"\n')
+        code, out, err = run_cli(
+            capsys, ["ingest", "--records", str(records), "--out", str(tmp_path / "out.csv")]
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {records}: line 2: field larger than field limit (131072)\n"
+
+    def test_out_in_missing_directory_exits_two(self, capsys, ca_file, tmp_path):
+        records = tmp_path / "records.csv"
+        records.write_text("paper_id,position,author\nP1,1,A\n")
+        missing = tmp_path / "missing"
+        for argv in (
+            ["ingest", "--records", str(records), "--out", str(missing / "d.csv")],
+            ["simulate", "--alpha", "2", "--authors", "10", "--seed", "1", "--out", str(missing / "s.csv")],
+            ["plot", "histogram", "--dist", ca_file, "--out", str(missing / "h.svg")],
+            ["plot", "loglog", "--dist", ca_file, "--out", str(missing / "l.svg")],
+        ):
+            code, out, err = run_cli(capsys, argv)
+            assert code == 2
+            assert out == ""
+            assert err.startswith(f"error: {missing}/") and err.endswith(": No such file or directory\n")
+            assert len(err.splitlines()) == 1
+
+    def test_too_many_histogram_bins_exits_two(self, capsys, tmp_path):
+        wide = tmp_path / "wide.csv"
+        wide.write_text("level,count\n1,5\n4611686018427387904,1\n")
+        code, out, err = run_cli(
+            capsys, ["plot", "histogram", "--dist", str(wide), "--out", str(tmp_path / "h.svg")]
+        )
+        assert code == 2
+        assert out == ""
+        assert "2^20" in err and "smallest width that fits is 4398046511104" in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "h.svg").exists()
+
+    def test_loglog_denominator_beyond_bound_exits_two(self, capsys, ca_file):
+        code, out, err = run_cli(
+            capsys, ["fit", "loglog", "--dist", ca_file, "--denominator", "1" + "0" * 400]
+        )
+        assert code == 2
+        assert out == ""
+        assert "denominator must be <= 2^62" in err
+        assert len(err.splitlines()) == 1
+
+
+_RECORD_LINES = st.sampled_from(
+    ["paper_id,position,author", "P1,1,A", "P1,2,B", "P2,1,A", "P2,01,C", 'P3,1,"Smith, J."',
+     "P1,1,B", "P4,2,A", "P5,0,A", "P5,-1,A", "P5,99999999999999999999,A", "P6,\u0661,A",
+     ",1,A", "P7,1,", "P8,1", "", "  ", 'P9,1,"open', "P9,1,a\rb"]
+)
+_RECORD_BYTES = st.one_of(
+    st.binary(max_size=80),
+    st.lists(_RECORD_LINES, max_size=8).map(lambda lines: "\n".join(lines).encode()),
+    st.tuples(st.lists(_RECORD_LINES, max_size=6), st.binary(max_size=8)).map(
+        lambda parts: b"paper_id,position,author\n" + "\n".join(parts[0]).encode() + parts[1]
+    ),
+)
+
+
 class TestIngest:
+    @given(_RECORD_BYTES)
+    @settings(max_examples=300, deadline=None)
+    def test_any_file_exits_zero_or_two_with_one_line(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            records = Path(tmp) / "records.csv"
+            records.write_bytes(data)
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = run(["ingest", "--records", str(records), "--out", str(Path(tmp) / "d.csv")])
+        assert code in (0, 2)
+        assert out.getvalue() == ""
+        assert len(err.getvalue().splitlines()) <= 1
+
     def test_round_trip(self, capsys, tmp_path):
         records = tmp_path / "records.csv"
         records.write_text(

@@ -1,5 +1,9 @@
+import csv
+import io
 import math
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from lotkafit import (
     InputError,
     bin_histogram,
     from_author_records,
+    ingest_records,
     parse_distribution,
     parse_records,
     round_half_up,
@@ -19,7 +24,7 @@ from lotkafit import (
     truncate_right,
     truncation_report,
 )
-from lotkafit.freqdata import _tally
+from lotkafit.freqdata import MAX_BINS, MAX_LEVEL, _tally
 
 distributions = st.dictionaries(
     st.integers(min_value=1, max_value=400),
@@ -205,6 +210,99 @@ class TestFromAuthorRecords:
         assert d.total_works == len(records)
 
 
+def _row_loop_parse_records(text):
+    """The per-row records parser that the columnar one replaced, kept as its oracle."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise InputError("empty input: expected header 'paper_id,position,author'") from None
+    if [h.strip() for h in header] != ["paper_id", "position", "author"]:
+        raise InputError(f"line 1: expected header 'paper_id,position,author', got {','.join(header)!r}")
+    by_paper = {}
+    for lineno, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            raise InputError(f"line {lineno}: blank line")
+        if len(row) != 3:
+            raise InputError(f"line {lineno}: expected 'paper_id,position,author', got {row!r}")
+        paper_id = row[0].strip()
+        if not paper_id:
+            raise InputError(f"line {lineno}: empty paper_id")
+        digits = row[1][1:] if row[1][:1] == "-" else row[1]
+        if not (digits.isascii() and digits.isdigit()):
+            raise InputError(f"line {lineno}: position must be an integer, got {row[1]!r}")
+        position = int(row[1])
+        if position < 1:
+            raise InputError(f"line {lineno}: position must be >= 1, got {position}")
+        author = row[2].strip()
+        if not author:
+            raise InputError(f"line {lineno}: empty author name")
+        slots = by_paper.setdefault(paper_id, {})
+        if position in slots:
+            raise InputError(f"line {lineno}: duplicate position {position} for paper {paper_id!r}")
+        slots[position] = author
+    if not by_paper:
+        raise InputError("empty input: no data rows")
+    records = []
+    for paper_id, slots in by_paper.items():
+        if 1 not in slots:
+            raise InputError(f"paper {paper_id!r} has no position-1 (senior) author row")
+        records.append(AuthorRecord(paper_id, tuple(slots[p] for p in sorted(slots))))
+    return records
+
+
+_ODD_PAPERS = ["", " "]
+_ODD_POSITIONS = [
+    "0", "00", "-1", "-0", "+1", " 1", "1 ", "1_0", "\u0661", "\uff11", "", "x", "1.0",
+    str(MAX_LEVEL), str(MAX_LEVEL + 1), "9" * 30,
+]
+_ODD_NAMES = ["", "  ", '" "']
+_ODD_ROWS = [[], ["  "], ["P1", "1"], ["P1", "1", "A", "B"]]
+
+
+@st.composite
+def _valid_rows(draw):
+    """Rows of a valid records file: paper i has positions 1..k, written
+    plain or with a leading zero, its id is spelt padded or quoted from
+    row to row, and the rows of all papers are shuffled together, so one
+    paper's rows need not be adjacent."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=6))
+    names = st.sampled_from(["A", "B", " C ", '"Smith, J."', '" Doe, J "', "\u00c5"])
+    rows = []
+    for i, k in enumerate(sizes):
+        spellings = [f'"P,{i}"', f'" P,{i}"'] if draw(st.booleans()) else [f"P{i}", f" P{i} ", f'"P{i}"']
+        rows.extend(
+            [draw(st.sampled_from(spellings)), draw(st.sampled_from([str(p), f"0{p}"])), draw(names)]
+            for p in range(1, k + 1)
+        )
+    return draw(st.permutations(rows))
+
+
+@st.composite
+def _near_valid_rows(draw):
+    """Valid rows with up to three edits: an odd token in a field, a
+    blank, short or long row inserted, a row repeated, or a row dropped."""
+    rows = list(draw(_valid_rows()))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(rows) - 1)) if rows else 0
+        edit = draw(st.integers(0, 5))
+        if edit == 0:
+            rows.insert(i, draw(st.sampled_from(_ODD_ROWS)))
+        elif edit == 1 and rows:
+            rows.insert(draw(st.integers(0, len(rows))), rows[i][:2] + ["Z"])
+        elif edit == 2 and rows:
+            del rows[i]
+        elif rows and len(rows[i]) == 3:
+            field = edit - 3
+            rows[i] = list(rows[i])
+            rows[i][field] = draw(st.sampled_from([_ODD_PAPERS, _ODD_POSITIONS, _ODD_NAMES][field]))
+    return rows
+
+
+def _records_text(rows):
+    return "paper_id,position,author\n" + "".join(",".join(row) + "\n" for row in rows)
+
+
 class TestParseRecords:
     TEXT = "paper_id,position,author\nP1,1,A\nP1,2,B\nP2,1,A\nP3,1,C\n"
 
@@ -241,6 +339,60 @@ class TestParseRecords:
     def test_errors(self, text, fragment):
         with pytest.raises(InputError, match=fragment):
             parse_records(text)
+
+    def test_position_bound(self):
+        head = "paper_id,position,author\nP1,1,A\n"
+        assert parse_records(f"{head}P1,{MAX_LEVEL},B\n")[0].authors == ("A", "B")
+        for big in (MAX_LEVEL + 1, 10**26):
+            with pytest.raises(InputError, match=f"^line 3: position must be <= 2\\^62, got {big}$"):
+                parse_records(f"{head}P1,{big},B\n")
+
+    def test_csv_error_names_its_row(self):
+        long_field = '"' + "x" * (csv.field_size_limit() + 1) + '"'
+        with pytest.raises(InputError, match=r"^line 3: field larger than field limit"):
+            parse_records(f"paper_id,position,author\nP1,1,A\nP1,2,{long_field}\n")
+        with pytest.raises(InputError, match=r"^line 2: new-line character"):
+            parse_records("paper_id,position,author\nP1,1,A\rB\n")
+        with pytest.raises(InputError, match=r"^line 1: new-line character"):
+            parse_records("paper_id\r,position,author\n")
+
+    @given(_near_valid_rows())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_row_loop(self, rows):
+        text = _records_text(rows)
+        try:
+            expected = _row_loop_parse_records(text)
+        except InputError as exc:
+            expected = str(exc)
+        try:
+            got = parse_records(text)
+        except InputError as exc:
+            got = str(exc)
+            if "position must be <= 2^62" in got:  # the row loop had no bound
+                return
+        assert got == expected
+
+    @given(_valid_rows())
+    @settings(max_examples=100, deadline=None)
+    def test_valid_records_match_row_loop(self, rows):
+        text = _records_text(rows)
+        records = _row_loop_parse_records(text)
+        assert parse_records(text) == records
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "records.csv"
+            path.write_text(text, encoding="utf-8")
+            dist = ingest_records(path)
+        assert dist == from_author_records(records)
+        assert dist.total_works == len(records)
+
+    def test_ingest_records_names_file(self, tmp_path):
+        path = tmp_path / "records.csv"
+        path.write_text("paper_id,position,author\nP1,2,A\n", encoding="utf-8")
+        with pytest.raises(InputError, match=f"^{path}: paper 'P1' has no position-1"):
+            ingest_records(path)
+        path.write_bytes(b"paper_id,position,author\nP1,1,\xff\n")
+        with pytest.raises(InputError, match=f"^{path}: not UTF-8 \\(invalid start byte at byte 30\\)$"):
+            ingest_records(path)
 
 
 class TestTruncateRight:
@@ -360,6 +512,17 @@ class TestBinHistogram:
         d = FrequencyDistribution.from_counts({1: 4})
         with pytest.raises(InputError):
             bin_histogram(d, 0)
+
+    @pytest.mark.parametrize(
+        "max_level,width", [(MAX_LEVEL, 1), (MAX_LEVEL, 2**42 - 1), (MAX_BINS + 1, 1), (3 * MAX_BINS + 1, 3)]
+    )
+    def test_bin_count_bound(self, max_level, width):
+        # Only rejected widths run here: an accepted one would build up to 2^20 bins.
+        d = FrequencyDistribution.from_counts({1: 5, max_level: 1})
+        with pytest.raises(InputError, match=r"more than 2\^20") as excinfo:
+            bin_histogram(d, width)
+        fits = int(str(excinfo.value).rsplit(" ", 1)[1])
+        assert -(-max_level // fits) <= MAX_BINS < -(-max_level // (fits - 1))
 
     @given(distributions, st.integers(min_value=1, max_value=50))
     @settings(max_examples=80, deadline=None)

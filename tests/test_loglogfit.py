@@ -59,6 +59,17 @@ class TestToPercentSeries:
         with pytest.raises(InputError):
             to_percent_series(d, -3)
 
+    def test_denominator_bound(self):
+        d = FrequencyDistribution.from_counts({1: 5})
+        assert to_percent_series(d, 2**62).denominator == 2**62
+        with pytest.raises(InputError, match=r"^denominator must be positive, got 0$"):
+            to_percent_series(d, 0)
+        for big in (2**62 + 1, 10**400):
+            with pytest.raises(InputError, match=rf"^denominator must be <= 2\^62, got {big}$"):
+                to_percent_series(d, big)
+        with pytest.raises(InputError, match=r"2\^62"):
+            fit_historical(FrequencyDistribution.from_counts({1: 5, 2: 3, 3: 1}), 3, 10**400)
+
 
 class TestOlsLoglog:
     def test_exact_square_law(self):
