@@ -403,15 +403,18 @@ def _record_fault(text: str) -> str:
     """Why the first invalid row of a records file, in order, is invalid.
 
     These are the row-by-row checks of the records format, in their
-    order, with their 1-based row numbers. Only text whose header passed
-    and whose rows failed a bulk check in _record_columns comes here.
+    order. A fault names the 1-based physical line its row starts on,
+    which differs from the row number once a quoted field spans lines.
+    Only text whose header passed and whose rows failed a bulk check in
+    _record_columns comes here.
     """
     reader = csv.reader(io.StringIO(text))
     next(reader)
     slots: dict[str, set[int]] = {}
-    lineno = 1
+    start = reader.line_num + 1
     try:
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            lineno, start = start, reader.line_num + 1
             if not row or (len(row) == 1 and not row[0].strip()):
                 return f"line {lineno}: blank line"
             if len(row) != 3:
@@ -434,7 +437,7 @@ def _record_fault(text: str) -> str:
                 return f"line {lineno}: duplicate position {position} for paper {paper_id!r}"
             held.add(position)
     except csv.Error as exc:
-        return f"line {lineno + 1}: {exc}"
+        return f"line {start}: {exc}"
     for paper_id, held in slots.items():
         if 1 not in held:
             return f"paper {paper_id!r} has no position-1 (senior) author row"

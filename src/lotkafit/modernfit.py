@@ -230,7 +230,9 @@ def _fit_tails(
     ln k, which increases strictly (its slope is the model variance of
     ln k). A candidate whose psi has one sign over the whole inner
     bracket has its maximum pinned to a bracket end: its alpha is that
-    end and its ks and log_likelihood are NaN. The others run a Newton
+    end and its ks and log_likelihood are NaN. Every candidate shares the
+    two inner edges, so psi there is one evaluator call of two exponent
+    rows against all the xmins. The other candidates run a Newton
     iteration in lockstep that falls back to bisection whenever a step
     leaves the bracket known to hold the root.
     """
@@ -245,8 +247,7 @@ def _fit_tails(
         return dlog[:, 0] + mean_log[rows], d2log[:, 0]
 
     lo, hi = ALPHA_BRACKET[0] + _EDGE, ALPHA_BRACKET[1] - _EDGE
-    edges = np.repeat([lo, hi], len(starts))
-    psi_lo, psi_hi = score(edges, np.tile(np.arange(len(starts)), 2))[0].reshape(2, -1)
+    psi_lo, psi_hi = _zeta(np.array([lo, hi]), x[None, :], derivatives=True)[1] + mean_log
     alpha = np.where(psi_lo >= 0.0, ALPHA_BRACKET[0], ALPHA_BRACKET[1])
     inside = np.nonzero((psi_lo < 0.0) & (psi_hi > 0.0))[0]
 

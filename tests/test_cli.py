@@ -23,6 +23,7 @@ from lotkafit import (
     write_distribution,
 )
 from lotkafit.cli import run
+from lotkafit.freqdata import MAX_LEVEL
 
 
 @pytest.fixture
@@ -194,6 +195,41 @@ _RECORD_BYTES = st.one_of(
         lambda parts: b"paper_id,position,author\n" + "\n".join(parts[0]).encode() + parts[1]
     ),
 )
+
+
+_LEVELS = st.one_of(st.integers(1, 40), st.integers(1, MAX_LEVEL))
+_COUNTS = st.one_of(st.integers(0, 3), st.integers(0, 10**4), st.integers(0, MAX_LEVEL))
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+class TestFitFuzz:
+    @given(st.dictionaries(_LEVELS, _COUNTS, min_size=1, max_size=8), _LEVELS)
+    @settings(max_examples=150, deadline=None)
+    def test_fits_exit_zero_two_or_three_with_json_or_one_line(self, counts, cutoff):
+        # Generated level,count files, with zero counts, single levels and
+        # values up to 2^62, through every command that fits them.
+        with tempfile.TemporaryDirectory() as tmp:
+            dist = Path(tmp) / "d.csv"
+            dist.write_text(
+                "level,count\n" + "".join(f"{level},{n}\n" for level, n in counts.items()),
+                encoding="utf-8",
+            )
+            for argv in (
+                ["fit", "mle", "--dist", str(dist), "--xmin", "auto"],
+                ["fit", "mle", "--dist", str(dist), "--xmin", "2"],
+                ["compare", "--dist", str(dist), "--truncate", str(cutoff), "--json"],
+                ["fit", "loglog", "--dist", str(dist)],
+            ):
+                out, err = io.StringIO(), io.StringIO()
+                with redirect_stdout(out), redirect_stderr(err):
+                    code = run(argv)
+                assert code in (0, 2, 3), argv
+                if out.getvalue():
+                    json.loads(out.getvalue(), parse_constant=_reject_constant)
+                assert len(err.getvalue().splitlines()) <= 1, argv
 
 
 class TestIngest:

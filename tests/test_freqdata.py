@@ -220,7 +220,12 @@ def _row_loop_parse_records(text):
     if [h.strip() for h in header] != ["paper_id", "position", "author"]:
         raise InputError(f"line 1: expected header 'paper_id,position,author', got {','.join(header)!r}")
     by_paper = {}
-    for lineno, row in enumerate(reader, start=2):
+    # A row starts on the line after the previous row's last line; a
+    # quoted field holding newlines stretches its row over more lines.
+    next_line = 2
+    for row in reader:
+        lineno = next_line
+        next_line += 1 + sum(field.count("\n") for field in row)
         if not row or (len(row) == 1 and not row[0].strip()):
             raise InputError(f"line {lineno}: blank line")
         if len(row) != 3:
@@ -256,7 +261,7 @@ _ODD_POSITIONS = [
     "0", "00", "-1", "-0", "+1", " 1", "1 ", "1_0", "\u0661", "\uff11", "", "x", "1.0",
     str(MAX_LEVEL), str(MAX_LEVEL + 1), "9" * 30,
 ]
-_ODD_NAMES = ["", "  ", '" "']
+_ODD_NAMES = ["", "  ", '" "', '" \n "']
 _ODD_ROWS = [[], ["  "], ["P1", "1"], ["P1", "1", "A", "B"]]
 
 
@@ -264,10 +269,10 @@ _ODD_ROWS = [[], ["  "], ["P1", "1"], ["P1", "1", "A", "B"]]
 def _valid_rows(draw):
     """Rows of a valid records file: paper i has positions 1..k, written
     plain or with a leading zero, its id is spelt padded or quoted from
-    row to row, and the rows of all papers are shuffled together, so one
-    paper's rows need not be adjacent."""
+    row to row, a name may span two lines, and the rows of all papers
+    are shuffled together, so one paper's rows need not be adjacent."""
     sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=6))
-    names = st.sampled_from(["A", "B", " C ", '"Smith, J."', '" Doe, J "', "\u00c5"])
+    names = st.sampled_from(["A", "B", " C ", '"Smith, J."', '" Doe, J "', "\u00c5", '"Two\nlines"'])
     rows = []
     for i, k in enumerate(sizes):
         spellings = [f'"P,{i}"', f'" P,{i}"'] if draw(st.booleans()) else [f"P{i}", f" P{i} ", f'"P{i}"']
@@ -355,6 +360,22 @@ class TestParseRecords:
             parse_records("paper_id,position,author\nP1,1,A\rB\n")
         with pytest.raises(InputError, match=r"^line 1: new-line character"):
             parse_records("paper_id\r,position,author\n")
+
+    def test_faults_name_physical_lines(self):
+        # The quoted name on lines 2-3 makes rows and lines differ: each
+        # fault names the line its row starts on, not the row's number.
+        head = 'paper_id,position,author\nP1,1,"A\nB"\n'
+        with pytest.raises(InputError, match=r"^line 4: position must be an integer, got 'x'$"):
+            parse_records(head + "P2,x,C\n")
+        with pytest.raises(InputError, match=r"^line 4: duplicate position 1 for paper 'P1'$"):
+            parse_records(head + "P1,1,C\n")
+        with pytest.raises(InputError, match=r"^line 4: empty author name$"):
+            parse_records(head + 'P1,2," \n "\n')
+        with pytest.raises(InputError, match=r"^line 4: new-line character"):
+            parse_records(head + "P1,2,B\rC\n")
+        long_field = '"' + "x\n" * (csv.field_size_limit() // 2 + 1) + '"'
+        with pytest.raises(InputError, match=r"^line 4: field larger than field limit"):
+            parse_records(f"{head}P1,2,{long_field}\n")
 
     @given(_near_valid_rows())
     @settings(max_examples=400, deadline=None)

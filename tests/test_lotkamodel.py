@@ -60,9 +60,10 @@ class TestHurwitzZeta:
     def test_evaluator_and_log_derivatives_against_mpmath(self, alpha):
         # The array evaluator gives zeta and the first two alpha-derivatives
         # of ln zeta (minus the model mean of ln k, and its variance) on
-        # both sides of the dense/Euler-Maclaurin switch at 256.
+        # both sides of the dense/Euler-Maclaurin switch at 64, and around
+        # level 256.
         mpmath.mp.dps = 40
-        starts = [1, 255, 256, 257, 10**4, 10**7]
+        starts = [1, 63, 64, 65, 255, 256, 257, 10**4, 10**7]
         zeta, dlog, d2log = _zeta([alpha], [[float(s) for s in starts]], derivatives=True)
         for i, s in enumerate(starts):
             z = mpmath.zeta(alpha, s)
@@ -76,7 +77,7 @@ class TestHurwitzZeta:
         # Each row's values depend only on its own exponent and start
         # points, so a fit of one candidate equals its row in a batch.
         alphas = [1.3, 2.0, 7.5]
-        starts = np.array([[1.0, 40.0, 255.0, 256.0, 3e5, 2.0**62]])
+        starts = np.array([[1.0, 40.0, 63.0, 64.0, 65.0, 255.0, 256.0, 257.0, 3e5, 2.0**62]])
         batch = _zeta(alphas, starts)
         for r, alpha in enumerate(alphas):
             assert np.array_equal(_zeta([alpha], starts)[0], batch[r])

@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from lotkafit import modernfit
 from lotkafit import (
     DegenerateFitError,
     FrequencyDistribution,
@@ -21,6 +22,8 @@ from lotkafit import (
     sample,
     select_xmin,
 )
+from lotkafit.lotkamodel import _zeta
+from lotkafit.modernfit import _EDGE, ALPHA_BRACKET, _fit_tails
 
 
 @pytest.fixture(scope="module")
@@ -224,10 +227,50 @@ class TestSelectXmin:
 
     def test_equals_brute_force_beyond_two_to_the_21(self):
         # A heavy tail whose level span exceeds 2^21, with levels on both
-        # sides of the zeta evaluator's dense/tail switch at 256.
+        # sides of the zeta evaluator's dense/tail switch at 64.
         d = sample(PowerLawModel(1.5, 1), 4000, 8)
         assert d.max_level - 1 > 1 << 21
         assert select_xmin(d) == brute_force_select(d)
+
+    def test_equals_brute_force_with_candidates_pinned_at_the_bracket(self):
+        # At xmin 1 nearly every author sits at level 1, so the likelihood
+        # rises all the way to the upper bracket end: that candidate is
+        # skipped (NaN ks) and the brute force skips it as degenerate. The
+        # lower end cannot pin a distribution's candidate: that needs a
+        # mean ln(k / xmin) above 99.4, and levels up to 2^62 keep it
+        # below 43.
+        d = FrequencyDistribution.from_counts(
+            {1: 10**6, 2: 30, 3: 10, 5: 4, 8: 2, 13: 1, 21: 1, 34: 1}
+        )
+        levels, counts = d.populated_arrays
+        starts = np.arange(len(levels) - 2)
+        fits = _fit_tails(levels, counts, starts, levels[starts])
+        pinned = np.isnan(fits.ks)
+        assert pinned[0] and not pinned.all()
+        assert (fits.alpha[pinned] == ALPHA_BRACKET[1]).all()
+        assert np.isnan(fits.log_likelihood[pinned]).all()
+        result = select_xmin(d)
+        assert result == brute_force_select(d)
+        assert result.xmin > 1
+
+    def test_bracket_edges_take_two_exponent_rows(self, monkeypatch):
+        # The score at both inner bracket edges is one evaluator call with
+        # the two edge exponents against all candidate start points.
+        calls = []
+
+        def spy(alpha, starts, derivatives=False):
+            calls.append((np.asarray(alpha).tolist(), np.shape(starts), derivatives))
+            return _zeta(alpha, starts, derivatives)
+
+        monkeypatch.setattr(modernfit, "_zeta", spy)
+        edges = [ALPHA_BRACKET[0] + _EDGE, ALPHA_BRACKET[1] - _EDGE]
+        for authors in (100, 3000, 100_000):
+            d = sample(PowerLawModel(2.0, 1), authors, 5)
+            candidates = len(d.populated_arrays[0]) - 2
+            calls.clear()
+            select_xmin(d)
+            assert calls[0] == (edges, (1, candidates), True)
+            assert all(len(alpha) <= candidates for alpha, _, _ in calls)
 
 
 class TestGofBootstrap:
