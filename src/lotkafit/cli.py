@@ -177,7 +177,7 @@ def _load_fit(path: str) -> FitResult:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"{path}: not valid JSON ({exc})") from None
     try:
-        return FitResult(
+        fit = FitResult(
             slope=float(payload["slope"]),
             intercept=float(payload["intercept"]),
             exponent=float(payload["exponent"]),
@@ -188,8 +188,12 @@ def _load_fit(path: str) -> FitResult:
             denominator=payload.get("denominator"),
             cutoff=payload.get("cutoff"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{path}: not a fit report ({exc})") from None
+    for key in ("slope", "intercept", "exponent", "r_squared"):
+        if not math.isfinite(getattr(fit, key)):
+            raise InputError(f"{path}: not a fit report ({key} is {getattr(fit, key)})")
+    return fit
 
 
 def _cmd_plot(args) -> int:

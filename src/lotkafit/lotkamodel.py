@@ -12,8 +12,10 @@ exponents and start points at once, together with the first two
 alpha-derivatives of its logarithm that the maximum-likelihood fit
 needs: a dense suffix sum below level 64 plus an Euler-Maclaurin tail,
 accurate to well under 1e-12 absolute error. Sampling is by inverse-CDF
-lookup against a precomputed cumulative table, with one exact
-doubling-plus-bisection over all draws beyond the table, and is
+lookup against a precomputed cumulative table. A guide table of 2^16
+equal-probability cells (Chen & Asau's indexed search) resolves most
+draws without a binary search; the rest search the full table, and one
+exact doubling-plus-bisection covers all draws beyond it. Sampling is
 reproducible: all randomness flows through numpy's PCG64 generator
 consuming uniform doubles only, so identical (model, count, seed) gives
 identical output.
@@ -73,6 +75,9 @@ _RISE_STEPS = np.arange(2 * len(_EM_COEFFS) - 1, dtype=float)
 # whichever comes first. Rarer draws fall through to exact bisection.
 _TABLE_CAP = 1 << 20
 _TABLE_TAIL_MASS = 1e-9
+# Cells of the sampler's guide table. A power of two, so that u * cells
+# and c / cells are exact and the guide never changes a drawn level.
+_GUIDE_CELLS = 1 << 16
 
 
 def _series_coeffs(alpha: np.ndarray, moments: int) -> np.ndarray:
@@ -211,14 +216,23 @@ class _CdfTable:
     Covers levels from xmin up to the 1 - 1e-9 quantile, capped at
     _TABLE_CAP rows; draws landing beyond the table are resolved exactly
     by one doubling-plus-bisection over all of them on the zeta-based CDF.
-    Building the table is the expensive part, so bootstrap code constructs
-    one and reuses it.
+    A guide table (Chen & Asau 1974) splits [0, 1) into _GUIDE_CELLS
+    cells of equal width: guide[c] is the first row whose cumulative
+    probability reaches c / _GUIDE_CELLS. A draw u in cell c = floor(u *
+    _GUIDE_CELLS) lands on row guide[c] unless the next cell starts on a
+    later row (straddles[c]); only draws in the few cells that straddle a
+    row boundary search the table. Building the table is the expensive
+    part, so bootstrap code constructs one and reuses it, and forked
+    replicate workers inherit it.
     """
 
     def __init__(self, model: PowerLawModel) -> None:
         self.model = model
         alpha, xmin = model.alpha, model.xmin
-        z = model.normalizer
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = model.normalizer
+        if not math.isfinite(z):
+            raise InputError(f"alpha {alpha!r}: the zeta normalizer is not finite, cannot sample")
         # Asymptotic quantile estimate: ccdf(L) ~ L^(1-alpha) / ((alpha-1) z).
         log_quantile = math.log((alpha - 1.0) * z * _TABLE_TAIL_MASS) / (1.0 - alpha)
         if log_quantile > math.log(_TABLE_CAP) + math.log(xmin + 1.0):
@@ -227,13 +241,20 @@ class _CdfTable:
             length = int(min(max(math.exp(log_quantile) * 1.05 - xmin + 1, 1024), _TABLE_CAP))
         levels = np.arange(xmin, xmin + length, dtype=float)
         self.cdf = np.cumsum(np.power(levels, -alpha)) / z
+        guide = np.searchsorted(self.cdf, np.arange(_GUIDE_CELLS + 1) / _GUIDE_CELLS)
+        self.guide = guide[:-1]
+        self.straddles = guide[:-1] != guide[1:]
         self.last_level = xmin + length - 1
 
     def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
         u = rng.random(count)
-        idx = np.searchsorted(self.cdf, u, side="left")
-        levels = (self.model.xmin + idx).astype(np.int64)
+        cell = (u * _GUIDE_CELLS).astype(np.intp)
+        straddling = self.straddles[cell]
+        idx = self.guide[cell]
+        idx[straddling] = np.searchsorted(self.cdf, u[straddling], side="left")
         overflow = idx == len(self.cdf)
+        idx += self.model.xmin
+        levels = idx.astype(np.int64, copy=False)
         if overflow.any():
             levels[overflow] = self._beyond_table(u[overflow])
         return levels
@@ -262,7 +283,7 @@ class _CdfTable:
                 break
             if (hi[grow] > MAX_LEVEL // 2).any():
                 raise InputError(
-                    f"a sampled level lies beyond 2^62; alpha {self.model.alpha:g} "
+                    f"a sampled level lies beyond 2^62; alpha {self.model.alpha!r} "
                     "is too close to 1 for exact sampling"
                 )
             hi[grow] *= 2

@@ -111,9 +111,15 @@ def _emit_loglog(
     if spec.include_trendline:
         assert fit is not None
         x0, x1 = min(xs), max(xs)
+        y0, y1 = frame.y(fit.intercept + fit.slope * x0), frame.y(fit.intercept + fit.slope * x1)
+        # The line is linear in x: finite at both ends, it is finite between them.
+        if not (math.isfinite(y0) and math.isfinite(y1)):
+            raise InputError(
+                f"fit line (slope {fit.slope!r}, intercept {fit.intercept!r}) is not finite "
+                "over the plotted levels"
+            )
         body.append(
-            f'<line x1="{frame.x(x0):.2f}" y1="{frame.y(fit.intercept + fit.slope * x0):.2f}" '
-            f'x2="{frame.x(x1):.2f}" y2="{frame.y(fit.intercept + fit.slope * x1):.2f}" '
+            f'<line x1="{frame.x(x0):.2f}" y1="{y0:.2f}" x2="{frame.x(x1):.2f}" y2="{y1:.2f}" '
             f'stroke="#d62728" stroke-width="1.5"/>'
         )
     for x, y in zip(xs, ys):

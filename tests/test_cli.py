@@ -118,6 +118,51 @@ class TestExitCodes:
         assert "could not be refit after 10 attempts" in err
         assert len(err.strip().splitlines()) == 1
 
+    def test_bootstrap_beyond_level_bound_exits_three(self, capsys, tmp_path):
+        # A valid sample at alpha 1.25 fits near 1.254; replicates drawn
+        # from that fit reach beyond 2^62, a limit of the bootstrap, not a
+        # fault of the input.
+        dist = tmp_path / "a125.csv"
+        code, _, _ = run_cli(
+            capsys,
+            ["simulate", "--alpha", "1.25", "--authors", "3000", "--seed", "1", "--out", str(dist)],
+        )
+        assert code == 0
+        code, out, err = run_cli(
+            capsys,
+            ["fit", "mle", "--dist", str(dist), "--xmin", "1", "--bootstrap", "100", "--seed", "1"],
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: fitted alpha 1.254") and "cannot be bootstrapped" in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("alpha", ["inf", "1e308"])
+    @pytest.mark.parametrize("command", ["simulate", "bias"])
+    def test_non_finite_normalizer_exits_two(self, capsys, tmp_path, command, alpha):
+        out_file = tmp_path / "x.csv"
+        argv = {
+            "simulate": ["simulate", "--authors", "10", "--seed", "1", "--out", str(out_file)],
+            "bias": ["bias", "--authors", "10", "--cutoffs", "30", "--replicates", "10",
+                     "--seed", "1"],
+        }[command]
+        code, out, err = run_cli(capsys, argv + ["--alpha", alpha])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: alpha {float(alpha)!r}: the zeta normalizer is not finite, cannot sample\n"
+        assert not out_file.exists()
+
+    def test_sampler_message_prints_alpha_in_full(self, capsys, tmp_path):
+        out_file = tmp_path / "x.csv"
+        code, _, err = run_cli(
+            capsys,
+            ["simulate", "--alpha", "1.0000001", "--authors", "10", "--seed", "1",
+             "--out", str(out_file)],
+        )
+        assert code == 2
+        assert "alpha 1.0000001 is too close to 1" in err
+        assert len(err.splitlines()) == 1
+
 
     @pytest.mark.parametrize("flag", ["--dist", "--records", "--fit"])
     def test_non_utf8_file_exits_two(self, capsys, ca_file, tmp_path, flag):
@@ -230,6 +275,72 @@ class TestFitFuzz:
                 if out.getvalue():
                     json.loads(out.getvalue(), parse_constant=_reject_constant)
                 assert len(err.getvalue().splitlines()) <= 1, argv
+
+
+# Exponents at the edges of what the sampler can do: a normalizer that is
+# not finite (inf, 1e308), draws beyond 2^62 (1.0000001, 1.2), no
+# normalizer at all (1, below 1, nan), and draws that all land on level 1.
+_ALPHAS = st.one_of(
+    st.sampled_from([math.inf, 1e308, 1.0000001, 1.2, 1.0, 0.5, math.nan, 50.0]),
+    st.floats(1.01, 6.0),
+    st.floats(1.5, 3.0),
+)
+_AUTHORS = st.one_of(st.integers(-1, 30), st.integers(1, 5000))
+
+
+def _run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestSamplerFuzz:
+    # --authors stays at 5,000 or fewer and --replicates at 10 to 20, so that
+    # every example runs in well under a second.
+    @given(_ALPHAS, _AUTHORS, st.integers(-1, 1000))
+    @settings(max_examples=60, deadline=None)
+    def test_simulate_exits_zero_two_or_three_with_finite_output(self, alpha, authors, seed):
+        with tempfile.TemporaryDirectory() as tmp:
+            out_file = Path(tmp) / "sim.csv"
+            argv = ["simulate", "--alpha", repr(alpha), "--authors", str(authors),
+                    "--seed", str(seed), "--out", str(out_file)]
+            code, out, err = _run_captured(argv)
+            assert code in (0, 2, 3), argv
+            assert out == ""
+            assert len(err.splitlines()) <= 1, argv
+            if out_file.exists():
+                text = out_file.read_text().lower()
+                assert "nan" not in text and "inf" not in text, argv
+
+    @given(
+        _ALPHAS,
+        _AUTHORS,
+        st.lists(st.integers(0, 10**6), min_size=1, max_size=2),
+        st.integers(10, 20),
+        st.integers(-1, 1000),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_bias_exits_zero_two_or_three_with_finite_rows(
+        self, alpha, authors, cutoffs, replicates, seed
+    ):
+        argv = ["bias", "--alpha", repr(alpha), "--authors", str(authors),
+                "--cutoffs", ",".join(map(str, cutoffs)), "--replicates", str(replicates),
+                "--seed", str(seed)]
+        code, out, err = _run_captured(argv)
+        assert code in (0, 2, 3), argv
+        assert len(err.splitlines()) <= 1, argv
+        if code != 0:
+            assert out == ""
+            return
+        lines = out.splitlines()
+        assert lines[0] == "cutoff,mean_hist_err,sd_hist_err,mean_mle_err,sd_mle_err"
+        assert len(lines) == 1 + len(cutoffs)
+        for line in lines[1:]:
+            _, mean_hist, sd_hist, mean_mle, sd_mle = line.split(",")
+            assert math.isfinite(float(mean_hist)) and math.isfinite(float(mean_mle)), argv
+            # A standard deviation over a single kept replicate is undefined: nan.
+            assert all(sd == "nan" or math.isfinite(float(sd)) for sd in (sd_hist, sd_mle)), argv
 
 
 class TestIngest:
@@ -389,6 +500,49 @@ class TestPlot:
         assert rows[0].endswith("fit_log10_percent,residual")
         residuals = [abs(float(line.split(",")[5])) for line in rows[1:]]
         assert max(residuals) < 1e-9
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("slope", '"nan"', "slope is nan"),
+            ("intercept", '"-inf"', "intercept is -inf"),
+            ("exponent", '"inf"', "exponent is inf"),
+            ("r_squared", '"nan"', "r_squared is nan"),
+            ("slope", "1" + "0" * 400, "int too large to convert to float"),
+            ("slope", "1e308", "fit line (slope 1e+308, intercept "),
+        ],
+    )
+    def test_fit_report_that_cannot_be_drawn_exits_two(
+        self, capsys, ca_file, tmp_path, field, value, message
+    ):
+        code, out, _ = run_cli(capsys, ["fit", "loglog", "--dist", ca_file, "--truncate", "30"])
+        assert code == 0
+        payload = json.loads(out)
+        payload[field] = "VALUE"
+        fit_file = tmp_path / "fit.json"
+        fit_file.write_text(json.dumps(payload).replace('"VALUE"', value))
+        svg = tmp_path / "fig.svg"
+        code, out, err = run_cli(
+            capsys, ["plot", "loglog", "--dist", ca_file, "--fit", str(fit_file), "--out", str(svg)]
+        )
+        assert code == 2
+        assert out == ""
+        assert message in err
+        assert len(err.splitlines()) == 1
+        assert not svg.exists() and not svg.with_suffix(".csv").exists()
+
+    def test_null_f_stat_still_means_infinite(self, capsys, ca_file, tmp_path):
+        code, out, _ = run_cli(capsys, ["fit", "loglog", "--dist", ca_file, "--truncate", "30"])
+        payload = json.loads(out)
+        payload["f_stat"] = None
+        fit_file = tmp_path / "fit.json"
+        fit_file.write_text(json.dumps(payload))
+        svg = tmp_path / "fig.svg"
+        code, _, _ = run_cli(
+            capsys, ["plot", "loglog", "--dist", ca_file, "--fit", str(fit_file), "--out", str(svg)]
+        )
+        assert code == 0
+        assert "nan" not in svg.with_suffix(".csv").read_text()
 
     def test_histogram_sidecar_counts(self, capsys, ca_file, tmp_path):
         svg = tmp_path / "hist.svg"

@@ -3,6 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from lotkafit import (
@@ -17,7 +19,7 @@ from lotkafit import (
     predicted_fraction,
     sample,
 )
-from lotkafit.lotkamodel import _zeta
+from lotkafit.lotkamodel import _GUIDE_CELLS, _CdfTable, _zeta
 
 
 def brute_force_zeta(alpha, xmin=1, terms=10**6):
@@ -232,3 +234,77 @@ class TestSample:
             statistic = float(((observed - expected) ** 2 / expected).sum())
             passes += statistic < threshold
         assert passes >= 95
+
+
+class _FixedUniforms:
+    """Stands in for a generator whose uniform stream is a given array."""
+
+    def __init__(self, u: np.ndarray) -> None:
+        self.u = u
+
+    def random(self, count: int) -> np.ndarray:
+        assert count == len(self.u)
+        return self.u.copy()
+
+
+_TABLES: dict[tuple[float, int], _CdfTable] = {}
+
+
+def _table(alpha: float, xmin: int) -> _CdfTable:
+    if (alpha, xmin) not in _TABLES:
+        _TABLES[alpha, xmin] = _CdfTable(PowerLawModel(alpha, xmin))
+    return _TABLES[alpha, xmin]
+
+
+class TestCdfTable:
+    @given(
+        st.sampled_from([1.3, 1.5, 2.0, 2.5, 3.0, 4.5]),
+        st.sampled_from([1, 2, 7, 40]),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_guide_table_draws_equal_plain_search(self, alpha, xmin, data):
+        # Uniforms at the exact cell edges c / G, one ulp below them, at
+        # table entries, and beyond the table's last entry: the guide table
+        # must give the row a plain binary search gives.
+        table = _table(alpha, xmin)
+        cells = st.integers(0, _GUIDE_CELLS - 1)
+        rows = st.integers(0, len(table.cdf) - 1)
+        below = np.nextafter
+        points = st.one_of(
+            cells.map(lambda c: c / _GUIDE_CELLS),
+            cells.map(lambda c: below((c + 1) / _GUIDE_CELLS, 0.0)),
+            rows.map(lambda i: table.cdf[i]),
+            rows.map(lambda i: below(table.cdf[i], 0.0)),
+        )
+        beyond = st.floats(float(table.cdf[-1]), 1.0, exclude_min=True, exclude_max=True)
+        u = np.array(
+            data.draw(st.lists(points, min_size=1, max_size=60))
+            + data.draw(st.lists(beyond, max_size=3)),
+            dtype=float,
+        )
+        plain = xmin + np.searchsorted(table.cdf, u, side="left")
+        beyond_table = plain > table.last_level
+        try:
+            plain[beyond_table] = table._beyond_table(u[beyond_table])
+        except InputError:
+            # Near 1 at a small alpha the quantile lies beyond 2^62.
+            with pytest.raises(InputError, match="beyond 2\\^62"):
+                table.draw(_FixedUniforms(u), len(u))
+            return
+        assert np.array_equal(table.draw(_FixedUniforms(u), len(u)), plain)
+
+    def test_guide_marks_exactly_the_cells_that_straddle_rows(self):
+        table = _table(2.0, 1)
+        edges = np.searchsorted(table.cdf, np.arange(_GUIDE_CELLS + 1) / _GUIDE_CELLS)
+        assert np.array_equal(table.guide, edges[:-1])
+        assert np.array_equal(table.straddles, edges[:-1] != edges[1:])
+
+    @pytest.mark.parametrize("alpha", [math.inf, 1e308])
+    def test_non_finite_normalizer_refused(self, alpha):
+        with pytest.raises(InputError, match="normalizer is not finite"):
+            _CdfTable(PowerLawModel(alpha, 1))
+
+    def test_beyond_bound_message_keeps_every_digit_of_alpha(self):
+        with pytest.raises(InputError, match=r"alpha 1\.0000001 is too close to 1"):
+            sample(PowerLawModel(1.0000001, 1), 10, 1)

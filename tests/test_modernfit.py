@@ -1,4 +1,6 @@
 import math
+import os
+import sys
 
 import mpmath
 import numpy as np
@@ -22,7 +24,9 @@ from lotkafit import (
     sample,
     select_xmin,
 )
-from lotkafit.lotkamodel import _zeta
+from lotkafit.freqdata import _tally, truncate_right
+from lotkafit.loglogfit import Denominator, fit_historical
+from lotkafit.lotkamodel import _CdfTable, _zeta
 from lotkafit.modernfit import _EDGE, ALPHA_BRACKET, _fit_tails
 
 
@@ -385,3 +389,166 @@ class TestBiasExperiment:
     def test_all_replicates_degenerate_is_error(self):
         with pytest.raises(DegenerateFitError, match="all 10 replicates"):
             bias_experiment(2.0, 500, [1], replicates=10, seed=1)
+
+
+def serial_bootstrap_ks(d, fit, n_boot, seed, reselect_xmin):
+    """Oracle for the bootstrap's replicate KS values: one plain loop in replicate order."""
+    table = _CdfTable(PowerLawModel(fit.alpha_hat, fit.xmin))
+    levels, counts = d.populated_arrays
+    body = int(np.searchsorted(levels, fit.xmin))
+    body_pool = np.repeat(levels[:body], counts[:body])
+    n = d.total_authors
+    p_tail = (n - body_pool.size) / n
+    ks = []
+    for r in range(n_boot):
+        for attempt in range(10):
+            rng = np.random.default_rng((seed, r, attempt))
+            k_tail = int((rng.random(n) < p_tail).sum())
+            tail = table.draw(rng, k_tail)
+            picks = (rng.random(n - k_tail) * body_pool.size).astype(np.int64)
+            replicate = _tally(np.concatenate([tail, body_pool[picks]]), "bootstrap")
+            try:
+                refit = select_xmin(replicate) if reselect_xmin else mle_alpha(replicate, fit.xmin)
+            except DegenerateFitError:
+                continue
+            ks.append(refit.ks)
+            break
+        else:
+            raise AssertionError(f"oracle replicate {r} not refit")
+    return ks
+
+
+def serial_bias_errors(alpha, authors, cutoffs, replicates, seed):
+    """Oracle for the bias replicates: (historical, MLE) error per cutoff, None on failure."""
+    table = _CdfTable(PowerLawModel(alpha, 1))
+    out = []
+    for r in range(replicates):
+        population = _tally(table.draw(np.random.default_rng((seed, r)), authors), "bias")
+        row = []
+        for cutoff in cutoffs:
+            try:
+                hist = fit_historical(population, cutoff, Denominator.FULL).exponent - alpha
+            except (DegenerateFitError, InputError):
+                hist = None
+            try:
+                mle = select_xmin(truncate_right(population, cutoff)).alpha_hat - alpha
+            except (DegenerateFitError, InputError):
+                mle = None
+            row.append((hist, mle))
+        out.append(row)
+    return out
+
+
+@pytest.fixture(params=[1, 2, 3], ids=lambda w: f"workers{w}")
+def workers(request, monkeypatch):
+    """Forces the runner's CPU count, so the fork path runs on a 1-CPU machine too.
+
+    Returns the list of children the runner forked, recorded in the caller.
+    """
+    if request.param > 1 and not hasattr(os, "fork"):
+        pytest.skip("no os.fork on this platform")
+    monkeypatch.setattr(modernfit, "_cpu_count", lambda: request.param)
+    forked = []
+    real_fork = os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return request.param, forked
+
+
+@pytest.fixture
+def runner_results(monkeypatch):
+    """Every list the replicate runner returns, in call order."""
+    seen = []
+    real = modernfit._replicates
+
+    def recording(job, count, levels):
+        results = real(job, count, levels)
+        seen.append(results)
+        return results
+
+    monkeypatch.setattr(modernfit, "_replicates", recording)
+    return seen
+
+
+class TestReplicateRunner:
+    @pytest.mark.parametrize("reselect_xmin", [True, False])
+    def test_bootstrap_replicates_equal_serial_loop(self, workers, runner_results, reselect_xmin):
+        count, forked = workers
+        d = sample(PowerLawModel(2.0, 1), 300, 9)
+        fit = select_xmin(d) if reselect_xmin else mle_alpha(d, 2)
+        p = gof_bootstrap(d, fit, 100, seed=5, reselect_xmin=reselect_xmin)
+        oracle = serial_bootstrap_ks(d, fit, 100, 5, reselect_xmin)
+        assert runner_results == [oracle]
+        assert p == float(np.mean(np.array(oracle) >= fit.ks))
+        assert len(forked) == count - 1
+
+    def test_bias_replicates_equal_serial_loop(self, workers, runner_results, monkeypatch):
+        count, forked = workers
+        table = bias_experiment(2.0, 400, [5, 30], replicates=12, seed=2)
+        assert runner_results == [serial_bias_errors(2.0, 400, [5, 30], 12, 2)]
+        assert len(forked) == count - 1
+        monkeypatch.setattr(modernfit, "_cpu_count", lambda: 1)
+        assert table == bias_experiment(2.0, 400, [5, 30], replicates=12, seed=2)
+
+    def test_lowest_failing_replicate_raises_its_own_exception(self, workers):
+        # Replicates 3, 4 and 8 fail; whichever worker runs them, the
+        # exception of replicate 3 is the one a serial loop raises.
+        def job(r):
+            if r == 3:
+                raise DegenerateFitError("replicate 3 could not be refit")
+            if r == 4:
+                raise InputError("replicate 4 is bad input")
+            if r == 8:
+                raise ValueError("replicate 8")
+            return r * r
+
+        mask = os.sched_getaffinity(0)
+        with pytest.raises(DegenerateFitError, match=r"^replicate 3 could not be refit$"):
+            modernfit._replicates(job, 12, 300)
+        assert os.sched_getaffinity(0) == mask
+        assert modernfit._replicates(lambda r: r * r, 12, 300) == [r * r for r in range(12)]
+        assert os.sched_getaffinity(0) == mask
+
+    def test_failure_of_replicate_zero_raises_before_forking(self, workers):
+        _, forked = workers
+
+        def job(r):
+            raise InputError(f"replicate {r} is bad input")
+
+        with pytest.raises(InputError, match=r"^replicate 0 is bad input$"):
+            modernfit._replicates(job, 12, 300)
+        assert forked == []
+
+    def test_unrefittable_bootstrap_raises_same_replicate(self, workers):
+        tiny = FrequencyDistribution.from_counts({1: 1, 2: 1, 3: 1})
+        with pytest.raises(DegenerateFitError, match=r"^bootstrap replicate 22 could not be "):
+            gof_bootstrap(tiny, select_xmin(tiny), 100, seed=1)
+
+    def test_children_do_not_flush_the_callers_stdout(self, workers, capfd):
+        # Text buffered but not yet written when the children fork must
+        # reach stdout exactly once: the children leave through os._exit.
+        count, forked = workers
+        buffered = os.fdopen(os.dup(1), "w", buffering=1 << 16)
+        buffered.write("buffered-marker")
+        sys.stdout.write("stdout-marker")
+        results = modernfit._replicates(lambda r: r, 10, 300)
+        buffered.close()
+        sys.stdout.flush()
+        out = capfd.readouterr().out
+        assert results == list(range(10))
+        assert out.count("buffered-marker") == 1
+        assert out.count("stdout-marker") == 1
+        assert len(forked) == count - 1
+
+    def test_few_replicate_levels_run_serially(self, workers):
+        count, forked = workers
+        assert modernfit._replicates(lambda r: r, 10, 29) == list(range(10))
+        assert forked == []
+        assert modernfit._replicates(lambda r: r, 10, 30) == list(range(10))
+        assert len(forked) == count - 1
