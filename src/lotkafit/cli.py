@@ -13,6 +13,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from .errors import DegenerateFitError, InputError
 from .freqdata import ingest_records, read_distribution, truncation_report, write_distribution
@@ -22,6 +23,13 @@ from .modernfit import bias_experiment, compare_methods, gof_bootstrap, mle_alph
 from .svgplot import PlotKind, PlotSpec, emit_plot
 
 __all__ = ["build_parser", "run", "main"]
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one line on stderr, exit 2."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"{self.prog}: error: {message}\n")
 
 
 def _denominator_arg(text: str):
@@ -174,7 +182,8 @@ def _load_fit(path: str) -> FitResult:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}") from None
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: arrays or objects nested deeper than the decoder's stack.
         raise InputError(f"{path}: not valid JSON ({exc})") from None
     try:
         fit = FitResult(
@@ -214,7 +223,7 @@ def _cmd_plot(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lotkafit",
         description="Historical log-log and modern MLE power-law fitting for "
         "author productivity distributions.",

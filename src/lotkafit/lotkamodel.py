@@ -1,25 +1,27 @@
 """Zeta-normalized discrete power law over integer productivity levels.
 
-A model with exponent alpha > 1 and lower support bound xmin assigns
-P(X = k) = k^(-alpha) / zeta(alpha, xmin) for integer k >= xmin, where
-zeta(alpha, xmin) is the Hurwitz zeta sum over the support. The running
-"one over k squared" fractions only become a probability distribution
-through this normalization; at alpha = 2, xmin = 1 the level-1 fraction
-is 6/pi^2, about 0.6079.
+A model with exponent alpha in ALPHA_DOMAIN = [1.01, 10] and integer
+lower support bound xmin >= 1 assigns P(X = k) = k^(-alpha) / zeta(alpha,
+xmin) for integer k >= xmin, where zeta(alpha, xmin) is the Hurwitz zeta
+sum over the support. The running "one over k squared" fractions only
+become a probability distribution through this normalization; at alpha =
+2, xmin = 1 the level-1 fraction is 6/pi^2, about 0.6079. PowerLawModel
+is the one check of the domain; the sampler and hurwitz_zeta go through
+it, and the maximum-likelihood fit searches the same range.
 
 One array evaluator computes the normalizer zeta(alpha, s) for many
 exponents and start points at once, together with the first two
 alpha-derivatives of its logarithm that the maximum-likelihood fit
 needs: a dense suffix sum below level 64 plus an Euler-Maclaurin tail,
-accurate to well under 1e-12 absolute error. Sampling is by inverse-CDF
-lookup against a precomputed cumulative table. A guide table of 2^16
-equal-probability cells (Chen & Asau's indexed search) resolves most
-draws without a binary search; the rest search the full table, and one
-exact doubling-plus-bisection covers all draws beyond it. Sampling is
-reproducible: all randomness flows through numpy's PCG64 generator
-consuming uniform doubles only, so identical (model, count, seed) gives
-identical output.
-That generator choice is a pinned contract, not an implementation detail.
+accurate to well under 1e-12 absolute error on the domain. Sampling is
+by inverse-CDF lookup against a precomputed cumulative table. A guide
+table of 2^16 equal-probability cells (Chen & Asau's indexed search)
+resolves most draws without a binary search; the rest search the full
+table, and one exact doubling-plus-bisection covers all draws beyond it.
+Sampling is reproducible: all randomness flows through numpy's PCG64
+generator consuming uniform doubles only, so identical (model, count,
+seed) gives identical output. That generator choice is a pinned
+contract, not an implementation detail.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InputError
-from .freqdata import MAX_LEVEL, FrequencyDistribution, _tally
+from .freqdata import MAX_AUTHORS, MAX_LEVEL, FrequencyDistribution, _tally
 
 __all__ = [
     "PowerLawModel",
@@ -42,13 +44,16 @@ __all__ = [
     "sample",
 ]
 
-# Start of the Euler-Maclaurin tail: zeta sums below it are dense suffix
-# sums. With six Bernoulli correction terms the remainder at a start n is
-# bounded by the first omitted term, B_14/14! alpha (alpha+1) ... (alpha+12)
-# n^(-alpha-13); at n = 64 and alpha in [1.01, 10] that is below 5e-27
-# absolute (largest at 1.01) and 2e-20 relative to zeta (largest at 10),
-# so float64 rounding dominates the error. At 32 the relative bound would
-# be 3e-16, no longer below rounding.
+# The exponents every model, fit and draw may take, and the start of the
+# Euler-Maclaurin tail: zeta sums below it are dense suffix sums. With six
+# Bernoulli correction terms the remainder at a start n is bounded by the
+# first omitted term, B_14/14! alpha (alpha+1) ... (alpha+12) n^(-alpha-13);
+# at n = 64 and alpha in ALPHA_DOMAIN that is below 5e-27 absolute
+# (largest at 1.01) and 2e-20 relative to zeta (largest at 10), so float64
+# rounding dominates the error. At 32 the relative bound would be 3e-16,
+# no longer below rounding. Below the domain the error grows: 5e-12 at
+# alpha 1.0001.
+ALPHA_DOMAIN = (1.01, 10.0)
 _TAIL_START = 64
 # The dense block k = _TAIL_START-1 down to 1, descending so that running
 # sums along it are the suffix sums zeta needs.
@@ -149,30 +154,18 @@ def _zeta(alpha, starts, derivatives: bool = False):
     return zeta, -(shift + mean), m2 / zeta - mean * mean
 
 
-def hurwitz_zeta(alpha: float, xmin: int = 1) -> float:
-    """Sum of k^(-alpha) over integer k >= xmin.
-
-    Dense summation below _TAIL_START, then the Euler-Maclaurin tail.
-    Absolute error is below 1e-12 for alpha in (1, 10] and any xmin >= 1.
-    """
-    if alpha <= 1.0:
-        raise InputError(f"zeta sum diverges for alpha <= 1, got {alpha}")
-    if xmin < 1:
-        raise InputError(f"xmin must be >= 1, got {xmin}")
-    return float(_zeta([alpha], [[float(xmin)]])[0, 0])
-
-
 @dataclass(frozen=True)
 class PowerLawModel:
-    """Exponent and lower support bound of a discrete power law."""
+    """Exponent in ALPHA_DOMAIN, integer lower support bound >= 1: the one check of both."""
 
     alpha: float
     xmin: int = 1
 
     def __post_init__(self) -> None:
-        if not self.alpha > 1.0:
-            raise InputError(f"alpha must exceed 1 (normalization diverges), got {self.alpha}")
-        if int(self.xmin) != self.xmin or self.xmin < 1:
+        lo, hi = ALPHA_DOMAIN
+        if not lo <= self.alpha <= hi:
+            raise InputError(f"alpha must lie in [{lo:g}, {hi:g}], got {self.alpha!r}")
+        if not (self.xmin >= 1 and self.xmin % 1 == 0):
             raise InputError(f"xmin must be a positive integer, got {self.xmin}")
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "xmin", int(self.xmin))
@@ -180,7 +173,17 @@ class PowerLawModel:
     @cached_property
     def normalizer(self) -> float:
         """zeta(alpha, xmin); the reciprocal of the pmf's constant."""
-        return hurwitz_zeta(self.alpha, self.xmin)
+        return float(_zeta([self.alpha], [[float(self.xmin)]])[0, 0])
+
+
+def hurwitz_zeta(alpha: float, xmin: int = 1) -> float:
+    """Sum of k^(-alpha) over integer k >= xmin; PowerLawModel checks both.
+
+    Dense summation below _TAIL_START, then the Euler-Maclaurin tail.
+    Absolute error is below 1e-12 for alpha in ALPHA_DOMAIN and any
+    integer xmin >= 1.
+    """
+    return PowerLawModel(alpha, xmin).normalizer
 
 
 def predicted_fraction(level: int, model: PowerLawModel) -> float:
@@ -228,11 +231,7 @@ class _CdfTable:
 
     def __init__(self, model: PowerLawModel) -> None:
         self.model = model
-        alpha, xmin = model.alpha, model.xmin
-        with np.errstate(over="ignore", invalid="ignore"):
-            z = model.normalizer
-        if not math.isfinite(z):
-            raise InputError(f"alpha {alpha!r}: the zeta normalizer is not finite, cannot sample")
+        alpha, xmin, z = model.alpha, model.xmin, model.normalizer
         # Asymptotic quantile estimate: ccdf(L) ~ L^(1-alpha) / ((alpha-1) z).
         log_quantile = math.log((alpha - 1.0) * z * _TABLE_TAIL_MASS) / (1.0 - alpha)
         if log_quantile > math.log(_TABLE_CAP) + math.log(xmin + 1.0):
@@ -304,8 +303,8 @@ def sample(model: PowerLawModel, count: int, seed: int) -> FrequencyDistribution
     Deterministic in (model, count, seed): the generator is PCG64 seeded
     with ``seed`` and only its uniform-double stream is consumed.
     """
-    if count < 1:
-        raise InputError(f"count must be >= 1, got {count}")
+    if not 1 <= count <= MAX_AUTHORS:
+        raise InputError(f"count must lie in [1, 2^62], got {count}")
     if seed < 0:
         raise InputError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)

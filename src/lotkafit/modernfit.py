@@ -29,9 +29,9 @@ from typing import Callable, NoReturn, TypeVar
 import numpy as np
 
 from .errors import DegenerateFitError, InputError
-from .freqdata import FrequencyDistribution, _tally, truncate_right, truncation_report
+from .freqdata import MAX_AUTHORS, FrequencyDistribution, _tally, truncate_right, truncation_report
 from .loglogfit import Denominator, FitResult, fit_historical
-from .lotkamodel import PowerLawModel, _CdfTable, _zeta
+from .lotkamodel import ALPHA_DOMAIN, PowerLawModel, _CdfTable, _zeta
 
 __all__ = [
     "MleResult",
@@ -47,11 +47,10 @@ __all__ = [
     "bias_experiment",
 ]
 
-# Exponent search bracket and absolute tolerance of the exponent.
-ALPHA_BRACKET = (1.01, 10.0)
+# Absolute tolerance of the exponent, which is searched for in ALPHA_DOMAIN.
 ALPHA_TOL = 1e-6
 
-# A maximum within this distance of a bracket end counts as pinned to it:
+# A maximum within this distance of a domain end counts as pinned to it:
 # the root search runs inside [lo + _EDGE, hi - _EDGE].
 _EDGE = 5 * ALPHA_TOL
 
@@ -246,13 +245,12 @@ def _fit_tails(
     maximum of the log-likelihood -alpha * sum(c ln k) - n ln zeta(alpha,
     xmin) is the root of the score psi(alpha) = d/dalpha ln zeta + mean
     ln k, which increases strictly (its slope is the model variance of
-    ln k). A candidate whose psi has one sign over the whole inner
-    bracket has its maximum pinned to a bracket end: its alpha is that
-    end and its ks and log_likelihood are NaN. Every candidate shares the
-    two inner edges, so psi there is one evaluator call of two exponent
-    rows against all the xmins. The other candidates run a Newton
-    iteration in lockstep that falls back to bisection whenever a step
-    leaves the bracket known to hold the root.
+    ln k). A candidate whose psi is not positive at the upper inner edge
+    hi has its maximum pinned to that end of ALPHA_DOMAIN: its alpha is
+    10, its ks and log_likelihood NaN. psi at hi is one evaluator call of
+    one exponent row against all the xmins. The other candidates run a
+    Newton iteration in lockstep that falls back to bisection whenever a
+    step leaves the bracket known to hold the root, starting from [lo, hi].
     """
     log_levels = np.log(levels.astype(float))
     n_tail = np.cumsum(counts[::-1])[::-1][starts]
@@ -264,10 +262,12 @@ def _fit_tails(
         _, dlog, d2log = _zeta(alpha, x[rows, None], derivatives=True)
         return dlog[:, 0] + mean_log[rows], d2log[:, 0]
 
-    lo, hi = ALPHA_BRACKET[0] + _EDGE, ALPHA_BRACKET[1] - _EDGE
-    psi_lo, psi_hi = _zeta(np.array([lo, hi]), x[None, :], derivatives=True)[1] + mean_log
-    alpha = np.where(psi_lo >= 0.0, ALPHA_BRACKET[0], ALPHA_BRACKET[1])
-    inside = np.nonzero((psi_lo < 0.0) & (psi_hi > 0.0))[0]
+    lo, hi = ALPHA_DOMAIN[0] + _EDGE, ALPHA_DOMAIN[1] - _EDGE
+    # The lower end pins no candidate: psi(lo) >= 0 needs a mean ln(k / xmin)
+    # above 99.4, and levels up to 2^62 keep it below 43.
+    psi_hi = _zeta([hi], x[None, :], derivatives=True)[1][0] + mean_log
+    alpha = np.full(len(starts), ALPHA_DOMAIN[1])
+    inside = np.nonzero(psi_hi > 0.0)[0]
 
     # Start from the continuous approximation (Clauset et al. 2009, eq. 3.7).
     rows = inside
@@ -302,8 +302,9 @@ def mle_alpha(dist: FrequencyDistribution, xmin: int) -> MleResult:
 
     Solves the score equation zeta'(alpha)/zeta(alpha) = -mean ln k
     (Clauset et al. 2009, App. B) by safeguarded Newton inside
-    ALPHA_BRACKET; the exponent is exact to well under 1e-6. This is the
-    one-candidate case of the fit select_xmin runs over all candidates.
+    ALPHA_DOMAIN; the exponent is exact to well under 1e-6. This is the
+    one-candidate case of the fit select_xmin runs over all candidates. A
+    tail whose likelihood still rises at the domain's upper end is degenerate.
     """
     if xmin < 1:
         raise InputError(f"xmin must be >= 1, got {xmin}")
@@ -487,8 +488,8 @@ def gof_bootstrap(
     A fitted alpha so close to 1 that a replicate draws a level beyond
     2^62 cannot be bootstrapped, which is a DegenerateFitError.
     """
-    if n_boot < 100:
-        raise InputError(f"n_boot must be >= 100, got {n_boot}")
+    if not 100 <= n_boot <= MAX_AUTHORS:
+        raise InputError(f"n_boot must lie in [100, 2^62], got {n_boot}")
     if seed < 0:
         raise InputError(f"seed must be non-negative, got {seed}")
     model = PowerLawModel(result.alpha_hat, result.xmin)
@@ -586,14 +587,16 @@ def bias_experiment(
     estimator's summary; a cutoff where one estimator fails in every
     replicate is an error.
     """
-    if replicates < 10:
-        raise InputError(f"replicates must be >= 10, got {replicates}")
-    if authors < 1:
-        raise InputError(f"authors must be >= 1, got {authors}")
+    if not 10 <= replicates <= MAX_AUTHORS:
+        raise InputError(f"replicates must lie in [10, 2^62], got {replicates}")
+    if not 1 <= authors <= MAX_AUTHORS:
+        raise InputError(f"authors must lie in [1, 2^62], got {authors}")
     if not cutoffs:
         raise InputError("need at least one cutoff")
     if any(c < 1 for c in cutoffs):
         raise InputError(f"cutoffs must be >= 1, got {cutoffs}")
+    if len(set(cutoffs)) != len(cutoffs):
+        raise InputError(f"cutoffs must be distinct, got {cutoffs}")
     if seed < 0:
         raise InputError(f"seed must be non-negative, got {seed}")
     model = PowerLawModel(alpha, 1)

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -47,6 +48,22 @@ class TestExitCodes:
     def test_unknown_flag_exits_two(self, capsys):
         code, _, err = run_cli(capsys, ["fit", "loglog", "--nope"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["ingest"], "lotkafit ingest: error: the following arguments are required: --records, --out"),
+            (["fit", "loglog", "--dist", "d.csv", "--nope"], "lotkafit: error: unrecognized arguments: --nope"),
+            (["simulate", "--alpha", "x"], "lotkafit simulate: error: argument --alpha: invalid float value: 'x'"),
+            ([], "lotkafit: error: the following arguments are required: command"),
+        ],
+    )
+    def test_usage_error_is_one_line(self, capsys, argv, err):
+        # argparse's own error() prints the usage line above the error.
+        code, out, stderr = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert stderr == err + "\n"
 
     def test_missing_file_exits_two(self, capsys):
         code, _, err = run_cli(capsys, ["fit", "loglog", "--dist", "/nonexistent.csv"])
@@ -149,19 +166,89 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, argv + ["--alpha", alpha])
         assert code == 2
         assert out == ""
-        assert err == f"error: alpha {float(alpha)!r}: the zeta normalizer is not finite, cannot sample\n"
+        assert err == f"error: alpha must lie in [1.01, 10], got {float(alpha)!r}\n"
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--alpha", "12", "--authors", "10", "--seed", "1"],
+            ["bias", "--alpha", "1.005", "--authors", "10", "--cutoffs", "30",
+             "--replicates", "10", "--seed", "1"],
+        ],
+    )
+    def test_alpha_outside_domain_exits_two(self, capsys, tmp_path, argv):
+        out_file = tmp_path / "x.csv"
+        if argv[0] == "simulate":
+            argv = argv + ["--out", str(out_file)]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: alpha must lie in [1.01, 10], got {float(argv[2])!r}\n"
         assert not out_file.exists()
 
     def test_sampler_message_prints_alpha_in_full(self, capsys, tmp_path):
         out_file = tmp_path / "x.csv"
         code, _, err = run_cli(
             capsys,
-            ["simulate", "--alpha", "1.0000001", "--authors", "10", "--seed", "1",
+            ["simulate", "--alpha", "1.0100001", "--authors", "10", "--seed", "1",
              "--out", str(out_file)],
         )
         assert code == 2
-        assert "alpha 1.0000001 is too close to 1" in err
+        assert "alpha 1.0100001 is too close to 1" in err
         assert len(err.splitlines()) == 1
+
+    def test_repeated_cutoff_exits_two(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            ["bias", "--alpha", "2", "--authors", "100", "--cutoffs", "30,5,30",
+             "--replicates", "10", "--seed", "1"],
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: cutoffs must be distinct, got [30, 5, 30]\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["simulate", "--alpha", "2", "--seed", "1", "--authors", "HUGE"],
+             "count must lie in [1, 2^62]"),
+            (["bias", "--alpha", "2", "--cutoffs", "30", "--replicates", "10", "--seed", "1",
+              "--authors", "HUGE"], "authors must lie in [1, 2^62]"),
+            (["bias", "--alpha", "2", "--authors", "10", "--cutoffs", "30", "--seed", "1",
+              "--replicates", "HUGE"], "replicates must lie in [10, 2^62]"),
+            (["fit", "mle", "--seed", "1", "--bootstrap", "HUGE"], "n_boot must lie in [100, 2^62]"),
+        ],
+    )
+    def test_count_beyond_two_to_the_62_exits_two(self, capsys, ca_file, tmp_path, argv, message):
+        # Only counts above 2^62, which are refused before any allocation:
+        # numpy cannot size an array, nor the runner's int64 map hold, such a count.
+        huge = "100000000000000000000000"
+        argv = [huge if token == "HUGE" else token for token in argv]
+        out_file = tmp_path / "x.csv"
+        if argv[0] == "simulate":
+            argv += ["--out", str(out_file)]
+        if argv[0] == "fit":
+            argv += ["--dist", ca_file]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}, got {huge}\n"
+        assert not out_file.exists()
+
+    def test_deeply_nested_fit_report_exits_two(self, capsys, ca_file, tmp_path):
+        # Nesting deeper than the JSON decoder's stack is bad input, not a crash.
+        fit_file = tmp_path / "deep.json"
+        fit_file.write_text("[" * 100_000 + "]" * 100_000)
+        svg = tmp_path / "l.svg"
+        code, out, err = run_cli(
+            capsys, ["plot", "loglog", "--dist", ca_file, "--fit", str(fit_file), "--out", str(svg)]
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {fit_file}: not valid JSON (maximum recursion depth")
+        assert len(err.splitlines()) == 1
+        assert not svg.exists()
 
 
     @pytest.mark.parametrize("flag", ["--dist", "--records", "--fit"])
@@ -277,11 +364,13 @@ class TestFitFuzz:
                 assert len(err.getvalue().splitlines()) <= 1, argv
 
 
-# Exponents at the edges of what the sampler can do: a normalizer that is
-# not finite (inf, 1e308), draws beyond 2^62 (1.0000001, 1.2), no
-# normalizer at all (1, below 1, nan), and draws that all land on level 1.
+# Exponents at the edges of what the sampler can do: outside the domain
+# [1.01, 10] on either side by a hair or by far (1.0099999, 10.000001,
+# inf, 1e308, 1.0000001, 1, below 1, nan, 50), its two ends, draws beyond
+# 2^62 (1.0100001, 1.2), and draws that all land on level 1 (10).
 _ALPHAS = st.one_of(
-    st.sampled_from([math.inf, 1e308, 1.0000001, 1.2, 1.0, 0.5, math.nan, 50.0]),
+    st.sampled_from([math.inf, 1e308, 1.0000001, 1.2, 1.0, 0.5, math.nan, 50.0,
+                     1.0099999, 1.01, 1.0100001, 10.0, 10.000001]),
     st.floats(1.01, 6.0),
     st.floats(1.5, 3.0),
 )
@@ -341,6 +430,171 @@ class TestSamplerFuzz:
             assert math.isfinite(float(mean_hist)) and math.isfinite(float(mean_mle)), argv
             # A standard deviation over a single kept replicate is undefined: nan.
             assert all(sd == "nan" or math.isfinite(float(sd)) for sd in (sd_hist, sd_mle)), argv
+
+
+_NON_FINITE_WORD = re.compile(r"\b(nan|-?inf(inity)?)\b", re.IGNORECASE)
+
+
+def _assert_contract(code, out, err, out_dir, argv, emits_json=False):
+    """Exit 0, 2 or 3; strict JSON on stdout when it is emitted, else nothing
+    on failure; at most one stderr line; no nan or inf in any written file."""
+    assert code in (0, 2, 3), argv
+    assert len(err.splitlines()) <= 1, argv
+    if code != 0:
+        assert out == "", argv
+    elif emits_json:
+        json.loads(out, parse_constant=_reject_constant)
+    for path in Path(out_dir).iterdir():
+        assert not _NON_FINITE_WORD.search(path.read_text(encoding="utf-8")), (argv, path.name)
+
+
+def _write_counts(path, counts):
+    path.write_text(
+        "level,count\n" + "".join(f"{level},{n}\n" for level, n in counts.items()),
+        encoding="utf-8",
+    )
+
+
+_FIT_KEYS = ("slope", "intercept", "exponent", "r_squared", "f_stat", "dof", "n_points",
+             "denominator", "cutoff")
+_MISSING = object()
+# Field values a hostile or broken fit report may hold: missing, null,
+# strings, huge and non-finite numbers (json writes NaN and Infinity
+# literals), and containers.
+_FIT_VALUES = st.one_of(
+    st.just(_MISSING),
+    st.none(),
+    st.sampled_from(["", "x", "nan", "-inf", "1e5", " 2 ", True, [], {}, [1.0], {"a": 1}]),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 10**400, -(10**400)]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-(2**70), 2**70),
+)
+_NON_OBJECT_REPORT = st.sampled_from(
+    ["[]", "[1, 2]", "5", "-1e999", '"slope"', "null", "true", "NaN", "", "{", "{}"]
+)
+
+
+class TestPlotAndReportFuzz:
+    # Generated distributions hold at most 8 levels, so every histogram
+    # is at most 2^20 bins and every example runs in milliseconds.
+    @given(
+        st.dictionaries(_LEVELS, _COUNTS, min_size=1, max_size=8),
+        st.dictionaries(st.sampled_from(_FIT_KEYS), _FIT_VALUES, max_size=4),
+        st.one_of(st.none(), _NON_OBJECT_REPORT),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_plot_loglog_with_generated_fit_reports(self, counts, overrides, raw):
+        with tempfile.TemporaryDirectory() as tmp:
+            dist, fit_file = Path(tmp) / "d.csv", Path(tmp) / "fit.json"
+            _write_counts(dist, counts)
+            report = {"slope": -2.0, "intercept": 1.8, "exponent": 2.0, "r_squared": 0.99,
+                      "f_stat": 400.0, "dof": 3, "n_points": 5, "denominator": 100, "cutoff": 30}
+            for key, value in overrides.items():
+                if value is _MISSING:
+                    report.pop(key, None)
+                else:
+                    report[key] = value
+            fit_file.write_text(raw if raw is not None else json.dumps(report), encoding="utf-8")
+            out_dir = Path(tmp) / "out"
+            out_dir.mkdir()
+            argv = ["plot", "loglog", "--dist", str(dist), "--fit", str(fit_file),
+                    "--out", str(out_dir / "l.svg")]
+            _assert_contract(*_run_captured(argv), out_dir, argv)
+
+    @given(
+        st.dictionaries(_LEVELS, _COUNTS, min_size=1, max_size=8),
+        st.one_of(st.integers(-3, 50), st.integers(1, 2**80)),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_plot_histogram_with_generated_widths(self, counts, width):
+        with tempfile.TemporaryDirectory() as tmp:
+            dist = Path(tmp) / "d.csv"
+            _write_counts(dist, counts)
+            out_dir = Path(tmp) / "out"
+            out_dir.mkdir()
+            argv = ["plot", "histogram", "--dist", str(dist), "--bin-width", str(width),
+                    "--out", str(out_dir / "h.svg")]
+            _assert_contract(*_run_captured(argv), out_dir, argv)
+
+    @given(
+        st.dictionaries(_LEVELS, _COUNTS, min_size=1, max_size=8),
+        st.one_of(st.integers(-3, 50), _LEVELS, st.integers(1, 2**80)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_report_truncation_with_generated_cutoffs(self, counts, cutoff):
+        with tempfile.TemporaryDirectory() as tmp:
+            dist = Path(tmp) / "d.csv"
+            _write_counts(dist, counts)
+            argv = ["report", "truncation", "--dist", str(dist), "--cutoff", str(cutoff)]
+            code, out, err = _run_captured(argv)
+            _assert_contract(code, out, err, tmp, argv)
+            assert not _NON_FINITE_WORD.search(out), argv
+            if code == 0:
+                assert out.startswith(f"truncation at cutoff {cutoff} (max level "), argv
+
+
+_COMMANDS = [["ingest"], ["fit", "loglog"], ["fit", "mle"], ["report", "truncation"],
+             ["simulate"], ["compare"], ["bias"], ["plot", "histogram"], ["plot", "loglog"]]
+_NUMBERS = ["-1", "0", "1", "2", "3", "30", "346", str(2**62), str(2**62 + 1), str(2**80),
+            "1.5", "nan", "inf", "-inf", "x", ""]
+# Every flag of the CLI with the values it may be given. --authors stays at
+# 5,000 or fewer, --replicates at 10 to 20 and --bootstrap at 100 to 120,
+# so that no example allocates or loops for long; counts above 2^62 are
+# also drawn, and are refused before anything runs.
+_FLAG_VALUES = {
+    "--alpha": st.sampled_from(["2", "1.01", "10", "1.5", "3", "1.0", "12", "nan", "inf", "x"]),
+    "--authors": st.one_of(st.integers(-1, 5000).map(str), st.just(str(2**80))),
+    "--replicates": st.one_of(st.integers(10, 20).map(str), st.sampled_from(["9", str(2**80)])),
+    "--bootstrap": st.one_of(st.integers(100, 120).map(str), st.sampled_from(["99", str(2**80)])),
+    "--seed": st.sampled_from(_NUMBERS),
+    "--truncate": st.sampled_from(_NUMBERS),
+    "--cutoff": st.sampled_from(_NUMBERS),
+    "--cutoffs": st.sampled_from(["30", "30,1000000", "1,2", "30,30", "0", "x", ",", str(2**80)]),
+    "--xmin": st.sampled_from(["auto", "1", "2", "30", "0", str(2**80), "x"]),
+    "--denominator": st.sampled_from(["full", "truncated", "100", "0", str(2**80), "x"]),
+    "--bin-width": st.sampled_from(_NUMBERS),
+    "--dist": st.sampled_from(["DIST", "RECORDS", "FIT", "MISSING"]),
+    "--records": st.sampled_from(["DIST", "RECORDS", "FIT", "MISSING"]),
+    "--fit": st.sampled_from(["DIST", "RECORDS", "FIT", "MISSING"]),
+    "--out": st.sampled_from(["OUT/a.csv", "OUT/b.svg", "OUT/missing/c.csv"]),
+}
+_BARE = ["--json", "histogram", "loglog", "mle", "truncation", "fit", "x", "1"]
+
+
+@st.composite
+def _cli_argv(draw):
+    argv = list(draw(st.sampled_from(_COMMANDS)))
+    flags = draw(st.lists(st.sampled_from(sorted(_FLAG_VALUES)), max_size=7))
+    for flag in flags:
+        argv += [flag, draw(_FLAG_VALUES[flag])]
+    for bare in draw(st.lists(st.sampled_from(_BARE), max_size=2)):
+        argv.insert(draw(st.integers(1, len(argv))), bare)
+    return argv
+
+
+class TestRandomArgvFuzz:
+    @given(_cli_argv())
+    @settings(max_examples=200, deadline=None)
+    def test_random_argv_exits_zero_two_or_three(self, argv):
+        # A bare token can only land between flag/value pairs, so every
+        # count flag keeps the bounded value drawn for it.
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            out_dir = tmp / "OUT"
+            out_dir.mkdir()
+            _write_counts(tmp / "DIST", {1: 60, 2: 15, 3: 7, 4: 4, 6: 2, 9: 1, 30: 1})
+            (tmp / "RECORDS").write_text("paper_id,position,author\nP1,1,A\nP1,2,B\nP2,1,A\n")
+            (tmp / "FIT").write_text(json.dumps(
+                {"slope": -2.0, "intercept": 1.8, "exponent": 2.0, "r_squared": 0.99,
+                 "f_stat": None, "dof": 3, "n_points": 5, "denominator": 89, "cutoff": None}
+            ))
+            names = {"DIST", "RECORDS", "FIT", "MISSING"}
+            resolved = [
+                str(tmp / token) if token in names or token.startswith("OUT/") else token
+                for token in argv
+            ]
+            emits_json = argv[0] == "fit" or (argv[0] == "compare" and "--json" in argv)
+            _assert_contract(*_run_captured(resolved), out_dir, argv, emits_json)
 
 
 class TestIngest:

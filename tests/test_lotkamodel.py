@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -50,9 +51,11 @@ class TestHurwitzZeta:
         assert hurwitz_zeta(3.0, 1) == pytest.approx(1.2020569032, abs=1e-10)
 
     def test_against_mpmath_grid(self):
+        # Both ends of ALPHA_DOMAIN, up to the largest level a distribution
+        # holds; the worst case is about 1.4e-13 at alpha 1.01, xmin 2^62.
         mpmath.mp.dps = 30
         for alpha in (1.01, 1.1, 1.5, 2.0, 2.5, 3.7, 5.0, 10.0):
-            for xmin in (1, 2, 3, 10, 257, 10_000, 10**9):
+            for xmin in (1, 2, 3, 10, 257, 10_000, 10**9, 2**40, 2**62):
                 reference = float(mpmath.zeta(alpha, xmin))
                 assert hurwitz_zeta(alpha, xmin) == pytest.approx(
                     reference, abs=1e-12
@@ -87,9 +90,9 @@ class TestHurwitzZeta:
                 assert batch[r, i] == hurwitz_zeta(alpha, int(s))
 
     def test_divergent_alpha(self):
-        with pytest.raises(InputError, match="diverges"):
+        with pytest.raises(InputError, match=r"alpha must lie in \[1\.01, 10\], got 1\.0$"):
             hurwitz_zeta(1.0, 1)
-        with pytest.raises(InputError, match="diverges"):
+        with pytest.raises(InputError, match=r"alpha must lie in \[1\.01, 10\], got 0\.5$"):
             hurwitz_zeta(0.5, 1)
 
     def test_bad_xmin(self):
@@ -97,10 +100,31 @@ class TestHurwitzZeta:
             hurwitz_zeta(2.0, 0)
 
 
+_OUTSIDE_DOMAIN = [1.0099999, 10.000001, math.nan, math.inf, -math.inf]
+
+
 class TestModelValidation:
     def test_alpha_must_exceed_one(self):
         with pytest.raises(InputError):
             PowerLawModel(1.0, 1)
+
+    @pytest.mark.parametrize("alpha", _OUTSIDE_DOMAIN)
+    def test_alpha_outside_domain_refused(self, alpha):
+        message = rf"^alpha must lie in \[1\.01, 10\], got {re.escape(repr(alpha))}$"
+        with pytest.raises(InputError, match=message):
+            PowerLawModel(alpha, 1)
+        with pytest.raises(InputError, match=message):
+            hurwitz_zeta(alpha, 1)
+
+    @pytest.mark.parametrize("xmin", [2.5, math.nan, math.inf])
+    def test_xmin_must_be_an_integer(self, xmin):
+        # The sum over integer k >= 2.5 is zeta(2, 3) = 0.3949; a dense sum
+        # from int(2.5) = 2 would give zeta(2, 2) = 0.6449.
+        message = f"^xmin must be a positive integer, got {xmin}$"
+        with pytest.raises(InputError, match=message):
+            PowerLawModel(2.0, xmin)
+        with pytest.raises(InputError, match=message):
+            hurwitz_zeta(2.0, xmin)
 
     def test_xmin_positive_integer(self):
         with pytest.raises(InputError):
@@ -214,6 +238,12 @@ class TestSample:
         with pytest.raises(InputError):
             sample(PowerLawModel(2.0, 1), 10, -1)
 
+    def test_count_beyond_two_to_the_62_refused(self):
+        # Refused before anything is allocated.
+        for count in (2**62 + 1, 10**23):
+            with pytest.raises(InputError, match=rf"count must lie in \[1, 2\^62\], got {count}$"):
+                sample(PowerLawModel(2.0, 1), count, 1)
+
     def test_chi_square_goodness_across_seeds(self):
         # Chi-square of each 1e5-draw sample against the pmf on levels
         # 1..20 with the tail pooled; the 0.999 quantile of chi2(20) must
@@ -302,9 +332,12 @@ class TestCdfTable:
 
     @pytest.mark.parametrize("alpha", [math.inf, 1e308])
     def test_non_finite_normalizer_refused(self, alpha):
-        with pytest.raises(InputError, match="normalizer is not finite"):
+        # Every exponent whose normalizer overflows lies above the domain,
+        # so the model refuses it before a table is built.
+        message = rf"alpha must lie in \[1\.01, 10\], got {re.escape(repr(alpha))}$"
+        with pytest.raises(InputError, match=message):
             _CdfTable(PowerLawModel(alpha, 1))
 
     def test_beyond_bound_message_keeps_every_digit_of_alpha(self):
-        with pytest.raises(InputError, match=r"alpha 1\.0000001 is too close to 1"):
-            sample(PowerLawModel(1.0000001, 1), 10, 1)
+        with pytest.raises(InputError, match=r"alpha 1\.0100001 is too close to 1"):
+            sample(PowerLawModel(1.0100001, 1), 10, 1)

@@ -26,8 +26,8 @@ from lotkafit import (
 )
 from lotkafit.freqdata import _tally, truncate_right
 from lotkafit.loglogfit import Denominator, fit_historical
-from lotkafit.lotkamodel import _CdfTable, _zeta
-from lotkafit.modernfit import _EDGE, ALPHA_BRACKET, _fit_tails
+from lotkafit.lotkamodel import ALPHA_DOMAIN, _CdfTable, _zeta
+from lotkafit.modernfit import _EDGE, _fit_tails
 
 
 @pytest.fixture(scope="module")
@@ -251,15 +251,16 @@ class TestSelectXmin:
         fits = _fit_tails(levels, counts, starts, levels[starts])
         pinned = np.isnan(fits.ks)
         assert pinned[0] and not pinned.all()
-        assert (fits.alpha[pinned] == ALPHA_BRACKET[1]).all()
+        assert (fits.alpha[pinned] == ALPHA_DOMAIN[1]).all()
         assert np.isnan(fits.log_likelihood[pinned]).all()
         result = select_xmin(d)
         assert result == brute_force_select(d)
         assert result.xmin > 1
 
-    def test_bracket_edges_take_two_exponent_rows(self, monkeypatch):
-        # The score at both inner bracket edges is one evaluator call with
-        # the two edge exponents against all candidate start points.
+    def test_bracket_edge_takes_one_exponent_row(self, monkeypatch):
+        # The score at the upper inner edge of the domain is one evaluator
+        # call with that one exponent against all candidate start points;
+        # the lower edge, which cannot pin a candidate, is not evaluated.
         calls = []
 
         def spy(alpha, starts, derivatives=False):
@@ -267,7 +268,7 @@ class TestSelectXmin:
             return _zeta(alpha, starts, derivatives)
 
         monkeypatch.setattr(modernfit, "_zeta", spy)
-        edges = [ALPHA_BRACKET[0] + _EDGE, ALPHA_BRACKET[1] - _EDGE]
+        edges = [ALPHA_DOMAIN[1] - _EDGE]
         for authors in (100, 3000, 100_000):
             d = sample(PowerLawModel(2.0, 1), authors, 5)
             candidates = len(d.populated_arrays[0]) - 2
@@ -302,6 +303,14 @@ class TestGofBootstrap:
         fit = select_xmin(d)
         with pytest.raises(InputError, match="n_boot"):
             gof_bootstrap(d, fit, 99, seed=1)
+
+    def test_n_boot_beyond_two_to_the_62_refused(self):
+        # Refused before any replicate runs: the replicate runner keeps
+        # replicate numbers in an int64 failure map.
+        d = FrequencyDistribution.from_counts({1: 50, 2: 12, 3: 5, 5: 2})
+        fit = mle_alpha(d, 1)
+        with pytest.raises(InputError, match=rf"n_boot must lie in \[100, 2\^62\], got {10**23}$"):
+            gof_bootstrap(d, fit, 10**23, seed=1)
 
     def test_independent_of_ambient_rng_state(self):
         # Replicates derive their generators from (seed, r), so global
@@ -385,6 +394,25 @@ class TestBiasExperiment:
             bias_experiment(2.0, 1000, [30], replicates=9, seed=1)
         with pytest.raises(InputError, match="cutoff"):
             bias_experiment(2.0, 1000, [], replicates=10, seed=1)
+        with pytest.raises(InputError, match=r"alpha must lie in \[1\.01, 10\], got 1\.005$"):
+            bias_experiment(1.005, 1000, [30], replicates=10, seed=1)
+
+    def test_counts_beyond_two_to_the_62_refused(self):
+        # Refused before anything is allocated or any replicate runs.
+        with pytest.raises(InputError, match=rf"authors must lie in \[1, 2\^62\], got {10**23}$"):
+            bias_experiment(2.0, 10**23, [30], replicates=10, seed=1)
+        with pytest.raises(InputError, match=rf"replicates must lie in \[10, 2\^62\], got {10**23}$"):
+            bias_experiment(2.0, 100, [30], replicates=10**23, seed=1)
+
+    def test_repeated_cutoff_refused(self):
+        # Rows are keyed by cutoff, so a repeated cutoff would pool every
+        # replicate's errors twice into one row: n_hist 20 from 10 replicates.
+        with pytest.raises(InputError, match=r"cutoffs must be distinct, got \[30, 30\]$"):
+            bias_experiment(2.0, 2000, [30, 30], replicates=10, seed=1)
+        with pytest.raises(InputError, match="distinct"):
+            bias_experiment(2.0, 2000, [30, 10**6, 30], replicates=10, seed=1)
+        row = bias_experiment(2.0, 2000, [30], replicates=10, seed=1).rows[0]
+        assert (row.n_hist, row.n_mle) == (10, 10)
 
     def test_all_replicates_degenerate_is_error(self):
         with pytest.raises(DegenerateFitError, match="all 10 replicates"):
