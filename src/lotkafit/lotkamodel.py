@@ -156,7 +156,7 @@ def _zeta(alpha, starts, derivatives: bool = False):
 
 @dataclass(frozen=True)
 class PowerLawModel:
-    """Exponent in ALPHA_DOMAIN, integer lower support bound >= 1: the one check of both."""
+    """Exponent in ALPHA_DOMAIN, integer lower support bound in [1, 2^62]: the one check of both."""
 
     alpha: float
     xmin: int = 1
@@ -167,6 +167,8 @@ class PowerLawModel:
             raise InputError(f"alpha must lie in [{lo:g}, {hi:g}], got {self.alpha!r}")
         if not (self.xmin >= 1 and self.xmin % 1 == 0):
             raise InputError(f"xmin must be a positive integer, got {self.xmin}")
+        if self.xmin > MAX_LEVEL:
+            raise InputError(f"xmin must be <= 2^62, got {self.xmin}")
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "xmin", int(self.xmin))
 

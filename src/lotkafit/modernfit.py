@@ -4,15 +4,18 @@ The estimator here is the likelihood route: fit the exponent of the
 zeta-normalized pmf by solving the discrete likelihood's score equation
 inside a bracket, pick the lower cutoff xmin by minimizing the
 Kolmogorov-Smirnov distance between empirical and model CDFs on the
-tail, and judge fit quality with a semi-parametric bootstrap. Every xmin
-candidate is fitted and scored in one vectorized pass: suffix sums give
-each tail's count and mean log level, a safeguarded Newton iteration
-runs all candidates in lockstep, and the KS distances come from zeta
-values at the observed levels only. compare_methods and
-bias_experiment put this estimator next to the historical log-log
-regression and measure how far the two disagree. The bootstrap and the
-bias experiment hand their replicates to one runner that spreads them
-over every CPU the process may use, with forked workers.
+tail, and judge fit quality with a semi-parametric bootstrap. There is
+one fit path, _fit_tails, and it fits every xmin candidate of a padded
+batch of datasets in one vectorized pass: suffix sums give each tail's
+count and mean log level, a safeguarded Newton iteration runs all
+candidates in lockstep, and the KS distances come from zeta values at
+the observed levels only. select_xmin and mle_alpha are its batches of
+one dataset; each fit in a batch is the same float for float as alone.
+compare_methods and bias_experiment put this estimator next to the
+historical log-log regression and measure how far the two disagree. The
+bootstrap and the bias experiment hand their replicates to one runner,
+which deals them out in chunks that are each fitted as one batch, over
+every CPU the process may use, with forked workers.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ import pickle
 import signal
 from contextlib import suppress
 from dataclasses import asdict, dataclass
-from typing import Callable, NoReturn, TypeVar
+from itertools import chain
+from typing import Callable, NoReturn, Sequence, TypeVar
 
 import numpy as np
 
@@ -64,12 +68,25 @@ _KS_BLOCK_CELLS = 1 << 16
 
 # Forking replicate workers costs a few ms, which only pays when the
 # replicates after the first cost more than that together. Measured on a
-# 2-vCPU machine, whole commands, serial -> forked: bias with 10
-# replicates of 1 author 37.8 -> 47.5 ms, of 3 authors 52.1 -> 56.3 ms;
-# a 100-replicate bootstrap of a 3-level file 202.8 -> 131.1 ms. So the
-# replicates fork only when count x the populated levels one replicate
-# can hold reaches that bootstrap's.
-_FORK_MIN_LEVELS = 300
+# 2-vCPU machine in-process, median of 7 calls in each of 3 processes,
+# serial -> forked: bias with 10 replicates and cutoffs 30 and 10^6 at
+# 100 authors (levels bound 130) 39-41 -> 49-70 ms, at 300 authors (330)
+# 41-45 -> 47-52 ms, at 1,000 (1,030) 57-60 -> 55-60 ms, at 3,000 (3,030)
+# 57-68 -> 53-63 ms; a 100-replicate bootstrap of 20 levels 55-71 ->
+# 60-74 ms, of 40 levels 85-96 -> 70-97 ms. The smallest legal bootstrap,
+# 100 replicates of 3 levels, is a single chunk and takes 25-30 ms in one
+# process; forked, before replicates were fitted in batches, it took
+# 97-105 ms. So the replicates fork only when count x the populated
+# levels one replicate holds reaches 4,000.
+_FORK_MIN_LEVELS = 4000
+
+# Candidate rows a chunk of replicates fits in one batch: about 9
+# replicates of 107 levels, one at 1e6 authors. A fit call has a fixed
+# cost of about 1 ms around the zeta evaluator, which a batch pays once,
+# while its arrays grow with the rows. fit mle --xmin auto --bootstrap
+# 100 on 6,891 authors and 2 CPUs, median of 8 processes: 700 rows 168
+# ms, 1,000 rows 164 ms, 1,500 rows 166 ms.
+_CHUNK_ROWS = 1000
 
 _T = TypeVar("_T")
 
@@ -178,34 +195,45 @@ def log_likelihood(dist: FrequencyDistribution, model: PowerLawModel) -> float:
 def _ks(
     levels: np.ndarray,
     counts: np.ndarray,
+    sets: np.ndarray,
     starts: np.ndarray,
     alpha: np.ndarray,
     normalizer: np.ndarray,
 ) -> np.ndarray:
-    """KS distance of each candidate tail levels[starts[i]:] from its model.
+    """KS distance of each candidate tail levels[sets[i], starts[i]:] from its model.
 
-    Both CDFs are conditioned on the tail; the model CDF at an observed
-    level k is 1 - zeta(alpha, k+1) / zeta(alpha, xmin), with
-    ``normalizer`` holding zeta(alpha, xmin). ``starts`` must be
-    ascending. Candidates are processed in blocks of at most
-    _KS_BLOCK_CELLS candidate-level cells, so the cost is O(L) per
-    candidate and the memory bounded.
+    ``levels`` and ``counts`` are a padded batch (see _fit_tails), and
+    candidates are sorted by (set, start). Both CDFs are conditioned on
+    the tail; the model CDF at an observed level k is 1 - zeta(alpha, k+1)
+    / zeta(alpha, xmin), with ``normalizer`` holding zeta(alpha, xmin). A
+    padding column repeats its row's last level and total, so its gap
+    repeats the last real one. Candidates are processed in blocks of at
+    most _KS_BLOCK_CELLS candidate-level cells, each running from the
+    block's lowest start to the top, so for one dataset the cost is O(L)
+    per candidate and the memory bounded. Every cell is the same float
+    whatever block it lands in, so the distances do not depend on the
+    batch.
     """
-    cum = np.cumsum(counts)
-    before = cum[starts] - counts[starts]
-    n_tail = cum[-1] - before
+    cum = np.cumsum(counts, axis=1)
+    before = cum[sets, starts] - counts[sets, starts]
+    n_tail = cum[sets, -1] - before
     next_levels = (levels + 1).astype(float)
+    top = levels.shape[1]
     ks = np.empty(len(starts))
     r0 = 0
     while r0 < len(starts):
-        first = int(starts[r0])
-        width = len(levels) - first
-        r1 = min(len(starts), r0 + max(1, _KS_BLOCK_CELLS // width))
+        cap = max(1, _KS_BLOCK_CELLS // (top - int(starts[r0])))
+        low = np.minimum.accumulate(starts[r0 : r0 + cap])
+        fit = np.count_nonzero(np.arange(1, len(low) + 1) * (top - low) <= _KS_BLOCK_CELLS)
+        r1 = r0 + max(1, fit)
+        first = int(low[r1 - r0 - 1])
         rows = slice(r0, r1)
-        model = 1.0 - _zeta(alpha[rows], next_levels[None, first:]) / normalizer[rows, None]
-        empirical = (cum[None, first:] - before[rows, None]) / n_tail[rows, None]
+        # Rows of one dataset share its levels, which then broadcast.
+        block = sets[rows] if sets[r0] != sets[r1 - 1] else sets[r0 : r0 + 1]
+        model = 1.0 - _zeta(alpha[rows], next_levels[block, first:]) / normalizer[rows, None]
+        empirical = (cum[block, first:] - before[rows, None]) / n_tail[rows, None]
         gap = np.abs(empirical - model)
-        gap[np.arange(width)[None, :] < (starts[rows] - first)[:, None]] = 0.0
+        gap[np.arange(top - first)[None, :] < (starts[rows] - first)[:, None]] = 0.0
         ks[rows] = gap.max(axis=1)
         r0 = r1
     return ks
@@ -215,7 +243,8 @@ def ks_distance(dist: FrequencyDistribution, model: PowerLawModel) -> float:
     """Supremum gap between empirical and model CDFs on the tail."""
     levels, counts = _tail_arrays(dist, model.xmin)
     alpha, normalizer = np.array([model.alpha]), np.array([model.normalizer])
-    return float(_ks(levels, counts, np.zeros(1, dtype=np.intp), alpha, normalizer)[0])
+    zero = np.zeros(1, dtype=np.intp)
+    return float(_ks(levels[None, :], counts[None, :], zero, zero, alpha, normalizer)[0])
 
 
 @dataclass(frozen=True)
@@ -236,25 +265,33 @@ class _TailFits:
 
 
 def _fit_tails(
-    levels: np.ndarray, counts: np.ndarray, starts: np.ndarray, xmins: np.ndarray
+    levels: np.ndarray, counts: np.ndarray, sets: np.ndarray, starts: np.ndarray,
+    xmins: np.ndarray,
 ) -> _TailFits:
-    """MLE and KS for every candidate tail at once.
+    """MLE and KS for every candidate tail of a batch of datasets at once.
 
-    Candidate i is the tail levels[starts[i]:] of the populated arrays,
-    with support bound xmins[i] <= levels[starts[i]]; starts ascend. The
-    maximum of the log-likelihood -alpha * sum(c ln k) - n ln zeta(alpha,
-    xmin) is the root of the score psi(alpha) = d/dalpha ln zeta + mean
-    ln k, which increases strictly (its slope is the model variance of
-    ln k). A candidate whose psi is not positive at the upper inner edge
-    hi has its maximum pinned to that end of ALPHA_DOMAIN: its alpha is
-    10, its ks and log_likelihood NaN. psi at hi is one evaluator call of
-    one exponent row against all the xmins. The other candidates run a
-    Newton iteration in lockstep that falls back to bisection whenever a
-    step leaves the bracket known to hold the root, starting from [lo, hi].
+    The batch is padded: row b of the (B, width) arrays ``levels`` and
+    ``counts`` holds dataset b's populated levels in ascending order,
+    then repeats its last level with zero counts up to the width.
+    Candidate i is the tail levels[sets[i], starts[i]:], with support
+    bound xmins[i] <= levels[sets[i], starts[i]]; candidates are sorted
+    by (set, start). Tail sums are suffix sums along each row from the
+    top, where the padding adds only zeros before the row's own terms, so
+    every candidate's sums, and so its whole fit, are the same floats as
+    in a batch of its dataset alone. The maximum of the log-likelihood
+    -alpha * sum(c ln k) - n ln zeta(alpha, xmin) is the root of the
+    score psi(alpha) = d/dalpha ln zeta + mean ln k, which increases
+    strictly (its slope is the model variance of ln k). A candidate whose
+    psi is not positive at the upper inner edge hi has its maximum pinned
+    to that end of ALPHA_DOMAIN: its alpha is 10, its ks and
+    log_likelihood NaN. psi at hi is one evaluator call of one exponent
+    row against all the xmins. The other candidates run a Newton
+    iteration in lockstep that falls back to bisection whenever a step
+    leaves the bracket known to hold the root, starting from [lo, hi].
     """
     log_levels = np.log(levels.astype(float))
-    n_tail = np.cumsum(counts[::-1])[::-1][starts]
-    total_log = np.cumsum((counts * log_levels)[::-1])[::-1][starts]
+    n_tail = np.cumsum(counts[:, ::-1], axis=1)[:, ::-1][sets, starts]
+    total_log = np.cumsum((counts * log_levels)[:, ::-1], axis=1)[:, ::-1][sets, starts]
     mean_log = total_log / n_tail
     x = xmins.astype(float)
 
@@ -293,8 +330,69 @@ def _fit_tails(
         fitted = alpha[inside]
         normalizer = _zeta(fitted, x[inside, None])[:, 0]
         log_likelihood[inside] = -fitted * total_log[inside] - n_tail[inside] * np.log(normalizer)
-        ks[inside] = _ks(levels, counts, starts[inside], fitted, normalizer)
+        ks[inside] = _ks(levels, counts, sets[inside], starts[inside], fitted, normalizer)
     return _TailFits(alpha, ks, log_likelihood, n_tail, xmins)
+
+
+def _fit_batch(
+    dists: Sequence[FrequencyDistribution], xmin: int | None = None
+) -> list[MleResult | DegenerateFitError]:
+    """select_xmin of every distribution, or mle_alpha at xmin, in one _fit_tails pass.
+
+    Entry b is dataset b's fit, or the DegenerateFitError its own
+    select_xmin or mle_alpha call raises. Each fit is the same as in a
+    batch of its dataset alone (see _fit_tails), so the results do not
+    depend on how datasets are grouped into batches.
+    """
+    if not dists:
+        return []
+    arrays = [dist.populated_arrays for dist in dists]
+    padded = np.zeros((2, len(arrays), max(len(levels) for levels, _ in arrays)), dtype=np.int64)
+    spans, outcomes = [], []
+    for b, (levels, counts) in enumerate(arrays):
+        padded[0, b] = levels[-1]
+        padded[0, b, : len(levels)] = levels
+        padded[1, b, : len(counts)] = counts
+        if xmin is None:
+            first, stop = 0, len(levels) - 2
+            error = f"need >= 3 distinct populated levels to select xmin, got {len(levels)}"
+        else:
+            first = int(np.searchsorted(levels, xmin))
+            stop = first + 1
+            error = f"degenerate tail: need >= 2 distinct populated levels >= xmin {xmin}"
+        fittable = first < stop < len(levels)
+        spans.append(range(first, stop) if fittable else range(0))
+        outcomes.append(None if fittable else DegenerateFitError(error))
+    sizes = [len(span) for span in spans]
+    if not any(sizes):
+        return outcomes
+    sets = np.repeat(np.arange(len(spans)), sizes)
+    starts = np.fromiter(chain.from_iterable(spans), np.intp, len(sets))
+    levels, counts = padded
+    xmins = levels[sets, starts] if xmin is None else np.full(len(sets), xmin, dtype=np.int64)
+    fits = _fit_tails(levels, counts, sets, starts, xmins)
+    ks = np.where(np.isnan(fits.ks), np.inf, fits.ks)
+    offset = 0
+    for b, size in enumerate(sizes):
+        if size:
+            best = offset + int(np.argmin(ks[offset : offset + size]))
+            if math.isfinite(ks[best]):
+                outcomes[b] = fits.result(best)
+            elif xmin is None:
+                outcomes[b] = DegenerateFitError("no xmin candidate produced a non-degenerate fit")
+            else:
+                outcomes[b] = DegenerateFitError(
+                    f"likelihood maximized at the bracket edge (alpha ~ {fits.alpha[best]:.4f}); "
+                    "tail is too degenerate to fit"
+                )
+        offset += size
+    return outcomes
+
+
+def _unwrap(outcome: MleResult | DegenerateFitError) -> MleResult:
+    if isinstance(outcome, DegenerateFitError):
+        raise outcome
+    return outcome
 
 
 def mle_alpha(dist: FrequencyDistribution, xmin: int) -> MleResult:
@@ -303,24 +401,12 @@ def mle_alpha(dist: FrequencyDistribution, xmin: int) -> MleResult:
     Solves the score equation zeta'(alpha)/zeta(alpha) = -mean ln k
     (Clauset et al. 2009, App. B) by safeguarded Newton inside
     ALPHA_DOMAIN; the exponent is exact to well under 1e-6. This is the
-    one-candidate case of the fit select_xmin runs over all candidates. A
-    tail whose likelihood still rises at the domain's upper end is degenerate.
+    one-candidate, one-dataset case of the batch fit (_fit_batch). A tail
+    whose likelihood still rises at the domain's upper end is degenerate.
     """
     if xmin < 1:
         raise InputError(f"xmin must be >= 1, got {xmin}")
-    levels, counts = dist.populated_arrays
-    start = int(np.searchsorted(levels, xmin))
-    if len(levels) - start < 2:
-        raise DegenerateFitError(
-            f"degenerate tail: need >= 2 distinct populated levels >= xmin {xmin}"
-        )
-    fits = _fit_tails(levels, counts, np.array([start]), np.array([xmin], dtype=np.int64))
-    if math.isnan(fits.ks[0]):
-        raise DegenerateFitError(
-            f"likelihood maximized at the bracket edge (alpha ~ {fits.alpha[0]:.4f}); "
-            "tail is too degenerate to fit"
-        )
-    return fits.result(0)
+    return _unwrap(_fit_batch([dist], xmin)[0])
 
 
 def select_xmin(dist: FrequencyDistribution) -> MleResult:
@@ -329,20 +415,10 @@ def select_xmin(dist: FrequencyDistribution) -> MleResult:
     Candidates are the populated levels except the top two (a fit needs a
     tail of at least two distinct levels beyond the candidate); ties in
     KS go to the smallest xmin, which keeps the most data. All candidates
-    are fitted together; one pinned to the bracket edge is skipped.
+    are fitted together, as the one-dataset case of the batch fit
+    (_fit_batch); one pinned to the bracket edge is skipped.
     """
-    levels, counts = dist.populated_arrays
-    if len(levels) < 3:
-        raise DegenerateFitError(
-            f"need >= 3 distinct populated levels to select xmin, got {len(levels)}"
-        )
-    starts = np.arange(len(levels) - 2)
-    fits = _fit_tails(levels, counts, starts, levels[starts])
-    ks = np.where(np.isnan(fits.ks), np.inf, fits.ks)
-    best = int(np.argmin(ks))
-    if not math.isfinite(ks[best]):
-        raise DegenerateFitError("no xmin candidate produced a non-degenerate fit")
-    return fits.result(best)
+    return _unwrap(_fit_batch([dist])[0])
 
 
 def _cpu_count() -> int:
@@ -357,35 +433,40 @@ def _cpu_count() -> int:
     return 1
 
 
-def _stride(
-    job: Callable[[int], _T], first: int, count: int, step: int, failed: np.ndarray
+def _drain(
+    job: Callable[[range], list[_T]], chunks: list[range], slot: int, state: np.ndarray,
+    lock: tuple[int, int],
 ) -> list:
-    """Outcomes (r, job(r), None) for r = first, first + step, ... below count.
+    """Outcomes (c, job(chunks[c]), None) of the chunks this worker claims.
 
-    The first replicate that raises ends the stride as (r, None,
-    exception) and is published in failed[first % step], the stride's
-    slot. A stride also ends before any r above a failure another worker
-    has published: no later replicate can change which exception the
-    runner raises.
+    Workers claim chunks in increasing order: state[0] is the next one,
+    taken while holding the token of the pipe ``lock``. The first chunk
+    that raises ends the worker as (c, None, exception) and is published
+    in state[1 + slot], the worker's slot. A worker also stops at a claim
+    above a failure any worker has published: no later replicate can
+    change which exception the runner raises.
     """
     outcomes = []
-    for r in range(first, count, step):
-        if r > failed.min():
-            break
+    while True:
+        os.read(lock[0], 1)
+        c = int(state[0])
+        state[0] = c + 1
+        os.write(lock[1], b".")
+        if c >= len(chunks) or c > state[1:].min():
+            return outcomes
         try:
-            outcomes.append((r, job(r), None))
+            outcomes.append((c, job(chunks[c]), None))
         except Exception as exc:  # handed to _replicates, which re-raises it
-            outcomes.append((r, None, exc))
-            failed[first % step] = r
-            break
-    return outcomes
+            outcomes.append((c, None, exc))
+            state[1 + slot] = c
+            return outcomes
 
 
 def _run_child(
-    job: Callable[[int], _T], first: int, count: int, step: int, failed: np.ndarray,
-    cpu: int, fd: int,
+    job: Callable[[range], list[_T]], chunks: list[range], slot: int, state: np.ndarray,
+    lock: tuple[int, int], cpu: int, fd: int,
 ) -> NoReturn:
-    """Forked worker: pin to cpu, pickle the stride's outcomes into fd, then exit.
+    """Forked worker: pin to cpu, pickle the outcomes of its claims into fd, then exit.
 
     os._exit skips the interpreter's shutdown, so the child neither
     flushes stdio buffers copied from the caller nor returns into the
@@ -394,7 +475,7 @@ def _run_child(
     status = 1
     try:
         os.sched_setaffinity(0, {cpu})
-        outcomes = _stride(job, first, count, step, failed)
+        outcomes = _drain(job, chunks, slot, state, lock)
         with os.fdopen(fd, "wb") as pipe:
             pickle.dump(outcomes, pipe, pickle.HIGHEST_PROTOCOL)
         status = 0
@@ -402,48 +483,62 @@ def _run_child(
         os._exit(status)
 
 
-def _replicates(job: Callable[[int], _T], count: int, levels: int) -> list[_T]:
-    """[job(0), ..., job(count - 1)], computed on every CPU the process may use.
+def _replicates(job: Callable[[range], list[_T]], count: int, levels: int) -> list[_T]:
+    """job(range(count)), computed in chunks of replicates on every CPU the process may use.
 
-    ``levels`` bounds the populated levels of one replicate's data, the
-    size of its fit. Replicate 0 runs in the caller first, so that
-    first-use costs such as lazy imports are paid once. With one CPU (see
-    _cpu_count) or below _FORK_MIN_LEVELS replicate levels, the rest run
-    in the caller too. Otherwise, with W = min(CPUs, count) workers, the
-    caller runs the other replicates r = 0 (mod W) and W - 1 forked
-    children run the other strides, each worker pinned to its own CPU of
-    the caller's mask until the run ends. The children inherit the
-    caller's memory, sampler tables included, and send back only their
-    pickled outcomes through a pipe. Each worker publishes its first
-    failing r in an anonymous shared mapping, and no worker starts a
-    replicate above a published failure, which a serial loop would not
-    have reached. When replicates fail, the exception of the lowest
-    failing r is raised: the one a serial loop would have raised. job(r)
-    must depend on r alone, so the results do not depend on W.
+    job(rs) returns one result per replicate r in rs, in order, and
+    raises the exception of the lowest r that fails. ``levels`` is the
+    populated levels one replicate's data holds, or a bound on them: the
+    size of its fit. Replicate 0 runs alone in the caller first, so that
+    first-use costs such as lazy imports are paid once. The others are
+    split into equal chunks of at most max(1, _CHUNK_ROWS // levels)
+    consecutive replicates, which the job fits as one batch; the chunks
+    depend on the inputs only. With one CPU (see _cpu_count), one chunk,
+    or below _FORK_MIN_LEVELS replicate levels, the chunks run in the
+    caller too. Otherwise W = min(CPUs, chunks) workers, the caller and
+    W - 1 forked children, each pinned to its own CPU of the caller's
+    mask until the run ends, claim the chunks one at a time in order
+    from a shared counter, so that a worker whose chunks ran faster takes
+    more of them. The children inherit the caller's memory, sampler
+    tables included, and send back only their pickled outcomes through a
+    pipe. Each worker publishes its failing chunk in an anonymous shared
+    mapping, and no worker starts a chunk above a published failure,
+    which a serial loop would not have reached. When chunks fail, the
+    exception of the lowest failing chunk is raised: that of the lowest
+    failing r, the one a serial loop would have raised. job(rs) must
+    compute each r's result from r alone, so the results depend neither
+    on W nor on the chunks.
     """
-    first = job(0)
-    workers = min(_cpu_count(), count) if count * levels >= _FORK_MIN_LEVELS else 1
-    if workers == 1:
-        return [first] + [job(r) for r in range(1, count)]
+    parts = max(1, -(-(count - 1) // max(1, _CHUNK_ROWS // levels)))
+    edges = [1 + c * (count - 1) // parts for c in range(parts + 1)]
+    chunks = [range(1)] + [range(a, b) for a, b in zip(edges, edges[1:]) if a < b]
+    first = job(chunks[0])
+    workers = min(_cpu_count(), len(chunks) - 1) if count * levels >= _FORK_MIN_LEVELS else 1
+    if workers <= 1:
+        return first + [result for chunk in chunks[1:] for result in job(chunk)]
     # Left to the scheduler, a forked child on a 2-vCPU Linux VM often
     # shared the caller's CPU for most of a second while the other idled:
     # 5 of 12 trials of a 0.1 s loop ran at half speed. Pinned, 12 of 12
     # ran in parallel.
     mask = os.sched_getaffinity(0)
     cpus = sorted(mask)
-    failed = np.frombuffer(mmap.mmap(-1, 8 * workers), dtype=np.int64)
-    failed[:] = count
+    # The next chunk to claim, then each worker's failing chunk.
+    state = np.frombuffer(mmap.mmap(-1, 8 * (1 + workers)), dtype=np.int64)
+    state[0] = 1
+    state[1:] = len(chunks)
+    lock = os.pipe()
+    os.write(lock[1], b".")
     children = []
     try:
         for w in range(1, workers):
             read_fd, write_fd = os.pipe()
             pid = os.fork()
             if pid == 0:
-                _run_child(job, w, count, workers, failed, cpus[w % len(cpus)], write_fd)
+                _run_child(job, chunks, w, state, lock, cpus[w % len(cpus)], write_fd)
             os.close(write_fd)
             children.append((pid, os.fdopen(read_fd, "rb")))
         os.sched_setaffinity(0, {cpus[0]})
-        outcomes = [(0, first, None)] + _stride(job, workers, count, workers, failed)
+        outcomes = [(0, first, None)] + _drain(job, chunks, 0, state, lock)
         while children:
             pid, pipe = children[0]
             data = pipe.read()
@@ -455,6 +550,8 @@ def _replicates(job: Callable[[int], _T], count: int, levels: int) -> list[_T]:
             outcomes += pickle.loads(data)
     finally:
         os.sched_setaffinity(0, mask)
+        for fd in lock:
+            os.close(fd)
         for pid, pipe in children:
             with suppress(ProcessLookupError):
                 os.kill(pid, signal.SIGKILL)
@@ -464,7 +561,7 @@ def _replicates(job: Callable[[int], _T], count: int, levels: int) -> list[_T]:
     for _, _, exc in outcomes:
         if exc is not None:
             raise exc
-    return [result for _, result, _ in outcomes]
+    return [result for _, results, _ in outcomes for result in results]
 
 
 def gof_bootstrap(
@@ -483,10 +580,14 @@ def gof_bootstrap(
     xmin) and its KS recorded; the p-value is the fraction of replicate
     KS values at or above the observed one. Replicate r derives its
     generator from (seed, r, attempt), so the result does not depend on
-    execution order: the replicates run on every CPU the process may use
-    (see _replicates), and the p-value is the same on any number of CPUs.
-    A fitted alpha so close to 1 that a replicate draws a level beyond
-    2^62 cannot be bootstrapped, which is a DegenerateFitError.
+    execution order: the replicates run in chunks on every CPU the
+    process may use (see _replicates). A chunk's replicates are refit as
+    one batch; those that fail to refit are redrawn with the next attempt
+    and refit together, up to 10 attempts, and the lowest replicate that
+    still fails raises. A batch fits each replicate exactly as alone, so
+    the p-value is the same on any number of CPUs. A fitted alpha so
+    close to 1 that a replicate draws a level beyond 2^62 cannot be
+    bootstrapped, which is a DegenerateFitError.
     """
     if not 100 <= n_boot <= MAX_AUTHORS:
         raise InputError(f"n_boot must lie in [100, 2^62], got {n_boot}")
@@ -500,23 +601,41 @@ def gof_bootstrap(
     n = dist.total_authors
     p_tail = (n - body_pool.size) / n
 
-    def replicate_ks(r: int) -> float:
+    def replicate(r: int, attempt: int) -> FrequencyDistribution:
+        rng = np.random.default_rng((seed, r, attempt))
+        k_tail = int((rng.random(n) < p_tail).sum())
+        try:
+            tail = table.draw(rng, k_tail)
+        except InputError:
+            raise DegenerateFitError(
+                f"fitted alpha {model.alpha!r} cannot be bootstrapped: a replicate "
+                "draws a level beyond 2^62"
+            ) from None
+        picks = (rng.random(n - k_tail) * body_pool.size).astype(np.int64)
+        return _tally(np.concatenate([tail, body_pool[picks]]), "bootstrap")
+
+    def replicate_ks(rs: range) -> list[float]:
+        """Refit KS of each replicate; those that fail to refit are redrawn and refit together."""
+        ks: dict[int, float] = {}
+        failures: dict[int, DegenerateFitError] = {}
+        pending = list(rs)
         for attempt in range(10):
-            rng = np.random.default_rng((seed, r, attempt))
-            k_tail = int((rng.random(n) < p_tail).sum())
-            try:
-                tail = table.draw(rng, k_tail)
-            except InputError:
-                raise DegenerateFitError(
-                    f"fitted alpha {model.alpha!r} cannot be bootstrapped: a replicate "
-                    "draws a level beyond 2^62"
-                ) from None
-            picks = (rng.random(n - k_tail) * body_pool.size).astype(np.int64)
-            replicate = _tally(np.concatenate([tail, body_pool[picks]]), "bootstrap")
-            with suppress(DegenerateFitError):
-                refit = select_xmin(replicate) if reselect_xmin else mle_alpha(replicate, result.xmin)
-                return refit.ks
-        raise DegenerateFitError(f"bootstrap replicate {r} could not be refit after 10 attempts")
+            drawn = {}
+            for r in pending:
+                try:
+                    drawn[r] = replicate(r, attempt)
+                except DegenerateFitError as exc:
+                    failures[r] = exc
+            refits = _fit_batch(list(drawn.values()), None if reselect_xmin else result.xmin)
+            ks.update((r, fit.ks) for r, fit in zip(drawn, refits) if isinstance(fit, MleResult))
+            pending = [r for r in drawn if r not in ks]
+        for r in pending:
+            failures[r] = DegenerateFitError(
+                f"bootstrap replicate {r} could not be refit after 10 attempts"
+            )
+        if failures:
+            raise failures[min(failures)]
+        return [ks[r] for r in rs]
 
     ks_replicates = np.array(_replicates(replicate_ks, n_boot, len(levels)))
     return float(np.mean(ks_replicates >= result.ks))
@@ -581,11 +700,14 @@ def bias_experiment(
     truncates it at each cutoff, and records (estimate - alpha) for the
     historical fit (full-total denominator) and for the KS-selected MLE
     on the truncated data. Replicate r draws from a generator derived
-    from (seed, r), so the replicates run on every CPU the process may
-    use (see _replicates) and the table is the same on any number of
-    CPUs. Replicates where an estimator degenerates are left out of that
-    estimator's summary; a cutoff where one estimator fails in every
-    replicate is an error.
+    from (seed, r), so the replicates run in chunks on every CPU the
+    process may use (see _replicates), and the MLE fits of all a chunk's
+    truncations run as one batch, each exactly as alone: the table is the
+    same on any number of CPUs. A truncation at cutoff c holds at most
+    min(authors, c) levels, so their sum over the cutoffs bounds a
+    replicate's fit for the runner. Replicates where an estimator
+    degenerates are left out of that estimator's summary; a cutoff where
+    one estimator fails in every replicate is an error.
     """
     if not 10 <= replicates <= MAX_AUTHORS:
         raise InputError(f"replicates must lie in [10, 2^62], got {replicates}")
@@ -602,22 +724,32 @@ def bias_experiment(
     model = PowerLawModel(alpha, 1)
     table = _CdfTable(model)
 
-    def replicate_errors(r: int) -> list[tuple[float | None, float | None]]:
-        """(historical, MLE) exponent error per cutoff; None where the fit degenerates."""
-        population = _tally(table.draw(np.random.default_rng((seed, r)), authors), "bias")
-        errors = []
-        for cutoff in cutoffs:
-            hist = mle = None
-            with suppress(DegenerateFitError, InputError):
-                hist = fit_historical(population, cutoff, Denominator.FULL).exponent - alpha
-            with suppress(DegenerateFitError, InputError):
-                mle = select_xmin(truncate_right(population, cutoff)).alpha_hat - alpha
-            errors.append((hist, mle))
-        return errors
+    def replicate_errors(rs: range) -> list[list[tuple[float | None, float | None]]]:
+        """(historical, MLE) exponent error per cutoff of each replicate; None where a fit fails.
+
+        The MLE fits of every replicate's truncations run as one batch.
+        """
+        hist: list[float | None] = []
+        truncated: dict[int, FrequencyDistribution] = {}
+        for r in rs:
+            population = _tally(table.draw(np.random.default_rng((seed, r)), authors), "bias")
+            for cutoff in cutoffs:
+                hist.append(None)
+                with suppress(DegenerateFitError, InputError):
+                    hist[-1] = fit_historical(population, cutoff, Denominator.FULL).exponent - alpha
+                with suppress(InputError):
+                    truncated[len(hist) - 1] = truncate_right(population, cutoff)
+        mle: list[float | None] = [None] * len(hist)
+        for i, fit in zip(truncated, _fit_batch(list(truncated.values()))):
+            if isinstance(fit, MleResult):
+                mle[i] = fit.alpha_hat - alpha
+        pairs = list(zip(hist, mle))
+        return [pairs[i : i + len(cutoffs)] for i in range(0, len(pairs), len(cutoffs))]
 
     hist_errors: dict[int, list[float]] = {c: [] for c in cutoffs}
     mle_errors: dict[int, list[float]] = {c: [] for c in cutoffs}
-    for errors in _replicates(replicate_errors, replicates, authors):
+    levels = sum(min(authors, c) for c in cutoffs)
+    for errors in _replicates(replicate_errors, replicates, levels):
         for cutoff, (hist, mle) in zip(cutoffs, errors):
             if hist is not None:
                 hist_errors[cutoff].append(hist)

@@ -236,6 +236,14 @@ class TestExitCodes:
         assert err == f"error: {message}, got {huge}\n"
         assert not out_file.exists()
 
+    @pytest.mark.parametrize("xmin", [2**63, 10**400])
+    def test_xmin_beyond_every_level_exits_three(self, capsys, ca_file, xmin):
+        # No level lies above 2^62, so the tail is empty: a degenerate fit.
+        code, out, err = run_cli(capsys, ["fit", "mle", "--dist", ca_file, "--xmin", str(xmin)])
+        assert code == 3
+        assert out == ""
+        assert err == f"error: degenerate tail: need >= 2 distinct populated levels >= xmin {xmin}\n"
+
     def test_deeply_nested_fit_report_exits_two(self, capsys, ca_file, tmp_path):
         # Nesting deeper than the JSON decoder's stack is bad input, not a crash.
         fit_file = tmp_path / "deep.json"

@@ -130,6 +130,17 @@ class TestModelValidation:
         with pytest.raises(InputError):
             PowerLawModel(2.0, 0)
 
+    def test_xmin_upper_bound_is_the_largest_level(self):
+        # Above 2^62, the largest level a distribution holds, xmin is refused
+        # with one line; 10**400 would otherwise overflow float(xmin).
+        assert PowerLawModel(2.0, 2**62).xmin == 2**62
+        assert hurwitz_zeta(2.0, 2**62) == pytest.approx(2.0**-62, rel=1e-12)
+        for xmin in (2**62 + 1, 10**400):
+            with pytest.raises(InputError, match=rf"^xmin must be <= 2\^62, got {xmin}$"):
+                PowerLawModel(2.0, xmin)
+            with pytest.raises(InputError, match=rf"^xmin must be <= 2\^62, got {xmin}$"):
+                hurwitz_zeta(2.0, xmin)
+
 
 class TestPredictedFraction:
     def test_inverse_square_level_one(self):

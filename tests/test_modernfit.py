@@ -5,6 +5,8 @@ import sys
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lotkafit import modernfit
 from lotkafit import (
@@ -27,7 +29,7 @@ from lotkafit import (
 from lotkafit.freqdata import _tally, truncate_right
 from lotkafit.loglogfit import Denominator, fit_historical
 from lotkafit.lotkamodel import ALPHA_DOMAIN, _CdfTable, _zeta
-from lotkafit.modernfit import _EDGE, _fit_tails
+from lotkafit.modernfit import _EDGE, _KS_BLOCK_CELLS, _fit_batch, _fit_tails
 
 
 @pytest.fixture(scope="module")
@@ -248,7 +250,8 @@ class TestSelectXmin:
         )
         levels, counts = d.populated_arrays
         starts = np.arange(len(levels) - 2)
-        fits = _fit_tails(levels, counts, starts, levels[starts])
+        sets = np.zeros_like(starts)
+        fits = _fit_tails(levels[None, :], counts[None, :], sets, starts, levels[starts])
         pinned = np.isnan(fits.ks)
         assert pinned[0] and not pinned.all()
         assert (fits.alpha[pinned] == ALPHA_DOMAIN[1]).all()
@@ -276,6 +279,74 @@ class TestSelectXmin:
             select_xmin(d)
             assert calls[0] == (edges, (1, candidates), True)
             assert all(len(alpha) <= candidates for alpha, _, _ in calls)
+
+
+# Levels mix a dense body, a sparse tail and values up to 2^62, the
+# largest level; zero counts are allowed wherever one level is populated.
+_levels = st.one_of(st.integers(1, 40), st.integers(41, 5000), st.integers(5001, 2**62))
+_distributions = st.one_of(
+    st.dictionaries(_levels, st.integers(0, 400), min_size=1, max_size=25),
+    # The likelihood at xmin 1 rises to the upper bracket end: that candidate is pinned.
+    st.just({1: 10**6, 2: 30, 3: 10, 5: 4, 8: 2, 13: 1, 21: 1, 34: 1}),
+    st.just({1: 10_000, 2: 1}),
+).filter(lambda counts: any(counts.values())).map(FrequencyDistribution.from_counts)
+
+
+def fit_outcome(fit, *args):
+    """What a one-dataset fit returns: the MleResult, or the DegenerateFitError's message."""
+    try:
+        return fit(*args)
+    except DegenerateFitError as exc:
+        return str(exc)
+
+
+def batch_outcomes(dists, xmin):
+    return [o if isinstance(o, MleResult) else str(o) for o in _fit_batch(dists, xmin)]
+
+
+class TestFitBatch:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dists=st.lists(_distributions, min_size=1, max_size=12),
+        xmin=st.one_of(st.none(), st.integers(1, 60), st.sampled_from([2**62, 2**63, 10**400])),
+        data=st.data(),
+    )
+    def test_each_dataset_fits_as_alone(self, dists, xmin, data):
+        # Every dataset's entry is exactly its own select_xmin or mle_alpha
+        # result, or the same DegenerateFitError message, and no reordering
+        # or split of the list changes it.
+        alone = [
+            fit_outcome(select_xmin, d) if xmin is None else fit_outcome(mle_alpha, d, xmin)
+            for d in dists
+        ]
+        assert batch_outcomes(dists, xmin) == alone
+        order = data.draw(st.permutations(range(len(dists))))
+        assert batch_outcomes([dists[i] for i in order], xmin) == [alone[i] for i in order]
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(dists)), max_size=3)))
+        parts = [dists[a:b] for a, b in zip([0] + cuts, cuts + [len(dists)])]
+        assert [o for part in parts for o in batch_outcomes(part, xmin)] == alone
+
+    def test_ks_blocks_stay_within_the_cell_bound(self, monkeypatch):
+        # No KS evaluator call of a batch takes more than _KS_BLOCK_CELLS
+        # model-CDF cells, at 1e5 authors, while the blocks still cover
+        # every candidate's tail. KS calls are the only ones without
+        # derivatives whose start points span more than one column.
+        cells = []
+
+        def spy(alpha, starts, derivatives=False):
+            shape = np.shape(starts)
+            if not derivatives and shape[1] > 1:
+                cells.append(max(len(alpha), shape[0]) * shape[1])
+            return _zeta(alpha, starts, derivatives)
+
+        monkeypatch.setattr(modernfit, "_zeta", spy)
+        dists = [sample(PowerLawModel(2.0, 1), authors, 5) for authors in (100_000, 3000, 100_000)]
+        fits = _fit_batch(dists)
+        assert fits == [select_xmin(d) for d in dists]
+        tails = sum(n * (n + 1) // 2 - 3 for n in (len(d.populated_arrays[0]) for d in dists))
+        assert len(cells) > 1
+        assert max(cells) <= _KS_BLOCK_CELLS
+        assert sum(cells) >= tails
 
 
 class TestGofBootstrap:
@@ -504,11 +575,16 @@ def runner_results(monkeypatch):
     return seen
 
 
+def per_replicate(job):
+    """The chunk job of the replicate runner that applies job to each replicate."""
+    return lambda rs: [job(r) for r in rs]
+
+
 class TestReplicateRunner:
     @pytest.mark.parametrize("reselect_xmin", [True, False])
     def test_bootstrap_replicates_equal_serial_loop(self, workers, runner_results, reselect_xmin):
         count, forked = workers
-        d = sample(PowerLawModel(2.0, 1), 300, 9)
+        d = sample(PowerLawModel(2.0, 1), 1000, 9)
         fit = select_xmin(d) if reselect_xmin else mle_alpha(d, 2)
         p = gof_bootstrap(d, fit, 100, seed=5, reselect_xmin=reselect_xmin)
         oracle = serial_bootstrap_ks(d, fit, 100, 5, reselect_xmin)
@@ -516,13 +592,27 @@ class TestReplicateRunner:
         assert p == float(np.mean(np.array(oracle) >= fit.ks))
         assert len(forked) == count - 1
 
+    def test_redrawn_replicates_equal_serial_loop(self, workers, runner_results):
+        # About one replicate in five holds fewer than three levels and is
+        # redrawn; a chunk refits its redrawn replicates together, and each
+        # must still get the attempt a serial loop gives it.
+        count, forked = workers
+        d = FrequencyDistribution.from_counts({1: 6, 2: 2, 3: 1, 5: 1})
+        fit = select_xmin(d)
+        p = gof_bootstrap(d, fit, 1000, seed=1)
+        oracle = serial_bootstrap_ks(d, fit, 1000, 1, True)
+        assert runner_results == [oracle]
+        assert p == float(np.mean(np.array(oracle) >= fit.ks))
+        assert len(forked) == count - 1
+
     def test_bias_replicates_equal_serial_loop(self, workers, runner_results, monkeypatch):
         count, forked = workers
-        table = bias_experiment(2.0, 400, [5, 30], replicates=12, seed=2)
-        assert runner_results == [serial_bias_errors(2.0, 400, [5, 30], 12, 2)]
+        cutoffs = [5, 30, 10**6]
+        table = bias_experiment(2.0, 400, cutoffs, replicates=12, seed=2)
+        assert runner_results == [serial_bias_errors(2.0, 400, cutoffs, 12, 2)]
         assert len(forked) == count - 1
         monkeypatch.setattr(modernfit, "_cpu_count", lambda: 1)
-        assert table == bias_experiment(2.0, 400, [5, 30], replicates=12, seed=2)
+        assert table == bias_experiment(2.0, 400, cutoffs, replicates=12, seed=2)
 
     def test_lowest_failing_replicate_raises_its_own_exception(self, workers):
         # Replicates 3, 4 and 8 fail; whichever worker runs them, the
@@ -538,9 +628,10 @@ class TestReplicateRunner:
 
         mask = os.sched_getaffinity(0)
         with pytest.raises(DegenerateFitError, match=r"^replicate 3 could not be refit$"):
-            modernfit._replicates(job, 12, 300)
+            modernfit._replicates(per_replicate(job), 12, 400)
         assert os.sched_getaffinity(0) == mask
-        assert modernfit._replicates(lambda r: r * r, 12, 300) == [r * r for r in range(12)]
+        squares = modernfit._replicates(per_replicate(lambda r: r * r), 12, 400)
+        assert squares == [r * r for r in range(12)]
         assert os.sched_getaffinity(0) == mask
 
     def test_failure_of_replicate_zero_raises_before_forking(self, workers):
@@ -550,7 +641,7 @@ class TestReplicateRunner:
             raise InputError(f"replicate {r} is bad input")
 
         with pytest.raises(InputError, match=r"^replicate 0 is bad input$"):
-            modernfit._replicates(job, 12, 300)
+            modernfit._replicates(per_replicate(job), 12, 400)
         assert forked == []
 
     def test_unrefittable_bootstrap_raises_same_replicate(self, workers):
@@ -565,7 +656,7 @@ class TestReplicateRunner:
         buffered = os.fdopen(os.dup(1), "w", buffering=1 << 16)
         buffered.write("buffered-marker")
         sys.stdout.write("stdout-marker")
-        results = modernfit._replicates(lambda r: r, 10, 300)
+        results = modernfit._replicates(per_replicate(lambda r: r), 10, 400)
         buffered.close()
         sys.stdout.flush()
         out = capfd.readouterr().out
@@ -574,9 +665,17 @@ class TestReplicateRunner:
         assert out.count("stdout-marker") == 1
         assert len(forked) == count - 1
 
+    def test_every_chunk_is_claimed_once(self, workers):
+        # 1,999 one-replicate chunks, claimed one at a time by up to three
+        # workers on however many CPUs: a lost update of the shared claim
+        # counter would run a chunk twice or skip it.
+        count, forked = workers
+        assert modernfit._replicates(per_replicate(lambda r: r), 2000, 1000) == list(range(2000))
+        assert len(forked) == count - 1
+
     def test_few_replicate_levels_run_serially(self, workers):
         count, forked = workers
-        assert modernfit._replicates(lambda r: r, 10, 29) == list(range(10))
+        assert modernfit._replicates(per_replicate(lambda r: r), 10, 399) == list(range(10))
         assert forked == []
-        assert modernfit._replicates(lambda r: r, 10, 30) == list(range(10))
+        assert modernfit._replicates(per_replicate(lambda r: r), 10, 400) == list(range(10))
         assert len(forked) == count - 1
