@@ -5,10 +5,13 @@ int64 arrays, strictly increasing ``levels`` and their ``counts``, where
 a level is a number of works and its count is how many people produced
 exactly that many. Totals are exact Python ints computed once at
 construction; every consumer reads the arrays, and a tail is a slice of
-them. Ingestion from per-paper author records (checked column-wise:
-one streaming CSV pass, then bulk checks), right truncation,
-half-cutoff binning, and truncation reports all live here. Every
-operation is a pure function on immutable values.
+them. Ingestion from per-paper author records, right truncation,
+half-cutoff binning, and truncation reports all live here. A records
+file is tokenized in bulk over its UTF-8 bytes, and ids and names are
+grouped from their byte spans, so ingesting makes no string per field;
+csv.reader reads only the rows whose quoting or bytes the bulk pass
+cannot prove it would read the same way. Every operation is a pure
+function on immutable values.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ import operator
 from dataclasses import asdict, dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from functools import cached_property
-from itertools import compress
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
@@ -352,59 +354,320 @@ def write_distribution(dist: FrequencyDistribution, path: str | Path) -> None:
     _write_text(path, serialize_distribution(dist))
 
 
-def _record_columns(text: str) -> tuple[list[str], np.ndarray, list[str], np.ndarray]:
-    """Check a records file; return its paper ids, positions, author names and paper codes.
+# The bytes str.strip() removes from the edges of a field within one line:
+# the ASCII whitespace, with \x1c-\x1f, which bytes.strip() keeps.
+_SPACES = b"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f "
+_IS_SPACE = np.zeros(256, dtype=bool)
+_IS_SPACE[list(_SPACES)] = True
+# Longest position the bulk pass parses: 18 digits stay below 10^18 < 2^62.
+_BULK_DIGITS = 18
+# _LOW_BYTES[k] keeps the first k bytes of a little-endian 8-byte word.
+_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+
+
+class _RowReader:
+    """csv.reader over the lines of data, [starts[k], stops[k]) for line k, from any line on."""
+
+    def __init__(self, data: bytes, starts: np.ndarray, stops: np.ndarray) -> None:
+        self.cursor = 0
+
+        def lines():
+            """The lines io.StringIO(text) yields, from the cursor on."""
+            while self.cursor < len(starts):
+                self.cursor += 1
+                yield data[starts[self.cursor - 1] : stops[self.cursor - 1]].decode("utf-8", "surrogatepass")
+
+        self.reader = csv.reader(lines())
+
+    def row_at(self, line: int) -> tuple[list[str], int]:
+        """The row csv.reader reads from this line on, and the line after the row's last."""
+        self.cursor = line
+        return next(self.reader), self.cursor
+
+
+def _record_columns(text: str) -> tuple[bytes, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Check a records file; return its bytes, positions, paper and author spans, codes and order.
 
     One row per (paper, author position); position 1 marks the senior
-    author and every paper must have exactly one position-1 row. Rows
-    stream from csv.reader into three column lists, and the columns are
-    checked in bulk. Ids and names come back stripped, positions as
-    int64, and each row's paper code is the index of the paper's first
-    row, so codes order papers as the file first lists them. When a bulk
-    check fails, _record_fault rescans the rows to word the first fault.
+    author and every paper must have exactly one position-1 row. The
+    text is tokenized in bulk over its UTF-8 bytes: newlines end lines,
+    the two commas of a line that lie outside quotes end its fields, a
+    field wholly inside one pair of quotes is read without them, the
+    ASCII spaces str.strip() removes are stripped from ids and names, and
+    positions are parsed from their digits. A row goes to csv.reader,
+    from the line it starts on until it ends, wherever the bulk pass
+    cannot prove that csv.reader would read it the same way:
+
+    * its line holds quotes other than one pair around a whole field:
+      a quote that opens a field spanning lines, a doubled quote, or a
+      stray quote, which csv.reader keeps (``ab"c``, ``"a"b``);
+    * its line holds a NUL, a CR that does not end a CRLF, or more bytes
+      than csv.field_size_limit();
+    * a stripped id or name starts or ends with a non-ASCII byte, which
+      may belong to a Unicode space that str.strip() also removes;
+    * its position has more than 18 digits.
+
+    The header is csv.reader's too. The stripped ids and names of
+    csv.reader's rows are appended to the text's bytes, so every id and
+    name is a (start, end) span of the returned bytes, which end in 8
+    zero bytes. Positions come back as int64 and spans as (2, rows)
+    arrays, rows in file order. Each row's paper code is the index of the
+    paper's first row, so codes order papers as the file first lists
+    them, and ``order`` sorts the rows by (code, position). The rows are
+    checked in bulk; when a check fails, _record_fault rescans the text
+    with csv.reader to word the first fault.
     """
-    reader = csv.reader(io.StringIO(text))
+    data = text.encode("utf-8", "surrogatepass") + bytes(8)
+    size = len(data) - 8
+    lines, routed = _scan_lines(data)
+    reader = _RowReader(data, lines[0], np.minimum(lines[1] + 1, size))
     try:
-        header = next(reader)
+        header, head = reader.row_at(0)
     except StopIteration:
         raise InputError(f"empty input: expected header {RECORDS_HEADER!r}") from None
     except csv.Error as exc:
         raise InputError(f"line 1: {exc}") from None
     if [h.strip() for h in header] != RECORDS_HEADER.split(","):
         raise InputError(f"line 1: expected header {RECORDS_HEADER!r}, got {','.join(header)!r}")
-    # Each row list is freed once read, so the cyclic GC never scans a large heap.
-    papers: list[str] = []
-    positions: list[str] = []
-    authors: list[str] = []
-    add_paper, add_position, add_author = papers.append, positions.append, authors.append
-    try:
-        for paper_id, position, author in reader:
-            add_paper(paper_id)
-            add_position(position)
-            add_author(author)
-    except (ValueError, csv.Error):  # a row without three fields, or one csv cannot read
-        raise InputError(_record_fault(text)) from None
-    if not papers:
+    if head == len(routed):
         raise InputError("empty input: no data rows")
-    papers, authors = list(map(str.strip, papers)), list(map(str.strip, authors))
-    if not (all(papers) and all(authors) and all(map(str.isascii, positions))
-            and all(map(str.isdigit, positions))):
-        raise InputError(_record_fault(text))
-    n = len(papers)
+    covered = np.zeros(len(routed), dtype=bool)
+    covered[:head] = routed[:head] = True
+    plain = np.flatnonzero(~routed)
+    # A line outside quotes that does not split in three is invalid unless a routed row covers it.
+    split = lines[5, plain] > 0
+    rows, unsplit = plain[split], plain[~split]
+    positions, spans, valid, reroute = _split_fields(data, lines, rows)
+    routed[rows[reroute]] = True
+    parsed: dict[int, list[str]] = {}
     try:
-        pos = np.fromiter(map(int, positions), np.int64, n)
-    except (OverflowError, ValueError):  # beyond int64, or beyond int()'s digit limit
+        for k in np.flatnonzero(routed).tolist():
+            if not covered[k]:
+                parsed[k], end = reader.row_at(k)
+                covered[k:end] = True
+        bulk = ~covered[rows]
+        if not (valid[bulk].all() and covered[unsplit].all()):
+            raise ValueError("a bulk row is invalid")
+        fields, extra = _routed_fields(parsed.values(), size)
+    except (ValueError, csv.Error):  # an invalid row, or one csv.reader cannot read
         raise InputError(_record_fault(text)) from None
-    ids: dict[str, int] = {}
-    codes = np.fromiter(map(ids.setdefault, papers, range(n)), np.intp, n)
-    order = np.lexsort((pos, codes))
-    repeated = (np.diff(codes[order]) == 0) & (np.diff(pos[order]) == 0)
+    papers, authors = spans[0], spans[2]
+    if not bulk.all():
+        positions, papers, authors = positions[bulk], papers[:, bulk], authors[:, bulk]
+    if parsed:
+        at = np.searchsorted(rows[bulk], list(parsed))
+        positions = np.insert(positions, at, fields[0])
+        papers = np.insert(papers, at, fields[1:3], axis=1)
+        authors = np.insert(authors, at, fields[3:5], axis=1)
+        data = data[:size] + extra + bytes(8)
+    codes = _span_groups(data, papers)
+    order = np.lexsort((positions, codes))
+    repeated = (np.diff(codes[order]) == 0) & (np.diff(positions[order]) == 0)
     # With no (paper, position) repeated, every paper has a position-1 row
     # exactly when there are as many position-1 rows as papers.
-    seniors = np.count_nonzero(pos == 1)
-    if pos.min() < 1 or pos.max() > MAX_LEVEL or repeated.any() or seniors != len(ids):
+    seniors = np.count_nonzero(positions == 1)
+    if positions.min() < 1 or repeated.any() or seniors != np.count_nonzero(codes == np.arange(len(codes))):
         raise InputError(_record_fault(text))
-    return papers, pos, authors, codes
+    return data, positions, papers, authors, codes, order
+
+
+def _scan_lines(data: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Where each line of data lies, and whether the bulk pass must leave it to csv.reader.
+
+    data ends in 8 zero bytes. Returns a (6, lines) array of each line's
+    start and end (its newline, or the end of the text), its quote pair
+    and its two field-ending commas, and the lines holding a NUL, a CR
+    that does not end a CRLF, more bytes than csv.field_size_limit(), or
+    a number of quotes other than 0 or 2, or two quotes but other than
+    two commas outside them. A line's quote pair is (0, 0) unless it
+    holds two quotes; its commas are (0, 0) unless exactly two lie
+    outside the pair.
+    """
+    size = len(data) - 8
+    view = np.frombuffer(data, dtype=np.uint8)
+    # The bytes looked for, NUL, LF, CR, '"' and ',', are all <= ord(",").
+    marks = np.flatnonzero(view[:size] <= 44)
+    kinds = view[marks]
+    keep = (kinds == 44) | (kinds == 10) | (kinds == 34) | (kinds == 13) | (kinds == 0)
+    marks, kinds = marks[keep], kinds[keep]
+    newline = kinds == 10
+    ends = marks[newline]
+    if size and data[size - 1] != 10:
+        ends = np.append(ends, size)
+    count = len(ends)
+    lines = np.zeros((6, count), dtype=np.int64)
+    lines[0, 1:] = ends[:-1] + 1
+    lines[1] = ends
+    at = np.cumsum(newline)
+    at -= newline  # the line each mark lies on
+    routed = lines[1] - lines[0] > csv.field_size_limit()
+    routed[at[kinds == 0]] = True
+    crs = kinds == 13
+    routed[at[crs][view[marks[crs] + 1] != 10]] = True
+    quotes = np.flatnonzero(kinds == 34)
+    per_line = np.bincount(at[quotes], minlength=count)
+    routed |= (per_line != 0) & (per_line != 2)
+    quotes = quotes[per_line[at[quotes]] == 2]
+    lines[2:4, at[quotes[::2]]] = marks[quotes].reshape(-1, 2).T
+    commas = kinds == 44
+    commas, at = marks[commas], at[commas]
+    ending = (commas < lines[2, at]) | (commas > lines[3, at])
+    commas, at = commas[ending], at[ending]
+    per_line = np.bincount(at, minlength=count)
+    routed |= (lines[3] > 0) & (per_line != 2)
+    split = np.flatnonzero(per_line == 2)
+    first = (np.cumsum(per_line) - per_line)[split]
+    lines[4, split], lines[5, split] = commas[first], commas[first + 1]
+    return lines, routed
+
+
+def _split_fields(
+    data: bytes, lines: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The fields of the given rows of lines, which _scan_lines found split in three.
+
+    Returns each line's position; a (3, 2, rows) array of its field
+    spans, the id and name stripped, a field wholly inside the line's
+    quote pair without the quotes; whether it is a valid row, with a
+    non-empty id and name and a position of 1 to 18 digits; and whether
+    csv.reader must read it instead, as _record_columns lists. A CRLF's
+    CR ends the author field.
+    """
+    view = np.frombuffer(data, dtype=np.uint8)
+    # Fields run from the line's start, or after a comma, to a comma or the line's end.
+    spans = np.empty((3, 2, len(rows)), dtype=np.int64)
+    for span, column in zip(spans.reshape(6, -1), (0, 4, 4, 5, 5, 1)):
+        lines[column].take(rows, out=span)
+    spans[1:, 0] += 1
+    spans[2, 1] -= view[spans[2, 1] - 1] == 13
+    quoted = np.flatnonzero(lines[3, rows])
+    open_at, close_at = lines[2:4, rows[quoted]]
+    field = (open_at > spans[0, 1, quoted]).astype(np.intp) + (open_at > spans[1, 1, quoted])
+    whole = (spans[field, 0, quoted] == open_at) & (spans[field, 1, quoted] == close_at + 1)
+    spans[field, 0, quoted], spans[field, 1, quoted] = open_at + 1, close_at
+    position, digits, wide = _parse_digits(view, *spans[1])
+    paper_foreign = _strip_spaces(data, spans[0])
+    author_foreign = _strip_spaces(data, spans[2])
+    valid = digits & (spans[0, 1] > spans[0, 0]) & (spans[2, 1] > spans[2, 0])
+    reroute = wide | paper_foreign | author_foreign
+    reroute[quoted[~whole]] = True
+    return position, spans, valid, reroute
+
+
+def _strip_spaces(data: bytes, spans: np.ndarray) -> np.ndarray:
+    """Strip the (start, end) spans of data in place of the edge bytes str.strip() removes;
+    return whether each span left starts or ends with a non-ASCII byte."""
+    view = np.frombuffer(data, dtype=np.uint8)
+    starts, ends = spans
+    filled = ends > starts
+    for i in np.flatnonzero(filled & (_IS_SPACE[view[starts]] | _IS_SPACE[view[ends - 1]])).tolist():
+        field = data[starts[i] : ends[i]]
+        left = len(field) - len(field.lstrip(_SPACES))
+        ends[i] = starts[i] + max(left, len(field.rstrip(_SPACES)))
+        starts[i] += left
+    filled = ends > starts
+    return filled & ((view[starts] >= 128) | (view[ends - 1] >= 128))
+
+
+def _parse_digits(
+    view: np.ndarray, starts: np.ndarray, ends: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The value of each span of 1 to 18 ASCII digits; whether it is one; whether it is wider."""
+    width = ends - starts
+    wide = width > _BULK_DIGITS
+    value = np.zeros(len(width), dtype=np.int64)
+    digits = (width > 0) & ~wide
+    live = np.flatnonzero(digits)
+    for offset in range(_BULK_DIGITS):
+        live = live[width[live] > offset]
+        if not len(live):
+            break
+        digit = view[starts[live] + offset].astype(np.int64) - 48
+        digits[live] &= (digit >= 0) & (digit <= 9)
+        value[live] = value[live] * 10 + digit
+    return value, digits, wide
+
+
+def _routed_fields(rows: Iterable[list[str]], offset: int) -> tuple[np.ndarray, bytes]:
+    """Positions and id and name spans of csv.reader's rows, and the bytes the spans index.
+
+    The stripped ids and names are encoded one after another, and their
+    spans start at offset. An invalid row raises ValueError.
+    """
+    fields: list[tuple[int, int, int, int, int]] = []
+    extra = bytearray()
+    for row in rows:
+        if len(row) != 3:
+            raise ValueError("a routed row has other than three fields")
+        paper, position, author = row[0].strip(), row[1], row[2].strip()
+        if not (paper and author and position.isascii() and position.isdigit()):
+            raise ValueError("a routed row is invalid")
+        value = int(position)  # beyond int()'s digit limit this is a ValueError too
+        if value > MAX_LEVEL:
+            raise ValueError("a routed row's position is too large")
+        at = offset + len(extra)
+        extra += paper.encode("utf-8", "surrogatepass")
+        middle = offset + len(extra)
+        extra += author.encode("utf-8", "surrogatepass")
+        fields.append((value, at, middle, middle, offset + len(extra)))
+    return np.array(fields, dtype=np.int64).reshape(-1, 5).T, bytes(extra)
+
+
+def _span_hash(words: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """A 64-bit hash of each byte span, mixed in 8 bytes at a time; equal spans hash equal.
+
+    ``words[i]`` is the little-endian word of the 8 bytes from byte i.
+    """
+    hashes = lengths.astype(np.uint64)
+    live = np.arange(len(starts))
+    for offset in range(0, int(lengths.max(initial=0)), 8):
+        live = live[lengths[live] > offset]
+        left = np.minimum(lengths[live] - offset, 8)
+        mixed = words[starts[live] + offset]
+        mixed &= _LOW_BYTES[left]
+        mixed ^= hashes[live]
+        mixed *= np.uint64(0x9E3779B97F4A7C15)
+        mixed ^= mixed >> np.uint64(29)
+        hashes[live] = mixed
+    return hashes
+
+
+def _span_groups(data: bytes, spans: np.ndarray) -> np.ndarray:
+    """For each (start, end) span of data, the index of the first span with the same bytes.
+
+    Spans are grouped by _span_hash, and each span is then compared byte
+    for byte with the first span of its group, so a hash collision never
+    merges two different byte strings: if one would, the spans are
+    grouped by their bytes instead. data ends in 8 zero bytes.
+    """
+    starts, ends = spans
+    lengths = ends - starts
+    words = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))
+    hashes = _span_hash(words, starts, lengths)
+    by_hash = np.argsort(hashes)
+    runs = np.flatnonzero(np.diff(hashes[by_hash], prepend=~hashes[by_hash[:1]]))
+    groups = np.empty_like(by_hash)
+    groups[by_hash] = np.repeat(np.minimum.reduceat(by_hash, runs), np.diff(runs, append=len(by_hash)))
+    rest = np.flatnonzero(groups != np.arange(len(groups)))
+    starts, heads = starts[rest], starts[groups[rest]]
+    lengths, same = lengths[rest], lengths[rest] == lengths[groups[rest]]
+    live = np.flatnonzero(same)
+    for offset in range(0, int(lengths.max(initial=0)), 8):
+        live = live[lengths[live] > offset]
+        differ = (words[starts[live] + offset] ^ words[heads[live] + offset]) & _LOW_BYTES[
+            np.minimum(lengths[live] - offset, 8)
+        ]
+        same[live[differ != 0]] = False
+    if same.all():
+        return groups
+    firsts: dict[bytes, int] = {}
+    keys = [data[start:end] for start, end in zip(*spans.tolist())]
+    return np.fromiter(map(firsts.setdefault, keys, range(len(keys))), np.intp, len(keys))
+
+
+def _span_text(data: bytes, spans: np.ndarray) -> list[str]:
+    """The text of each (start, end) span of data."""
+    return [data[start:end].decode("utf-8", "surrogatepass") for start, end in zip(*spans.tolist())]
 
 
 def _record_fault(text: str) -> str:
@@ -459,10 +722,11 @@ def parse_records(text: str) -> list[AuthorRecord]:
     its authors in position order. Fields containing commas may be
     quoted as in ordinary CSV. See _record_columns for the checks.
     """
-    papers, positions, authors, codes = _record_columns(text)
-    order = np.lexsort((positions, codes)).tolist()
-    names = [authors[i] for i in order]
-    starts = np.flatnonzero(np.diff(codes[order], prepend=-1)).tolist()
+    data, _, papers, authors, codes, order = _record_columns(text)
+    starts = np.flatnonzero(np.diff(codes[order], prepend=-1))
+    paper_ids = _span_text(data, papers[:, order[starts]])
+    names = _span_text(data, authors[:, order])
+    starts = starts.tolist()
     checked = AuthorRecord._checked
     # The records hold no reference cycles, and with the cyclic GC running,
     # its collections over the growing list took half of this loop.
@@ -470,8 +734,8 @@ def parse_records(text: str) -> list[AuthorRecord]:
     gc.disable()
     try:
         return [
-            checked(papers[order[start]], tuple(names[start:end]))
-            for start, end in zip(starts, starts[1:] + [len(order)])
+            checked(paper_id, tuple(names[start:end]))
+            for paper_id, start, end in zip(paper_ids, starts, starts[1:] + [len(order)])
         ]
     finally:
         if collecting:
@@ -486,12 +750,13 @@ def ingest_records(path: str | Path, name: str = "records") -> FrequencyDistribu
     """The senior-author distribution of a records file, with no per-paper objects.
 
     Equal to ``from_author_records(read_records(path), name)``; its
-    ``total_works`` is the number of papers.
+    ``total_works`` is the number of papers. Senior names are grouped
+    from their bytes, never made into strings.
     """
 
     def tally(text: str, path: Path) -> FrequencyDistribution:
-        _, positions, authors, _ = _record_columns(text)
-        return _senior_tally(list(compress(authors, (positions == 1).tolist())), name)
+        data, positions, _, authors, _, _ = _record_columns(text)
+        return _senior_tally(_span_groups(data, authors[:, positions == 1]), name)
 
     return _read(path, tally)
 
@@ -511,15 +776,16 @@ def from_author_records(
         if record.paper_id in seen_ids:
             raise InputError(f"duplicate paper_id {record.paper_id!r}")
         seen_ids.add(record.paper_id)
-    return _senior_tally([record.senior_author for record in records], name)
-
-
-def _senior_tally(seniors: Sequence[str], name: str) -> FrequencyDistribution:
-    """How many authors hold each number of credits, given one senior name per paper."""
     first: dict[str, int] = {}
-    codes = np.fromiter(map(first.setdefault, seniors, range(len(seniors))), np.intp, len(seniors))
-    # Credits sit at each name's first index; the zeros elsewhere tally at level 0.
-    per_level = np.bincount(np.bincount(codes))
+    seniors = [first.setdefault(record.senior_author, i) for i, record in enumerate(records)]
+    return _senior_tally(np.array(seniors, dtype=np.intp), name)
+
+
+def _senior_tally(seniors: np.ndarray, name: str) -> FrequencyDistribution:
+    """How many authors hold each number of credits, given each paper's senior author
+    as the index of the first paper that author is senior on."""
+    # Credits sit at each author's first index; the zeros elsewhere tally at level 0.
+    per_level = np.bincount(np.bincount(seniors))
     per_level[0] = 0
     levels = np.flatnonzero(per_level)
     return FrequencyDistribution.from_arrays(levels, per_level[levels], name=name)

@@ -68,17 +68,19 @@ _KS_BLOCK_CELLS = 1 << 16
 
 # Forking replicate workers costs a few ms, which only pays when the
 # replicates after the first cost more than that together. Measured on a
-# 2-vCPU machine in-process, median of 7 calls in each of 3 processes,
-# serial -> forked: bias with 10 replicates and cutoffs 30 and 10^6 at
-# 100 authors (levels bound 130) 39-41 -> 49-70 ms, at 300 authors (330)
-# 41-45 -> 47-52 ms, at 1,000 (1,030) 57-60 -> 55-60 ms, at 3,000 (3,030)
-# 57-68 -> 53-63 ms; a 100-replicate bootstrap of 20 levels 55-71 ->
-# 60-74 ms, of 40 levels 85-96 -> 70-97 ms. The smallest legal bootstrap,
-# 100 replicates of 3 levels, is a single chunk and takes 25-30 ms in one
-# process; forked, before replicates were fitted in batches, it took
-# 97-105 ms. So the replicates fork only when count x the populated
-# levels one replicate holds reaches 4,000.
-_FORK_MIN_LEVELS = 4000
+# 2-vCPU machine, the whole command in 6-8 fresh processes each, serial ->
+# forked, with bias sized from the levels replicate 0 holds: bias with
+# 20 replicates and cutoffs 30 and 10^6 at 6,891 authors (about 20 x 140
+# levels) 106-147 -> 91-132 ms, median 117 -> 106, at 3,000 authors
+# (20 x 103) 71-102 -> 76-93 ms; with 10 replicates at 3,000 authors
+# (10 x 103) 67-74 -> 66-78 ms and at 1,000 (10 x 67) 45-53 -> 41-62 ms;
+# fit mle --xmin auto --bootstrap 100 on 20 levels of 474 authors 87-100
+# -> 82-129 ms (median 91 -> 86), of 4,781 authors 152-179 -> 119-132 ms.
+# The smallest legal bootstrap, 100 replicates of 3 levels, is a single
+# chunk and takes 25-30 ms in one process; forked, before replicates were
+# fitted in batches, it took 97-105 ms. So the replicates fork only when
+# count x the populated levels one replicate holds reaches 2,000.
+_FORK_MIN_LEVELS = 2000
 
 # Candidate rows a chunk of replicates fits in one batch: about 9
 # replicates of 107 levels, one at 1e6 authors. A fit call has a fixed
@@ -488,7 +490,7 @@ def _replicates(job: Callable[[range], list[_T]], count: int, levels: int) -> li
 
     job(rs) returns one result per replicate r in rs, in order, and
     raises the exception of the lowest r that fails. ``levels`` is the
-    populated levels one replicate's data holds, or a bound on them: the
+    populated levels one replicate's data holds, or about as many: the
     size of its fit. Replicate 0 runs alone in the caller first, so that
     first-use costs such as lazy imports are paid once. The others are
     split into equal chunks of at most max(1, _CHUNK_ROWS // levels)
@@ -703,9 +705,9 @@ def bias_experiment(
     from (seed, r), so the replicates run in chunks on every CPU the
     process may use (see _replicates), and the MLE fits of all a chunk's
     truncations run as one batch, each exactly as alone: the table is the
-    same on any number of CPUs. A truncation at cutoff c holds at most
-    min(authors, c) levels, so their sum over the cutoffs bounds a
-    replicate's fit for the runner. Replicates where an estimator
+    same on any number of CPUs. The runner sizes its chunks from the
+    populated levels of replicate 0's truncations, which is drawn first;
+    the other replicates hold about as many. Replicates where an estimator
     degenerates are left out of that estimator's summary; a cutoff where
     one estimator fails in every replicate is an error.
     """
@@ -724,6 +726,11 @@ def bias_experiment(
     model = PowerLawModel(alpha, 1)
     table = _CdfTable(model)
 
+    def draw(r: int) -> FrequencyDistribution:
+        return _tally(table.draw(np.random.default_rng((seed, r)), authors), "bias")
+
+    first = draw(0)
+
     def replicate_errors(rs: range) -> list[list[tuple[float | None, float | None]]]:
         """(historical, MLE) exponent error per cutoff of each replicate; None where a fit fails.
 
@@ -732,7 +739,7 @@ def bias_experiment(
         hist: list[float | None] = []
         truncated: dict[int, FrequencyDistribution] = {}
         for r in rs:
-            population = _tally(table.draw(np.random.default_rng((seed, r)), authors), "bias")
+            population = first if r == 0 else draw(r)
             for cutoff in cutoffs:
                 hist.append(None)
                 with suppress(DegenerateFitError, InputError):
@@ -748,7 +755,8 @@ def bias_experiment(
 
     hist_errors: dict[int, list[float]] = {c: [] for c in cutoffs}
     mle_errors: dict[int, list[float]] = {c: [] for c in cutoffs}
-    levels = sum(min(authors, c) for c in cutoffs)
+    top = first.populated_arrays[0]
+    levels = max(1, sum(int(np.searchsorted(top, c, side="right")) for c in cutoffs))
     for errors in _replicates(replicate_errors, replicates, levels):
         for cutoff, (hist, mle) in zip(cutoffs, errors):
             if hist is not None:

@@ -326,7 +326,12 @@ class TestExitCodes:
 _RECORD_LINES = st.sampled_from(
     ["paper_id,position,author", "P1,1,A", "P1,2,B", "P2,1,A", "P2,01,C", 'P3,1,"Smith, J."',
      "P1,1,B", "P4,2,A", "P5,0,A", "P5,-1,A", "P5,99999999999999999999,A", "P6,\u0661,A",
-     ",1,A", "P7,1,", "P8,1", "", "  ", 'P9,1,"open', "P9,1,a\rb"]
+     ",1,A", "P7,1,", "P8,1", "", "  ", 'P9,1,"open', "P9,1,a\rb",
+     # Lines whose route, bulk or csv.reader, turns on one byte: doubled and
+     # stray quotes, a CRLF, a NUL, Unicode and \x1c spaces at a field's
+     # edge, a quoted position and one of 26 digits.
+     'P10,1,"O""Brien"', 'P11,1,ab"c', 'P12,1,"a"b', "P13,1,A\r", "P14,1,N\x00ul",
+     "P15,1,\u00a0A", "\u3000P16,1,A", "P17,1,\x1cA", 'P18,"1",A', "P19," + "0" * 25 + "1,A"]
 )
 _RECORD_BYTES = st.one_of(
     st.binary(max_size=80),

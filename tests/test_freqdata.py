@@ -24,6 +24,7 @@ from lotkafit import (
     truncate_right,
     truncation_report,
 )
+from lotkafit import freqdata
 from lotkafit.freqdata import MAX_BINS, MAX_LEVEL, _tally
 
 distributions = st.dictionaries(
@@ -265,19 +266,38 @@ _ODD_NAMES = ["", "  ", '" "', '" \n "']
 _ODD_ROWS = [[], ["  "], ["P1", "1"], ["P1", "1", "A", "B"]]
 
 
+# Names csv.reader accepts and str.strip() may shorten: commas and newlines
+# inside quotes, doubled and stray quotes, a NUL, and at an edge a
+# non-ASCII letter, U+00A0, U+3000 or \x1c, which str.strip() removes
+# but bytes.strip() keeps.
+_NAMES = [
+    "A", "B", " C ", '"Smith, J."', '" Doe, J "', "\u00c5", '"Two\nlines"', '"O""Brien"',
+    'ab"c', '"a"b', "N\x00ul", "\u00a0A", "A\u3000", "\x1cA", "A\x1c ",
+]
+
+
 @st.composite
 def _valid_rows(draw):
     """Rows of a valid records file: paper i has positions 1..k, written
-    plain or with a leading zero, its id is spelt padded or quoted from
-    row to row, a name may span two lines, and the rows of all papers
-    are shuffled together, so one paper's rows need not be adjacent."""
+    plain, with a leading zero or 25 of them, or quoted, its id is spelt
+    padded or quoted from row to row, a name may span two lines, a row
+    may end in a CR (a CRLF once joined), and the rows of all papers are
+    shuffled together, so one paper's rows need not be adjacent."""
     sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=6))
-    names = st.sampled_from(["A", "B", " C ", '"Smith, J."', '" Doe, J "', "\u00c5", '"Two\nlines"'])
+    names = st.sampled_from(_NAMES)
+    ends = st.sampled_from(["", "", "\r"])
     rows = []
     for i, k in enumerate(sizes):
-        spellings = [f'"P,{i}"', f'" P,{i}"'] if draw(st.booleans()) else [f"P{i}", f" P{i} ", f'"P{i}"']
+        if draw(st.booleans()):
+            spellings = [f'"P,{i}"', f'" P,{i}"']
+        else:
+            spellings = [f"P{i}", f" P{i} ", f'"P{i}"', f"\u00a0P{i}", f"P{i}\u3000", f"\x1cP{i}"]
         rows.extend(
-            [draw(st.sampled_from(spellings)), draw(st.sampled_from([str(p), f"0{p}"])), draw(names)]
+            [
+                draw(st.sampled_from(spellings)),
+                draw(st.sampled_from([str(p), f"0{p}", "0" * 25 + str(p), f'"{p}"'])),
+                draw(names) + draw(ends),
+            ]
             for p in range(1, k + 1)
         )
     return draw(st.permutations(rows))
@@ -304,8 +324,9 @@ def _near_valid_rows(draw):
     return rows
 
 
-def _records_text(rows):
-    return "paper_id,position,author\n" + "".join(",".join(row) + "\n" for row in rows)
+def _records_text(rows, final_newline=True):
+    text = "paper_id,position,author\n" + "".join(",".join(row) + "\n" for row in rows)
+    return text if final_newline else text[:-1]
 
 
 class TestParseRecords:
@@ -377,10 +398,10 @@ class TestParseRecords:
         with pytest.raises(InputError, match=r"^line 4: field larger than field limit"):
             parse_records(f"{head}P1,2,{long_field}\n")
 
-    @given(_near_valid_rows())
+    @given(_near_valid_rows(), st.booleans())
     @settings(max_examples=400, deadline=None)
-    def test_matches_row_loop(self, rows):
-        text = _records_text(rows)
+    def test_matches_row_loop(self, rows, final_newline):
+        text = _records_text(rows, final_newline)
         try:
             expected = _row_loop_parse_records(text)
         except InputError as exc:
@@ -393,10 +414,10 @@ class TestParseRecords:
                 return
         assert got == expected
 
-    @given(_valid_rows())
+    @given(_valid_rows(), st.booleans())
     @settings(max_examples=100, deadline=None)
-    def test_valid_records_match_row_loop(self, rows):
-        text = _records_text(rows)
+    def test_valid_records_match_row_loop(self, rows, final_newline):
+        text = _records_text(rows, final_newline)
         records = _row_loop_parse_records(text)
         assert parse_records(text) == records
         with tempfile.TemporaryDirectory() as tmp:
@@ -405,6 +426,57 @@ class TestParseRecords:
             dist = ingest_records(path)
         assert dist == from_author_records(records)
         assert dist.total_works == len(records)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_only_rows_the_bulk_pass_cannot_read_reach_csv_reader(self, monkeypatch, newline):
+        # 2,000 plain rows, some with a name wholly inside one pair of
+        # quotes, which the bulk pass reads, and a few that it leaves to
+        # csv.reader: a doubled quote, a quoted name spanning two lines,
+        # a stray quote, a U+00A0 at a name's edge, a 25-digit position.
+        lines, irregular = [], []
+        for i in range(1000):
+            lines.append(f"P{i},1,Author {i % 97}")
+            lines.append(f'P{i},2,"Author{i % 89}, J."' if i % 7 == 0 else f"P{i},2,Coauthor {i}")
+        for at, line, row in [
+            (10, 'P5000,1,"O""Brien"', ["P5000", "1", 'O"Brien']),
+            (500, 'P5001,1,"Two\nlines"', ["P5001", "1", "Two\nlines"]),
+            (900, 'P5002,1,ab"c', ["P5002", "1", 'ab"c']),
+            (1500, "P5003,1,\u00a0Author 3", ["P5003", "1", "\u00a0Author 3"]),
+            (1999, "P5003," + "0" * 24 + "2,B", ["P5003", "0" * 24 + "2", "B"]),
+        ]:
+            lines.insert(at, line)
+            irregular.append(row)
+        text = newline.join(["paper_id,position,author", *lines, ""])
+        seen = []
+        csv_reader = csv.reader
+
+        def reader(*args, **kwargs):
+            for row in csv_reader(*args, **kwargs):
+                seen.append(row)
+                yield row
+
+        monkeypatch.setattr(csv, "reader", reader)
+        records = parse_records(text)
+        assert seen == [["paper_id", "position", "author"], *irregular]
+        monkeypatch.undo()
+        assert records == _row_loop_parse_records(text)
+
+    @pytest.mark.parametrize("span_hash", [
+        lambda words, starts, lengths: np.zeros(len(starts), dtype=np.uint64),
+        lambda words, starts, lengths: lengths.astype(np.uint64),
+    ], ids=["constant", "length"])
+    def test_colliding_span_hashes_never_merge_ids_or_names(self, monkeypatch, tmp_path, span_hash):
+        # Ids and names of one length, the most a hash could confuse; only
+        # the byte-for-byte check keeps them apart once every hash collides.
+        lines = [f"Q{i:02d},1,N{i % 7}" for i in range(40)] + [f"Q{i:02d},2,M{i}" for i in range(0, 40, 3)]
+        text = "paper_id,position,author\n" + "\n".join(lines[::-1]) + "\n"
+        path = tmp_path / "records.csv"
+        path.write_text(text, encoding="utf-8")
+        records = _row_loop_parse_records(text)
+        monkeypatch.setattr(freqdata, "_span_hash", span_hash)
+        assert parse_records(text) == records
+        assert ingest_records(path) == from_author_records(records)
+        assert ingest_records(path).as_dict() == {5: 2, 6: 5}
 
     def test_ingest_records_names_file(self, tmp_path):
         path = tmp_path / "records.csv"

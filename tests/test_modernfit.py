@@ -607,12 +607,14 @@ class TestReplicateRunner:
 
     def test_bias_replicates_equal_serial_loop(self, workers, runner_results, monkeypatch):
         count, forked = workers
+        # Replicate 0's truncations hold 93 levels: 30 x 93 replicate levels
+        # pass the fork gate, in three chunks of up to 10 replicates.
         cutoffs = [5, 30, 10**6]
-        table = bias_experiment(2.0, 400, cutoffs, replicates=12, seed=2)
-        assert runner_results == [serial_bias_errors(2.0, 400, cutoffs, 12, 2)]
+        table = bias_experiment(2.0, 2000, cutoffs, replicates=30, seed=2)
+        assert runner_results == [serial_bias_errors(2.0, 2000, cutoffs, 30, 2)]
         assert len(forked) == count - 1
         monkeypatch.setattr(modernfit, "_cpu_count", lambda: 1)
-        assert table == bias_experiment(2.0, 400, cutoffs, replicates=12, seed=2)
+        assert table == bias_experiment(2.0, 2000, cutoffs, replicates=30, seed=2)
 
     def test_lowest_failing_replicate_raises_its_own_exception(self, workers):
         # Replicates 3, 4 and 8 fail; whichever worker runs them, the
@@ -675,7 +677,7 @@ class TestReplicateRunner:
 
     def test_few_replicate_levels_run_serially(self, workers):
         count, forked = workers
-        assert modernfit._replicates(per_replicate(lambda r: r), 10, 399) == list(range(10))
+        assert modernfit._replicates(per_replicate(lambda r: r), 6, 333) == list(range(6))
         assert forked == []
-        assert modernfit._replicates(per_replicate(lambda r: r), 10, 400) == list(range(10))
+        assert modernfit._replicates(per_replicate(lambda r: r), 6, 334) == list(range(6))
         assert len(forked) == count - 1
