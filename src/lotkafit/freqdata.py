@@ -354,11 +354,13 @@ def write_distribution(dist: FrequencyDistribution, path: str | Path) -> None:
     _write_text(path, serialize_distribution(dist))
 
 
-# The bytes str.strip() removes from the edges of a field within one line:
-# the ASCII whitespace, with \x1c-\x1f, which bytes.strip() keeps.
-_SPACES = b"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f "
+# The characters str.strip() removes: the ASCII whitespace, with
+# \x1c-\x1f, which bytes.strip() keeps, and these code points beyond it.
 _IS_SPACE = np.zeros(256, dtype=bool)
-_IS_SPACE[list(_SPACES)] = True
+_IS_SPACE[list(b"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f ")] = True
+_UNICODE_SPACES = np.array(
+    [0x85, 0xA0, 0x1680, *range(0x2000, 0x200B), 0x2028, 0x2029, 0x202F, 0x205F, 0x3000]
+)
 # Longest position the bulk pass parses: 18 digits stay below 10^18 < 2^62.
 _BULK_DIGITS = 18
 # _LOW_BYTES[k] keeps the first k bytes of a little-endian 8-byte word.
@@ -373,9 +375,9 @@ class _RowReader:
 
         def lines():
             """The lines io.StringIO(text) yields, from the cursor on."""
-            while self.cursor < len(starts):
-                self.cursor += 1
-                yield data[starts[self.cursor - 1] : stops[self.cursor - 1]].decode("utf-8", "surrogatepass")
+            while (k := self.cursor) < len(starts):
+                self.cursor = k + 1
+                yield data[starts[k] : stops[k]].decode("utf-8", "surrogatepass")
 
         self.reader = csv.reader(lines())
 
@@ -392,19 +394,19 @@ def _record_columns(text: str) -> tuple[bytes, np.ndarray, np.ndarray, np.ndarra
     author and every paper must have exactly one position-1 row. The
     text is tokenized in bulk over its UTF-8 bytes: newlines end lines,
     the two commas of a line that lie outside quotes end its fields, a
-    field wholly inside one pair of quotes is read without them, the
+    field wholly inside a pair of quotes is read without them, the
     ASCII spaces str.strip() removes are stripped from ids and names, and
     positions are parsed from their digits. A row goes to csv.reader,
     from the line it starts on until it ends, wherever the bulk pass
     cannot prove that csv.reader would read it the same way:
 
-    * its line holds quotes other than one pair around a whole field:
+    * its line holds a quote that does not open or close a whole field:
       a quote that opens a field spanning lines, a doubled quote, or a
       stray quote, which csv.reader keeps (``ab"c``, ``"a"b``);
     * its line holds a NUL, a CR that does not end a CRLF, or more bytes
       than csv.field_size_limit();
-    * a stripped id or name starts or ends with a non-ASCII byte, which
-      may belong to a Unicode space that str.strip() also removes;
+    * a stripped id or name starts or ends with a space beyond ASCII,
+      such as U+00A0 or U+3000, which str.strip() also removes;
     * its position has more than 18 digits.
 
     The header is csv.reader's too. The stripped ids and names of
@@ -419,7 +421,7 @@ def _record_columns(text: str) -> tuple[bytes, np.ndarray, np.ndarray, np.ndarra
     """
     data = text.encode("utf-8", "surrogatepass") + bytes(8)
     size = len(data) - 8
-    lines, routed = _scan_lines(data)
+    lines, routed, pairs = _scan_lines(data)
     reader = _RowReader(data, lines[0], np.minimum(lines[1] + 1, size))
     try:
         header, head = reader.row_at(0)
@@ -435,27 +437,37 @@ def _record_columns(text: str) -> tuple[bytes, np.ndarray, np.ndarray, np.ndarra
     covered[:head] = routed[:head] = True
     plain = np.flatnonzero(~routed)
     # A line outside quotes that does not split in three is invalid unless a routed row covers it.
-    split = lines[5, plain] > 0
+    split = lines[3, plain] > 0
     rows, unsplit = plain[split], plain[~split]
-    positions, spans, valid, reroute = _split_fields(data, lines, rows)
+    positions, spans, valid, reroute = _split_fields(data, lines, rows, pairs)
     routed[rows[reroute]] = True
-    parsed: dict[int, list[str]] = {}
+    # The routed rows' first lines, and their fields one after another:
+    # keeping no list per row keeps the cyclic GC from rescanning them.
+    parsed: list[int] = []
+    cells: list[str] = []
+    end = head
     try:
         for k in np.flatnonzero(routed).tolist():
-            if not covered[k]:
-                parsed[k], end = reader.row_at(k)
-                covered[k:end] = True
+            if k >= end:  # not a later line of the row before
+                row, end = reader.row_at(k)
+                if len(row) != 3:
+                    raise ValueError("a routed row has other than three fields")
+                parsed.append(k)
+                cells += row
+                if end > k + 1:
+                    covered[k:end] = True
+        covered[parsed] = True
         bulk = ~covered[rows]
         if not (valid[bulk].all() and covered[unsplit].all()):
             raise ValueError("a bulk row is invalid")
-        fields, extra = _routed_fields(parsed.values(), size)
+        fields, extra = _routed_fields(cells, size)
     except (ValueError, csv.Error):  # an invalid row, or one csv.reader cannot read
         raise InputError(_record_fault(text)) from None
     papers, authors = spans[0], spans[2]
     if not bulk.all():
         positions, papers, authors = positions[bulk], papers[:, bulk], authors[:, bulk]
     if parsed:
-        at = np.searchsorted(rows[bulk], list(parsed))
+        at = np.searchsorted(rows[bulk], parsed)
         positions = np.insert(positions, at, fields[0])
         papers = np.insert(papers, at, fields[1:3], axis=1)
         authors = np.insert(authors, at, fields[3:5], axis=1)
@@ -471,17 +483,18 @@ def _record_columns(text: str) -> tuple[bytes, np.ndarray, np.ndarray, np.ndarra
     return data, positions, papers, authors, codes, order
 
 
-def _scan_lines(data: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """Where each line of data lies, and whether the bulk pass must leave it to csv.reader.
+def _scan_lines(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where each line of data lies, whether the bulk pass must leave it to csv.reader, and its quotes.
 
-    data ends in 8 zero bytes. Returns a (6, lines) array of each line's
-    start and end (its newline, or the end of the text), its quote pair
-    and its two field-ending commas, and the lines holding a NUL, a CR
-    that does not end a CRLF, more bytes than csv.field_size_limit(), or
-    a number of quotes other than 0 or 2, or two quotes but other than
-    two commas outside them. A line's quote pair is (0, 0) unless it
-    holds two quotes; its commas are (0, 0) unless exactly two lie
-    outside the pair.
+    data ends in 8 zero bytes. Returns a (4, lines) array of each line's
+    start, end (its newline, or the end of the text) and two
+    field-ending commas; whether each line is routed; and the quote
+    pairs as a (3, pairs) array of line, opening and closing quote. A
+    line's quotes pair up in order, and a comma between a pair's quotes
+    is text; its commas are (0, 0) unless exactly two lie outside its
+    pairs. Routed are the lines holding a NUL, a CR that does not end a
+    CRLF, more bytes than csv.field_size_limit(), an odd number of
+    quotes, or quotes and other than two commas outside them.
     """
     size = len(data) - 8
     view = np.frombuffer(data, dtype=np.uint8)
@@ -495,7 +508,7 @@ def _scan_lines(data: bytes) -> tuple[np.ndarray, np.ndarray]:
     if size and data[size - 1] != 10:
         ends = np.append(ends, size)
     count = len(ends)
-    lines = np.zeros((6, count), dtype=np.int64)
+    lines = np.zeros((4, count), dtype=np.int64)
     lines[0, 1:] = ends[:-1] + 1
     lines[1] = ends
     at = np.cumsum(newline)
@@ -504,69 +517,94 @@ def _scan_lines(data: bytes) -> tuple[np.ndarray, np.ndarray]:
     routed[at[kinds == 0]] = True
     crs = kinds == 13
     routed[at[crs][view[marks[crs] + 1] != 10]] = True
-    quotes = np.flatnonzero(kinds == 34)
-    per_line = np.bincount(at[quotes], minlength=count)
-    routed |= (per_line != 0) & (per_line != 2)
-    quotes = quotes[per_line[at[quotes]] == 2]
-    lines[2:4, at[quotes[::2]]] = marks[quotes].reshape(-1, 2).T
+    quotes = kinds == 34
+    quotes, quote_lines = marks[quotes], at[quotes]
+    per_line = np.bincount(quote_lines, minlength=count)
+    odd = per_line % 2 == 1
+    routed |= odd
     commas = kinds == 44
     commas, at = marks[commas], at[commas]
-    ending = (commas < lines[2, at]) | (commas > lines[3, at])
-    commas, at = commas[ending], at[ending]
-    per_line = np.bincount(at, minlength=count)
-    routed |= (lines[3] > 0) & (per_line != 2)
-    split = np.flatnonzero(per_line == 2)
-    first = (np.cumsum(per_line) - per_line)[split]
-    lines[4, split], lines[5, split] = commas[first], commas[first + 1]
-    return lines, routed
+    # A comma is text when an odd number of its line's quotes come before it.
+    near = np.flatnonzero(per_line[at])
+    before = np.searchsorted(quotes, commas[near]) - (np.cumsum(per_line) - per_line)[at[near]]
+    text = near[before % 2 == 1]
+    commas, at = np.delete(commas, text), np.delete(at, text)
+    split = np.bincount(at, minlength=count)
+    routed |= (per_line > 0) & (split != 2)
+    first = (np.cumsum(split) - split)[split == 2]
+    split = np.flatnonzero(split == 2)
+    lines[2, split], lines[3, split] = commas[first], commas[first + 1]
+    paired = ~odd[quote_lines]
+    quotes, quote_lines = quotes[paired], quote_lines[paired]
+    return lines, routed, np.stack((quote_lines[::2], quotes[::2], quotes[1::2]))
 
 
 def _split_fields(
-    data: bytes, lines: np.ndarray, rows: np.ndarray
+    data: bytes, lines: np.ndarray, rows: np.ndarray, pairs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The fields of the given rows of lines, which _scan_lines found split in three.
 
     Returns each line's position; a (3, 2, rows) array of its field
-    spans, the id and name stripped, a field wholly inside the line's
-    quote pair without the quotes; whether it is a valid row, with a
-    non-empty id and name and a position of 1 to 18 digits; and whether
-    csv.reader must read it instead, as _record_columns lists. A CRLF's
-    CR ends the author field.
+    spans, the id and name stripped, a field wholly inside a quote pair
+    without its quotes; whether it is a valid row, with a non-empty id
+    and name and a position of 1 to 18 digits; and whether csv.reader
+    must read it instead, as _record_columns lists. A CRLF's CR ends the
+    author field.
     """
     view = np.frombuffer(data, dtype=np.uint8)
     # Fields run from the line's start, or after a comma, to a comma or the line's end.
     spans = np.empty((3, 2, len(rows)), dtype=np.int64)
-    for span, column in zip(spans.reshape(6, -1), (0, 4, 4, 5, 5, 1)):
+    for span, column in zip(spans.reshape(6, -1), (0, 2, 2, 3, 3, 1)):
         lines[column].take(rows, out=span)
     spans[1:, 0] += 1
     spans[2, 1] -= view[spans[2, 1] - 1] == 13
-    quoted = np.flatnonzero(lines[3, rows])
-    open_at, close_at = lines[2:4, rows[quoted]]
-    field = (open_at > spans[0, 1, quoted]).astype(np.intp) + (open_at > spans[1, 1, quoted])
-    whole = (spans[field, 0, quoted] == open_at) & (spans[field, 1, quoted] == close_at + 1)
-    spans[field, 0, quoted], spans[field, 1, quoted] = open_at + 1, close_at
+    # The quote pairs on these rows; each must enclose a whole field.
+    at = np.searchsorted(rows, pairs[0])
+    on = at < len(rows)
+    on[on] = rows[at[on]] == pairs[0, on]
+    at, open_at, close_at = at[on], pairs[1, on], pairs[2, on]
+    field = (open_at > spans[0, 1, at]).astype(np.intp) + (open_at > spans[1, 1, at])
+    whole = (spans[field, 0, at] == open_at) & (spans[field, 1, at] == close_at + 1)
+    spans[field, 0, at], spans[field, 1, at] = open_at + 1, close_at
     position, digits, wide = _parse_digits(view, *spans[1])
-    paper_foreign = _strip_spaces(data, spans[0])
-    author_foreign = _strip_spaces(data, spans[2])
+    paper_spaced = _strip_spaces(data, spans[0])
+    author_spaced = _strip_spaces(data, spans[2])
     valid = digits & (spans[0, 1] > spans[0, 0]) & (spans[2, 1] > spans[2, 0])
-    reroute = wide | paper_foreign | author_foreign
-    reroute[quoted[~whole]] = True
+    reroute = wide | paper_spaced | author_spaced
+    reroute[at[~whole]] = True
     return position, spans, valid, reroute
 
 
 def _strip_spaces(data: bytes, spans: np.ndarray) -> np.ndarray:
-    """Strip the (start, end) spans of data in place of the edge bytes str.strip() removes;
-    return whether each span left starts or ends with a non-ASCII byte."""
+    """Strip the (start, end) spans of data in place of the ASCII spaces str.strip() removes;
+    return whether a span left starts or ends with a space beyond ASCII, which it removes too."""
     view = np.frombuffer(data, dtype=np.uint8)
     starts, ends = spans
-    filled = ends > starts
-    for i in np.flatnonzero(filled & (_IS_SPACE[view[starts]] | _IS_SPACE[view[ends - 1]])).tolist():
-        field = data[starts[i] : ends[i]]
-        left = len(field) - len(field.lstrip(_SPACES))
-        ends[i] = starts[i] + max(left, len(field.rstrip(_SPACES)))
-        starts[i] += left
-    filled = ends > starts
-    return filled & ((view[starts] >= 128) | (view[ends - 1] >= 128))
+    live = np.flatnonzero((ends > starts) & _IS_SPACE[view[starts]])
+    while len(live):
+        starts[live] += 1
+        live = live[(ends[live] > starts[live]) & _IS_SPACE[view[starts[live]]]]
+    live = np.flatnonzero((ends > starts) & _IS_SPACE[view[ends - 1]])
+    while len(live):
+        ends[live] -= 1
+        live = live[(ends[live] > starts[live]) & _IS_SPACE[view[ends[live] - 1]]]
+    edges = np.flatnonzero((ends > starts) & ((view[starts] >= 128) | (view[ends - 1] >= 128)))
+    # The last character of a span starts at most three continuation bytes before its end.
+    last = ends[edges] - 1
+    for _ in range(3):
+        last -= (view[last] & 0xC0) == 0x80
+    spaced = np.zeros(len(starts), dtype=bool)
+    spaced[edges] = _unicode_space_at(view, starts[edges]) | _unicode_space_at(view, last)
+    return spaced
+
+
+def _unicode_space_at(view: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Whether the UTF-8 character starting at each index is one of _UNICODE_SPACES."""
+    lead, second, third = (view[at + k].astype(np.int64) for k in range(3))
+    two = (lead & 0x1F) << 6 | second & 0x3F
+    three = (lead & 0x0F) << 12 | (second & 0x3F) << 6 | third & 0x3F
+    code = np.where(lead < 0xE0, two, three)
+    return (lead >= 0xC0) & (lead < 0xF0) & np.isin(code, _UNICODE_SPACES)
 
 
 def _parse_digits(
@@ -588,29 +626,27 @@ def _parse_digits(
     return value, digits, wide
 
 
-def _routed_fields(rows: Iterable[list[str]], offset: int) -> tuple[np.ndarray, bytes]:
+def _routed_fields(cells: list[str], offset: int) -> tuple[np.ndarray, bytes]:
     """Positions and id and name spans of csv.reader's rows, and the bytes the spans index.
 
-    The stripped ids and names are encoded one after another, and their
-    spans start at offset. An invalid row raises ValueError.
+    cells holds each row's three fields in turn. The stripped ids and
+    names are encoded one after another, and their spans start at
+    offset. An invalid row raises ValueError.
     """
-    fields: list[tuple[int, int, int, int, int]] = []
-    extra = bytearray()
-    for row in rows:
-        if len(row) != 3:
-            raise ValueError("a routed row has other than three fields")
-        paper, position, author = row[0].strip(), row[1], row[2].strip()
-        if not (paper and author and position.isascii() and position.isdigit()):
-            raise ValueError("a routed row is invalid")
-        value = int(position)  # beyond int()'s digit limit this is a ValueError too
-        if value > MAX_LEVEL:
-            raise ValueError("a routed row's position is too large")
-        at = offset + len(extra)
-        extra += paper.encode("utf-8", "surrogatepass")
-        middle = offset + len(extra)
-        extra += author.encode("utf-8", "surrogatepass")
-        fields.append((value, at, middle, middle, offset + len(extra)))
-    return np.array(fields, dtype=np.int64).reshape(-1, 5).T, bytes(extra)
+    papers, positions, authors = list(map(str.strip, cells[0::3])), cells[1::3], list(map(str.strip, cells[2::3]))
+    if not (all(papers) and all(authors)):
+        raise ValueError("a routed row has an empty id or name")
+    if not (all(map(str.isascii, positions)) and all(map(str.isdigit, positions))):
+        raise ValueError("a routed row's position is not ASCII digits")
+    values = list(map(int, positions))  # beyond int()'s digit limit this is a ValueError too
+    if values and max(values) > MAX_LEVEL:
+        raise ValueError("a routed row's position is too large")
+    encoded = [field.encode("utf-8", "surrogatepass") for pair in zip(papers, authors) for field in pair]
+    bounds = offset + np.cumsum([0, *map(len, encoded)])
+    fields = np.empty((5, len(values)), dtype=np.int64)
+    fields[0], fields[1], fields[2], fields[4] = values, bounds[:-1:2], bounds[1::2], bounds[2::2]
+    fields[3] = fields[2]
+    return fields, b"".join(encoded)
 
 
 def _span_hash(words: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:

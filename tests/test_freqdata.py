@@ -267,12 +267,12 @@ _ODD_ROWS = [[], ["  "], ["P1", "1"], ["P1", "1", "A", "B"]]
 
 
 # Names csv.reader accepts and str.strip() may shorten: commas and newlines
-# inside quotes, doubled and stray quotes, a NUL, and at an edge a
-# non-ASCII letter, U+00A0, U+3000 or \x1c, which str.strip() removes
-# but bytes.strip() keeps.
+# inside quotes, doubled and stray quotes, a NUL, and at an edge letters
+# beyond ASCII, or spaces that str.strip() removes but bytes.strip() keeps:
+# U+00A0, U+2009, U+2028, U+3000 and \x1c.
 _NAMES = [
-    "A", "B", " C ", '"Smith, J."', '" Doe, J "', "\u00c5", '"Two\nlines"', '"O""Brien"',
-    'ab"c', '"a"b', "N\x00ul", "\u00a0A", "A\u3000", "\x1cA", "A\x1c ",
+    "A", "B", " C ", '"Smith, J."', '" Doe, J "', "\u00c5", "\u5f20\u4e09", "\u00a9C", '"Two\nlines"',
+    '"O""Brien"', 'ab"c', '"a"b', "N\x00ul", "\u00a0A", "A\u3000", "\u2009B", "A\u2028", "\x1cA", "A\x1c ",
 ]
 
 
@@ -280,18 +280,20 @@ _NAMES = [
 def _valid_rows(draw):
     """Rows of a valid records file: paper i has positions 1..k, written
     plain, with a leading zero or 25 of them, or quoted, its id is spelt
-    padded or quoted from row to row, a name may span two lines, a row
-    may end in a CR (a CRLF once joined), and the rows of all papers are
-    shuffled together, so one paper's rows need not be adjacent."""
+    padded or quoted from row to row, or holds a comma or a stray quote,
+    a name may span two lines, a row may end in a CR (a CRLF once
+    joined), and the rows of all papers are shuffled together, so one
+    paper's rows need not be adjacent."""
     sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=6))
     names = st.sampled_from(_NAMES)
     ends = st.sampled_from(["", "", "\r"])
     rows = []
     for i, k in enumerate(sizes):
-        if draw(st.booleans()):
-            spellings = [f'"P,{i}"', f'" P,{i}"']
-        else:
-            spellings = [f"P{i}", f" P{i} ", f'"P{i}"', f"\u00a0P{i}", f"P{i}\u3000", f"\x1cP{i}"]
+        spellings = draw(st.sampled_from([
+            [f'"P,{i}"', f'" P,{i}"'],
+            [f'P"{i}', f' P"{i} '],
+            [f"P{i}", f" P{i} ", f'"P{i}"', f"\u00a0P{i}", f"P{i}\u3000", f"\x1cP{i}"],
+        ]))
         rows.extend(
             [
                 draw(st.sampled_from(spellings)),
@@ -327,6 +329,13 @@ def _near_valid_rows(draw):
 def _records_text(rows, final_newline=True):
     text = "paper_id,position,author\n" + "".join(",".join(row) + "\n" for row in rows)
     return text if final_newline else text[:-1]
+
+
+def test_space_tables_match_str_strip():
+    # The bulk pass strips or routes exactly the characters str.strip() removes.
+    assert np.flatnonzero(freqdata._IS_SPACE).tolist() == [b for b in range(128) if chr(b).isspace()]
+    beyond = [c for c in range(128, 0x110000) if chr(c).isspace()]
+    assert freqdata._UNICODE_SPACES.tolist() == beyond
 
 
 class TestParseRecords:
@@ -429,13 +438,13 @@ class TestParseRecords:
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
     def test_only_rows_the_bulk_pass_cannot_read_reach_csv_reader(self, monkeypatch, newline):
-        # 2,000 plain rows, some with a name wholly inside one pair of
-        # quotes, which the bulk pass reads, and a few that it leaves to
-        # csv.reader: a doubled quote, a quoted name spanning two lines,
-        # a stray quote, a U+00A0 at a name's edge, a 25-digit position.
+        # 2,000 plain rows, some with a name or every field wholly inside
+        # a pair of quotes, which the bulk pass reads, and a few that it
+        # leaves to csv.reader: a doubled quote, a quoted name spanning two
+        # lines, a stray quote, a U+00A0 at a name's edge, a 25-digit position.
         lines, irregular = [], []
         for i in range(1000):
-            lines.append(f"P{i},1,Author {i % 97}")
+            lines.append(f'"P{i}","1","Author {i % 97}"' if i % 11 == 0 else f"P{i},1,Author {i % 97}")
             lines.append(f'P{i},2,"Author{i % 89}, J."' if i % 7 == 0 else f"P{i},2,Coauthor {i}")
         for at, line, row in [
             (10, 'P5000,1,"O""Brien"', ["P5000", "1", 'O"Brien']),
