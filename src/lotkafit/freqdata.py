@@ -356,13 +356,17 @@ def write_distribution(dist: FrequencyDistribution, path: str | Path) -> None:
 
 # The characters str.strip() removes: the ASCII whitespace, with
 # \x1c-\x1f, which bytes.strip() keeps, and these code points beyond it.
+_SPACES = b"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f "
 _IS_SPACE = np.zeros(256, dtype=bool)
-_IS_SPACE[list(b"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f ")] = True
+_IS_SPACE[list(_SPACES)] = True
 _UNICODE_SPACES = np.array(
     [0x85, 0xA0, 0x1680, *range(0x2000, 0x200B), 0x2028, 0x2029, 0x202F, 0x205F, 0x3000]
 )
 # Longest position the bulk pass parses: 18 digits stay below 10^18 < 2^62.
 _BULK_DIGITS = 18
+# Spaces the bulk pass strips from each edge of a field, one vectorized
+# step each; a field padded with more is stripped on its own.
+_STRIP_STEPS = 8
 # _LOW_BYTES[k] keeps the first k bytes of a little-endian 8-byte word.
 _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 
@@ -580,14 +584,20 @@ def _strip_spaces(data: bytes, spans: np.ndarray) -> np.ndarray:
     return whether a span left starts or ends with a space beyond ASCII, which it removes too."""
     view = np.frombuffer(data, dtype=np.uint8)
     starts, ends = spans
-    live = np.flatnonzero((ends > starts) & _IS_SPACE[view[starts]])
-    while len(live):
-        starts[live] += 1
-        live = live[(ends[live] > starts[live]) & _IS_SPACE[view[starts[live]]]]
-    live = np.flatnonzero((ends > starts) & _IS_SPACE[view[ends - 1]])
-    while len(live):
-        ends[live] -= 1
-        live = live[(ends[live] > starts[live]) & _IS_SPACE[view[ends[live] - 1]]]
+    left = np.flatnonzero((ends > starts) & _IS_SPACE[view[starts]])
+    for _ in range(_STRIP_STEPS):
+        starts[left] += 1
+        left = left[(ends[left] > starts[left]) & _IS_SPACE[view[starts[left]]]]
+    right = np.flatnonzero((ends > starts) & _IS_SPACE[view[ends - 1]])
+    for _ in range(_STRIP_STEPS):
+        ends[right] -= 1
+        right = right[(ends[right] > starts[right]) & _IS_SPACE[view[ends[right] - 1]]]
+    # Longer runs, which a step per byte would take long over, are stripped one span at a time.
+    for i in np.union1d(left, right).tolist():
+        span = data[starts[i] : ends[i]]
+        stripped = len(span) - len(span.lstrip(_SPACES))
+        ends[i] = starts[i] + max(stripped, len(span.rstrip(_SPACES)))
+        starts[i] += stripped
     edges = np.flatnonzero((ends > starts) & ((view[starts] >= 128) | (view[ends - 1] >= 128)))
     # The last character of a span starts at most three continuation bytes before its end.
     last = ends[edges] - 1

@@ -269,9 +269,10 @@ _ODD_ROWS = [[], ["  "], ["P1", "1"], ["P1", "1", "A", "B"]]
 # Names csv.reader accepts and str.strip() may shorten: commas and newlines
 # inside quotes, doubled and stray quotes, a NUL, and at an edge letters
 # beyond ASCII, or spaces that str.strip() removes but bytes.strip() keeps:
-# U+00A0, U+2009, U+2028, U+3000 and \x1c.
+# U+00A0, U+2009, U+2028, U+3000 and \x1c. One is padded with more spaces
+# than the bulk pass strips a step at a time.
 _NAMES = [
-    "A", "B", " C ", '"Smith, J."', '" Doe, J "', "\u00c5", "\u5f20\u4e09", "\u00a9C", '"Two\nlines"',
+    "A", "B", " C ", " " * 12 + "D\t" + "\x1f" * 9, '"Smith, J."', '" Doe, J "', "\u00c5", "\u5f20\u4e09", "\u00a9C", '"Two\nlines"',
     '"O""Brien"', 'ab"c', '"a"b', "N\x00ul", "\u00a0A", "A\u3000", "\u2009B", "A\u2028", "\x1cA", "A\x1c ",
 ]
 
