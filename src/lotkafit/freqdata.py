@@ -523,20 +523,20 @@ def _scan_lines(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     routed[at[crs][view[marks[crs] + 1] != 10]] = True
     quotes = kinds == 34
     quotes, quote_lines = marks[quotes], at[quotes]
-    per_line = np.bincount(quote_lines, minlength=count)
-    odd = per_line % 2 == 1
+    quote_count = np.bincount(quote_lines, minlength=count)
+    odd = quote_count % 2 == 1
     routed |= odd
     commas = kinds == 44
     commas, at = marks[commas], at[commas]
     # A comma is text when an odd number of its line's quotes come before it.
-    near = np.flatnonzero(per_line[at])
-    before = np.searchsorted(quotes, commas[near]) - (np.cumsum(per_line) - per_line)[at[near]]
+    near = np.flatnonzero(quote_count[at])
+    before = np.searchsorted(quotes, commas[near]) - (np.cumsum(quote_count) - quote_count)[at[near]]
     text = near[before % 2 == 1]
     commas, at = np.delete(commas, text), np.delete(at, text)
-    split = np.bincount(at, minlength=count)
-    routed |= (per_line > 0) & (split != 2)
-    first = (np.cumsum(split) - split)[split == 2]
-    split = np.flatnonzero(split == 2)
+    comma_count = np.bincount(at, minlength=count)
+    routed |= (quote_count > 0) & (comma_count != 2)
+    split = np.flatnonzero(comma_count == 2)
+    first = (np.cumsum(comma_count) - comma_count)[split]
     lines[2, split], lines[3, split] = commas[first], commas[first + 1]
     paired = ~odd[quote_lines]
     quotes, quote_lines = quotes[paired], quote_lines[paired]
