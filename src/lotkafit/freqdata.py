@@ -364,31 +364,20 @@ _UNICODE_SPACES = np.array(
 )
 # Longest position the bulk pass parses: 18 digits stay below 10^18 < 2^62.
 _BULK_DIGITS = 18
-# Spaces the bulk pass strips from each edge of a field, one vectorized
-# step each; a field padded with more is stripped on its own.
-_STRIP_STEPS = 8
 # _LOW_BYTES[k] keeps the first k bytes of a little-endian 8-byte word.
 _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 
 
-class _RowReader:
-    """csv.reader over the lines of data, [starts[k], stops[k]) for line k, from any line on."""
+def _lines(data: bytes, bounds: np.ndarray, line: int, stop: int):
+    """The lines of data from ``line`` on, as io.StringIO yields them; line k is data[bounds[k]:bounds[k + 1]].
 
-    def __init__(self, data: bytes, starts: np.ndarray, stops: np.ndarray) -> None:
-        self.cursor = 0
-
-        def lines():
-            """The lines io.StringIO(text) yields, from the cursor on."""
-            while (k := self.cursor) < len(starts):
-                self.cursor = k + 1
-                yield data[starts[k] : stops[k]].decode("utf-8", "surrogatepass")
-
-        self.reader = csv.reader(lines())
-
-    def row_at(self, line: int) -> tuple[list[str], int]:
-        """The row csv.reader reads from this line on, and the line after the row's last."""
-        self.cursor = line
-        return next(self.reader), self.cursor
+    The lines before ``stop`` are decoded in one piece, later ones one at a time.
+    """
+    piece = data[bounds[line] : bounds[stop]].decode("utf-8", "surrogatepass")
+    # One line needs no io.StringIO, which takes longer to make than csv.reader takes to read it.
+    yield from io.StringIO(piece) if stop > line + 1 else (piece,)
+    for k in range(stop, len(bounds) - 1):
+        yield data[bounds[k] : bounds[k + 1]].decode("utf-8", "surrogatepass")
 
 
 def _record_columns(text: str) -> tuple[bytes, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -413,7 +402,9 @@ def _record_columns(text: str) -> tuple[bytes, np.ndarray, np.ndarray, np.ndarra
       such as U+00A0 or U+3000, which str.strip() also removes;
     * its position has more than 18 digits.
 
-    The header is csv.reader's too. The stripped ids and names of
+    The header is csv.reader's too. One csv.reader reads each run of
+    consecutive routed lines, decoded in one piece, and the lines after
+    it only while its last row runs on. The stripped ids and names of
     csv.reader's rows are appended to the text's bytes, so every id and
     name is a (start, end) span of the returned bytes, which end in 8
     zero bytes. Positions come back as int64 and spans as (2, rows)
@@ -423,18 +414,20 @@ def _record_columns(text: str) -> tuple[bytes, np.ndarray, np.ndarray, np.ndarra
     checked in bulk; when a check fails, _record_fault rescans the text
     with csv.reader to word the first fault.
     """
+    if not text:
+        raise InputError(f"empty input: expected header {RECORDS_HEADER!r}")
     data = text.encode("utf-8", "surrogatepass") + bytes(8)
     size = len(data) - 8
     lines, routed, pairs = _scan_lines(data)
-    reader = _RowReader(data, lines[0], np.minimum(lines[1] + 1, size))
+    bounds = np.append(lines[0], size)
+    reader = csv.reader(_lines(data, bounds, 0, 1))
     try:
-        header, head = reader.row_at(0)
-    except StopIteration:
-        raise InputError(f"empty input: expected header {RECORDS_HEADER!r}") from None
+        header = next(reader)
     except csv.Error as exc:
         raise InputError(f"line 1: {exc}") from None
     if [h.strip() for h in header] != RECORDS_HEADER.split(","):
         raise InputError(f"line 1: expected header {RECORDS_HEADER!r}, got {','.join(header)!r}")
+    head = reader.line_num
     if head == len(routed):
         raise InputError("empty input: no data rows")
     covered = np.zeros(len(routed), dtype=bool)
@@ -445,36 +438,47 @@ def _record_columns(text: str) -> tuple[bytes, np.ndarray, np.ndarray, np.ndarra
     rows, unsplit = plain[split], plain[~split]
     positions, spans, valid, reroute = _split_fields(data, lines, rows, pairs)
     routed[rows[reroute]] = True
-    # The routed rows' first lines, and their fields one after another:
-    # keeping no list per row keeps the cyclic GC from rescanning them.
+    # csv.reader reads each run of routed lines in one piece, from where
+    # the row before ended, into one list per column: keeping no list per
+    # row keeps the cyclic GC from rescanning them. ``parsed`` takes each
+    # row's first line: its run's start or the line after the row before.
+    edges = np.diff(routed.view(np.int8), prepend=0, append=0)
+    starts, stops = np.flatnonzero(edges > 0), np.flatnonzero(edges < 0)
     parsed: list[int] = []
-    cells: list[str] = []
+    columns: tuple[list[str], list[str], list[str]] = ([], [], [])
+    add_first = parsed.append
+    add_paper, add_position, add_author = (column.append for column in columns)
     end = head
     try:
-        for k in np.flatnonzero(routed).tolist():
-            if k >= end:  # not a later line of the row before
-                row, end = reader.row_at(k)
-                if len(row) != 3:
-                    raise ValueError("a routed row has other than three fields")
-                parsed.append(k)
-                cells += row
-                if end > k + 1:
-                    covered[k:end] = True
-        covered[parsed] = True
+        for start, stop in zip(starts.tolist(), stops.tolist()):
+            if stop <= end:  # later lines of the row before
+                continue
+            start = max(start, end)
+            reader = csv.reader(_lines(data, bounds, start, stop))
+            add_first(start)
+            for paper_id, position, author in reader:  # a row of other than three fields is a ValueError
+                add_paper(paper_id)
+                add_position(position)
+                add_author(author)
+                add_first(end := start + reader.line_num)
+                if end >= stop:
+                    break
+            parsed.pop()
+            covered[start:end] = True
         bulk = ~covered[rows]
         if not (valid[bulk].all() and covered[unsplit].all()):
             raise ValueError("a bulk row is invalid")
-        fields, extra = _routed_fields(cells, size)
-    except (ValueError, csv.Error):  # an invalid row, or one csv.reader cannot read
+        routed_positions, routed_papers, routed_authors, extra = _routed_fields(*columns, size)
+    except (ValueError, OverflowError, csv.Error):  # an invalid row, or one csv.reader cannot read
         raise InputError(_record_fault(text)) from None
     papers, authors = spans[0], spans[2]
     if not bulk.all():
         positions, papers, authors = positions[bulk], papers[:, bulk], authors[:, bulk]
     if parsed:
         at = np.searchsorted(rows[bulk], parsed)
-        positions = np.insert(positions, at, fields[0])
-        papers = np.insert(papers, at, fields[1:3], axis=1)
-        authors = np.insert(authors, at, fields[3:5], axis=1)
+        positions = np.insert(positions, at, routed_positions)
+        papers = np.insert(papers, at, routed_papers, axis=1)
+        authors = np.insert(authors, at, routed_authors, axis=1)
         data = data[:size] + extra + bytes(8)
     codes = _span_groups(data, papers)
     order = np.lexsort((positions, codes))
@@ -498,7 +502,8 @@ def _scan_lines(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     is text; its commas are (0, 0) unless exactly two lie outside its
     pairs. Routed are the lines holding a NUL, a CR that does not end a
     CRLF, more bytes than csv.field_size_limit(), an odd number of
-    quotes, or quotes and other than two commas outside them.
+    quotes, two quotes side by side, or quotes and other than two commas
+    outside them.
     """
     size = len(data) - 8
     view = np.frombuffer(data, dtype=np.uint8)
@@ -526,6 +531,7 @@ def _scan_lines(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     quote_count = np.bincount(quote_lines, minlength=count)
     odd = quote_count % 2 == 1
     routed |= odd
+    routed[quote_lines[1:][np.diff(quotes) == 1]] = True  # a doubled quote, or an empty quoted field
     commas = kinds == 44
     commas, at = marks[commas], at[commas]
     # A comma is text when an odd number of its line's quotes come before it.
@@ -584,20 +590,14 @@ def _strip_spaces(data: bytes, spans: np.ndarray) -> np.ndarray:
     return whether a span left starts or ends with a space beyond ASCII, which it removes too."""
     view = np.frombuffer(data, dtype=np.uint8)
     starts, ends = spans
-    left = np.flatnonzero((ends > starts) & _IS_SPACE[view[starts]])
-    for _ in range(_STRIP_STEPS):
-        starts[left] += 1
-        left = left[(ends[left] > starts[left]) & _IS_SPACE[view[starts[left]]]]
-    right = np.flatnonzero((ends > starts) & _IS_SPACE[view[ends - 1]])
-    for _ in range(_STRIP_STEPS):
-        ends[right] -= 1
-        right = right[(ends[right] > starts[right]) & _IS_SPACE[view[ends[right] - 1]]]
-    # Longer runs, which a step per byte would take long over, are stripped one span at a time.
-    for i in np.union1d(left, right).tolist():
-        span = data[starts[i] : ends[i]]
-        stripped = len(span) - len(span.lstrip(_SPACES))
-        ends[i] = starts[i] + max(stripped, len(span.rstrip(_SPACES)))
-        starts[i] += stripped
+    padded = np.flatnonzero((ends > starts) & (_IS_SPACE[view[starts]] | _IS_SPACE[view[ends - 1]]))
+    lefts: list[int] = []
+    rights: list[int] = []
+    for start, end in zip(starts[padded].tolist(), ends[padded].tolist()):
+        rest = data[start:end].lstrip(_SPACES)
+        lefts.append(end - len(rest))
+        rights.append(end - len(rest) + len(rest.rstrip(_SPACES)))
+    starts[padded], ends[padded] = lefts, rights
     edges = np.flatnonzero((ends > starts) & ((view[starts] >= 128) | (view[ends - 1] >= 128)))
     # The last character of a span starts at most three continuation bytes before its end.
     last = ends[edges] - 1
@@ -636,27 +636,37 @@ def _parse_digits(
     return value, digits, wide
 
 
-def _routed_fields(cells: list[str], offset: int) -> tuple[np.ndarray, bytes]:
+def _routed_fields(
+    papers: list[str], positions: list[str], authors: list[str], offset: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, bytes]:
     """Positions and id and name spans of csv.reader's rows, and the bytes the spans index.
 
-    cells holds each row's three fields in turn. The stripped ids and
-    names are encoded one after another, and their spans start at
-    offset. An invalid row raises ValueError.
+    The stripped ids, then the stripped names, are encoded in one piece,
+    and their spans start at offset. An invalid row raises ValueError or,
+    for a position beyond int64, OverflowError.
     """
-    papers, positions, authors = list(map(str.strip, cells[0::3])), cells[1::3], list(map(str.strip, cells[2::3]))
+    papers, authors = list(map(str.strip, papers)), list(map(str.strip, authors))
     if not (all(papers) and all(authors)):
         raise ValueError("a routed row has an empty id or name")
     if not (all(map(str.isascii, positions)) and all(map(str.isdigit, positions))):
         raise ValueError("a routed row's position is not ASCII digits")
-    values = list(map(int, positions))  # beyond int()'s digit limit this is a ValueError too
-    if values and max(values) > MAX_LEVEL:
+    count = len(positions)
+    # Beyond int64 this is an OverflowError; beyond int()'s digit limit, a ValueError.
+    values = np.fromiter(map(int, positions), np.int64, count)
+    if count and values.max() > MAX_LEVEL:
         raise ValueError("a routed row's position is too large")
-    encoded = [field.encode("utf-8", "surrogatepass") for pair in zip(papers, authors) for field in pair]
-    bounds = offset + np.cumsum([0, *map(len, encoded)])
-    fields = np.empty((5, len(values)), dtype=np.int64)
-    fields[0], fields[1], fields[2], fields[4] = values, bounds[:-1:2], bounds[1::2], bounds[2::2]
-    fields[3] = fields[2]
-    return fields, b"".join(encoded)
+    fields = papers + authors
+    text = "".join(fields)
+    extra = text.encode("utf-8", "surrogatepass")
+    if len(extra) == len(text):  # only ASCII text takes one byte per character
+        sizes = map(len, fields)
+    else:
+        sizes = (len(field.encode("utf-8", "surrogatepass")) for field in fields)
+    bounds = np.zeros(2 * count + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(sizes, np.int64, 2 * count), out=bounds[1:])
+    bounds += offset
+    spans = np.stack((bounds[:-1], bounds[1:]))
+    return values, spans[:, :count], spans[:, count:], extra
 
 
 def _span_hash(words: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:

@@ -74,12 +74,15 @@ _KS_BLOCK_CELLS = 1 << 16
 # levels) 106-147 -> 91-132 ms, median 117 -> 106, at 3,000 authors
 # (20 x 103) 71-102 -> 76-93 ms; with 10 replicates at 3,000 authors
 # (10 x 103) 67-74 -> 66-78 ms and at 1,000 (10 x 67) 45-53 -> 41-62 ms;
-# fit mle --xmin auto --bootstrap 100 on 20 levels of 474 authors 87-100
-# -> 82-129 ms (median 91 -> 86), of 4,781 authors 152-179 -> 119-132 ms.
-# The smallest legal bootstrap, 100 replicates of 3 levels, is a single
-# chunk and takes 25-30 ms in one process; forked, before replicates were
-# fitted in batches, it took 97-105 ms. So the replicates fork only when
-# count x the populated levels one replicate holds reaches 2,000.
+# fit mle --xmin auto --bootstrap 100 on 4,781 authors 152-179 -> 119-132
+# ms. A bootstrap of 2,000-3,999 replicate levels, which the gate forked
+# only once it went from 4,000 to 2,000, is unresolved: on 20 levels of
+# 474 authors (100 x 20) it took 87-100 ms serial and 82-129 ms forked,
+# ranges that overlap. The smallest legal bootstrap, 100 replicates of 3
+# levels, is a single chunk and takes 25-30 ms in one process; forked,
+# before replicates were fitted in batches, it took 97-105 ms. So the
+# replicates fork only when count x the populated levels one replicate
+# holds reaches 2,000, so that bias at about 20 x 140 levels stays forked.
 _FORK_MIN_LEVELS = 2000
 
 # Candidate rows a chunk of replicates fits in one batch: about 9

@@ -269,10 +269,11 @@ _ODD_ROWS = [[], ["  "], ["P1", "1"], ["P1", "1", "A", "B"]]
 # Names csv.reader accepts and str.strip() may shorten: commas and newlines
 # inside quotes, doubled and stray quotes, a NUL, and at an edge letters
 # beyond ASCII, or spaces that str.strip() removes but bytes.strip() keeps:
-# U+00A0, U+2009, U+2028, U+3000 and \x1c. One is padded with more spaces
-# than the bulk pass strips a step at a time.
+# U+00A0, U+2009, U+2028, U+3000 and \x1c. One is padded with a run of
+# spaces; one spans three lines, the middle one spelt like a row.
 _NAMES = [
     "A", "B", " C ", " " * 12 + "D\t" + "\x1f" * 9, '"Smith, J."', '" Doe, J "', "\u00c5", "\u5f20\u4e09", "\u00a9C", '"Two\nlines"',
+    '"Three\nP9,1,Z\nlines"',
     '"O""Brien"', 'ab"c', '"a"b', "N\x00ul", "\u00a0A", "A\u3000", "\u2009B", "A\u2028", "\x1cA", "A\x1c ",
 ]
 
@@ -441,16 +442,20 @@ class TestParseRecords:
     def test_only_rows_the_bulk_pass_cannot_read_reach_csv_reader(self, monkeypatch, newline):
         # 2,000 plain rows, some with a name or every field wholly inside
         # a pair of quotes, which the bulk pass reads, and a few that it
-        # leaves to csv.reader: a doubled quote, a quoted name spanning two
-        # lines, a stray quote, a U+00A0 at a name's edge, a 25-digit position.
+        # leaves to csv.reader: two rows with a doubled quote in a run, a
+        # quoted name spanning two lines, a stray quote, a name spanning
+        # three lines whose middle one reads as a row, a U+00A0 at a name's
+        # edge, a 25-digit position.
         lines, irregular = [], []
         for i in range(1000):
             lines.append(f'"P{i}","1","Author {i % 97}"' if i % 11 == 0 else f"P{i},1,Author {i % 97}")
             lines.append(f'P{i},2,"Author{i % 89}, J."' if i % 7 == 0 else f"P{i},2,Coauthor {i}")
         for at, line, row in [
             (10, 'P5000,1,"O""Brien"', ["P5000", "1", 'O"Brien']),
+            (11, 'P5006,1,"O""Neil"', ["P5006", "1", 'O"Neil']),
             (500, 'P5001,1,"Two\nlines"', ["P5001", "1", "Two\nlines"]),
             (900, 'P5002,1,ab"c', ["P5002", "1", 'ab"c']),
+            (1200, 'P5004,1,"Three\nP5005,1,Z\nlines"', ["P5004", "1", "Three\nP5005,1,Z\nlines"]),
             (1500, "P5003,1,\u00a0Author 3", ["P5003", "1", "\u00a0Author 3"]),
             (1999, "P5003," + "0" * 24 + "2,B", ["P5003", "0" * 24 + "2", "B"]),
         ]:
@@ -460,10 +465,20 @@ class TestParseRecords:
         seen = []
         csv_reader = csv.reader
 
-        def reader(*args, **kwargs):
-            for row in csv_reader(*args, **kwargs):
-                seen.append(row)
-                yield row
+        class reader:  # csv.reader, noting each row it reads
+            def __init__(self, *args, **kwargs):
+                self.rows = csv_reader(*args, **kwargs)
+
+            def __iter__(self):
+                return self
+
+            def __next__(self):
+                seen.append(next(self.rows))
+                return seen[-1]
+
+            @property
+            def line_num(self):
+                return self.rows.line_num
 
         monkeypatch.setattr(csv, "reader", reader)
         records = parse_records(text)
