@@ -9,9 +9,9 @@ them. Ingestion from per-paper author records, right truncation,
 half-cutoff binning, and truncation reports all live here. A records
 file is tokenized in bulk over its UTF-8 bytes, and ids and names are
 grouped from their byte spans, so ingesting makes no string per field;
-csv.reader reads only the rows whose quoting or bytes the bulk pass
-cannot prove it would read the same way. Every operation is a pure
-function on immutable values.
+csv.reader reads the whole file instead when any row's quoting or bytes
+are such that the bulk pass cannot prove it would read them the same
+way. Every operation is a pure function on immutable values.
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ MAX_LEVEL = MAX_AUTHORS = 1 << 62
 # hundreds of MiB to build and write.
 MAX_BINS = 1 << 20
 RECORDS_HEADER = "paper_id,position,author"
+_NOT_INTEGERS = "levels and author counts must be integers"
 
 
 def _parse_int(text: str) -> int:
@@ -111,6 +112,10 @@ class FrequencyDistribution:
 
         The name is the dataclass hook's: bench/tracer.py times construction through it.
         """
+        try:
+            levels, counts = _integers(levels), _integers(counts)
+        except TypeError:
+            raise InputError(_NOT_INTEGERS) from None
         try:
             levels = np.array(levels, dtype=np.int64)
             counts = np.array(counts, dtype=np.int64)
@@ -194,7 +199,16 @@ def _first_fault(rows: Iterable[tuple[int, int]]) -> str:
         if level <= previous:
             return f"levels must be strictly increasing (level {level} out of order)"
         previous = level
-    return "levels and author counts must be integers"
+    return _NOT_INTEGERS
+
+
+def _integers(values: ArrayLike) -> ArrayLike:
+    """values if they are an int array, else a list of their ints; a
+    TypeError for any that is no integer, such as 1.5 or "1" (2.0 is one)."""
+    array = np.asarray(values)
+    if array.dtype.kind == "i":
+        return array
+    return [int(v) if isinstance(v, float) and v.is_integer() else operator.index(v) for v in array.tolist()]
 
 
 def _exact_totals(levels: np.ndarray, counts: np.ndarray) -> tuple[int, int]:
@@ -368,18 +382,6 @@ _BULK_DIGITS = 18
 _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 
 
-def _lines(data: bytes, bounds: np.ndarray, line: int, stop: int):
-    """The lines of data from ``line`` on, as io.StringIO yields them; line k is data[bounds[k]:bounds[k + 1]].
-
-    The lines before ``stop`` are decoded in one piece, later ones one at a time.
-    """
-    piece = data[bounds[line] : bounds[stop]].decode("utf-8", "surrogatepass")
-    # One line needs no io.StringIO, which takes longer to make than csv.reader takes to read it.
-    yield from io.StringIO(piece) if stop > line + 1 else (piece,)
-    for k in range(stop, len(bounds) - 1):
-        yield data[bounds[k] : bounds[k + 1]].decode("utf-8", "surrogatepass")
-
-
 def _record_columns(text: str) -> tuple[bytes, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Check a records file; return its bytes, positions, paper and author spans, codes and order.
 
@@ -389,9 +391,9 @@ def _record_columns(text: str) -> tuple[bytes, np.ndarray, np.ndarray, np.ndarra
     the two commas of a line that lie outside quotes end its fields, a
     field wholly inside a pair of quotes is read without them, the
     ASCII spaces str.strip() removes are stripped from ids and names, and
-    positions are parsed from their digits. A row goes to csv.reader,
-    from the line it starts on until it ends, wherever the bulk pass
-    cannot prove that csv.reader would read it the same way:
+    positions are parsed from their digits. The whole file goes to
+    csv.reader instead if any row is one the bulk pass cannot prove that
+    csv.reader would read the same way:
 
     * its line holds a quote that does not open or close a whole field:
       a quote that opens a field spanning lines, a doubled quote, or a
@@ -402,84 +404,55 @@ def _record_columns(text: str) -> tuple[bytes, np.ndarray, np.ndarray, np.ndarra
       such as U+00A0 or U+3000, which str.strip() also removes;
     * its position has more than 18 digits.
 
-    The header is csv.reader's too. One csv.reader reads each run of
-    consecutive routed lines, decoded in one piece, and the lines after
-    it only while its last row runs on. The stripped ids and names of
-    csv.reader's rows are appended to the text's bytes, so every id and
-    name is a (start, end) span of the returned bytes, which end in 8
-    zero bytes. Positions come back as int64 and spans as (2, rows)
-    arrays, rows in file order. Each row's paper code is the index of the
-    paper's first row, so codes order papers as the file first lists
-    them, and ``order`` sorts the rows by (code, position). The rows are
-    checked in bulk; when a check fails, _record_fault rescans the text
-    with csv.reader to word the first fault.
+    The header is csv.reader's either way. On the bulk route the ids and
+    names are spans of the text's bytes; on csv.reader's, of the bytes
+    of its stripped ids and names. Either bytes end in 8 zero bytes.
+    Positions come back as int64 and spans as (2, rows) arrays, rows in
+    file order. Each row's paper code is the index of the paper's first
+    row, so codes order papers as the file first lists them, and
+    ``order`` sorts the rows by (code, position). The rows are checked in
+    bulk; when a check fails, _record_fault rescans the text with
+    csv.reader to word the first fault.
     """
     if not text:
         raise InputError(f"empty input: expected header {RECORDS_HEADER!r}")
     data = text.encode("utf-8", "surrogatepass") + bytes(8)
-    size = len(data) - 8
     lines, routed, pairs = _scan_lines(data)
-    bounds = np.append(lines[0], size)
-    reader = csv.reader(_lines(data, bounds, 0, 1))
+    # A line outside quotes that does not split in three is an invalid row.
+    rows = np.flatnonzero(lines[3, 1:] > 0) + 1
+    bulk = not routed.any()
+    if bulk:
+        positions, spans, valid, reroute = _split_fields(data, lines, rows, pairs)
+        bulk = not reroute.any()
+    if bulk:
+        header_end = lines[0, 1] if len(routed) > 1 else len(data) - 8
+        reader = csv.reader([data[:header_end].decode("utf-8", "surrogatepass")])
+    else:
+        reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
     except csv.Error as exc:
         raise InputError(f"line 1: {exc}") from None
     if [h.strip() for h in header] != RECORDS_HEADER.split(","):
         raise InputError(f"line 1: expected header {RECORDS_HEADER!r}, got {','.join(header)!r}")
-    head = reader.line_num
-    if head == len(routed):
-        raise InputError("empty input: no data rows")
-    covered = np.zeros(len(routed), dtype=bool)
-    covered[:head] = routed[:head] = True
-    plain = np.flatnonzero(~routed)
-    # A line outside quotes that does not split in three is invalid unless a routed row covers it.
-    split = lines[3, plain] > 0
-    rows, unsplit = plain[split], plain[~split]
-    positions, spans, valid, reroute = _split_fields(data, lines, rows, pairs)
-    routed[rows[reroute]] = True
-    # csv.reader reads each run of routed lines in one piece, from where
-    # the row before ended, into one list per column: keeping no list per
-    # row keeps the cyclic GC from rescanning them. ``parsed`` takes each
-    # row's first line: its run's start or the line after the row before.
-    edges = np.diff(routed.view(np.int8), prepend=0, append=0)
-    starts, stops = np.flatnonzero(edges > 0), np.flatnonzero(edges < 0)
-    parsed: list[int] = []
-    columns: tuple[list[str], list[str], list[str]] = ([], [], [])
-    add_first = parsed.append
-    add_paper, add_position, add_author = (column.append for column in columns)
-    end = head
-    try:
-        for start, stop in zip(starts.tolist(), stops.tolist()):
-            if stop <= end:  # later lines of the row before
-                continue
-            start = max(start, end)
-            reader = csv.reader(_lines(data, bounds, start, stop))
-            add_first(start)
+    if bulk:
+        if not valid.all() or len(rows) < len(routed) - 1:
+            raise InputError(_record_fault(text))
+        papers, authors = spans[0], spans[2]
+    else:
+        # One list per column, not one per row, keeps the cyclic GC from rescanning them.
+        columns: tuple[list[str], list[str], list[str]] = ([], [], [])
+        add_paper, add_position, add_author = (column.append for column in columns)
+        try:
             for paper_id, position, author in reader:  # a row of other than three fields is a ValueError
                 add_paper(paper_id)
                 add_position(position)
                 add_author(author)
-                add_first(end := start + reader.line_num)
-                if end >= stop:
-                    break
-            parsed.pop()
-            covered[start:end] = True
-        bulk = ~covered[rows]
-        if not (valid[bulk].all() and covered[unsplit].all()):
-            raise ValueError("a bulk row is invalid")
-        routed_positions, routed_papers, routed_authors, extra = _routed_fields(*columns, size)
-    except (ValueError, OverflowError, csv.Error):  # an invalid row, or one csv.reader cannot read
-        raise InputError(_record_fault(text)) from None
-    papers, authors = spans[0], spans[2]
-    if not bulk.all():
-        positions, papers, authors = positions[bulk], papers[:, bulk], authors[:, bulk]
-    if parsed:
-        at = np.searchsorted(rows[bulk], parsed)
-        positions = np.insert(positions, at, routed_positions)
-        papers = np.insert(papers, at, routed_papers, axis=1)
-        authors = np.insert(authors, at, routed_authors, axis=1)
-        data = data[:size] + extra + bytes(8)
+            positions, papers, authors, data = _routed_fields(*columns)
+        except (ValueError, OverflowError, csv.Error):  # an invalid row, or one csv.reader cannot read
+            raise InputError(_record_fault(text)) from None
+    if not len(positions):
+        raise InputError("empty input: no data rows")
     codes = _span_groups(data, papers)
     order = np.lexsort((positions, codes))
     repeated = (np.diff(codes[order]) == 0) & (np.diff(positions[order]) == 0)
@@ -637,13 +610,13 @@ def _parse_digits(
 
 
 def _routed_fields(
-    papers: list[str], positions: list[str], authors: list[str], offset: int
+    papers: list[str], positions: list[str], authors: list[str]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, bytes]:
     """Positions and id and name spans of csv.reader's rows, and the bytes the spans index.
 
     The stripped ids, then the stripped names, are encoded in one piece,
-    and their spans start at offset. An invalid row raises ValueError or,
-    for a position beyond int64, OverflowError.
+    followed by 8 zero bytes. An invalid row raises ValueError or, for a
+    position beyond int64, OverflowError.
     """
     papers, authors = list(map(str.strip, papers)), list(map(str.strip, authors))
     if not (all(papers) and all(authors)):
@@ -657,16 +630,15 @@ def _routed_fields(
         raise ValueError("a routed row's position is too large")
     fields = papers + authors
     text = "".join(fields)
-    extra = text.encode("utf-8", "surrogatepass")
-    if len(extra) == len(text):  # only ASCII text takes one byte per character
+    data = text.encode("utf-8", "surrogatepass")
+    if len(data) == len(text):  # only ASCII text takes one byte per character
         sizes = map(len, fields)
     else:
         sizes = (len(field.encode("utf-8", "surrogatepass")) for field in fields)
     bounds = np.zeros(2 * count + 1, dtype=np.int64)
     np.cumsum(np.fromiter(sizes, np.int64, 2 * count), out=bounds[1:])
-    bounds += offset
     spans = np.stack((bounds[:-1], bounds[1:]))
-    return values, spans[:, :count], spans[:, count:], extra
+    return values, spans[:, :count], spans[:, count:], data + bytes(8)
 
 
 def _span_hash(words: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:

@@ -58,6 +58,14 @@ class TestFrequencyDistribution:
             FrequencyDistribution(((2, 5), (1, 3)))
         with pytest.raises(InputError):
             FrequencyDistribution(((1, -1),))
+        # Levels and counts are never truncated or parsed into integers.
+        for levels, counts in [([1.5], [2]), ([1.7, 3], [2.9, 1]), (["1", "2"], [1, 1]), ([1], [float("nan")])]:
+            with pytest.raises(InputError, match="^levels and author counts must be integers$"):
+                FrequencyDistribution.from_arrays(levels, counts)
+        with pytest.raises(InputError, match="^levels and author counts must be integers$"):
+            FrequencyDistribution([(1.5, 2)])
+        assert FrequencyDistribution([(1, 2.0), (2.0, 1)]).entries == ((1, 2), (2, 1))
+        assert FrequencyDistribution.from_arrays(np.array([1.0, 3.0]), [2, 1]).entries == ((1, 2), (3, 1))
 
     def test_name_not_compared(self):
         a = FrequencyDistribution.from_counts({1: 1}, name="a")
@@ -270,11 +278,16 @@ _ODD_ROWS = [[], ["  "], ["P1", "1"], ["P1", "1", "A", "B"]]
 # inside quotes, doubled and stray quotes, a NUL, and at an edge letters
 # beyond ASCII, or spaces that str.strip() removes but bytes.strip() keeps:
 # U+00A0, U+2009, U+2028, U+3000 and \x1c. One is padded with a run of
-# spaces; one spans three lines, the middle one spelt like a row.
-_NAMES = [
-    "A", "B", " C ", " " * 12 + "D\t" + "\x1f" * 9, '"Smith, J."', '" Doe, J "', "\u00c5", "\u5f20\u4e09", "\u00a9C", '"Two\nlines"',
-    '"Three\nP9,1,Z\nlines"',
-    '"O""Brien"', 'ab"c', '"a"b', "N\x00ul", "\u00a0A", "A\u3000", "\u2009B", "A\u2028", "\x1cA", "A\x1c ",
+# spaces; one spans three lines, the middle one spelt like a row. The bulk
+# pass reads the names of _BULK_NAMES; any other sends its whole file to
+# csv.reader.
+_BULK_NAMES = [
+    "A", "B", " C ", " " * 12 + "D\t" + "\x1f" * 9, '"Smith, J."', '" Doe, J "', "\u00c5", "\u5f20\u4e09", "\u00a9C",
+    "\x1cA", "A\x1c ",
+]
+_NAMES = _BULK_NAMES + [
+    '"Two\nlines"', '"Three\nP9,1,Z\nlines"',
+    '"O""Brien"', 'ab"c', '"a"b', "N\x00ul", "\u00a0A", "A\u3000", "\u2009B", "A\u2028",
 ]
 
 
@@ -285,21 +298,27 @@ def _valid_rows(draw):
     padded or quoted from row to row, or holds a comma or a stray quote,
     a name may span two lines, a row may end in a CR (a CRLF once
     joined), and the rows of all papers are shuffled together, so one
-    paper's rows need not be adjacent."""
+    paper's rows need not be adjacent. In about half the draws every
+    id, position and name is one the bulk pass reads, so unless the file
+    ends in a lone CR it is not sent to csv.reader."""
+    bulk = draw(st.booleans())
     sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=6))
-    names = st.sampled_from(_NAMES)
+    names = st.sampled_from(_BULK_NAMES if bulk else _NAMES)
     ends = st.sampled_from(["", "", "\r"])
     rows = []
     for i, k in enumerate(sizes):
-        spellings = draw(st.sampled_from([
+        spellings = [
             [f'"P,{i}"', f'" P,{i}"'],
-            [f'P"{i}', f' P"{i} '],
-            [f"P{i}", f" P{i} ", f'"P{i}"', f"\u00a0P{i}", f"P{i}\u3000", f"\x1cP{i}"],
-        ]))
+            [f"P{i}", f" P{i} ", f'"P{i}"', f"\x1cP{i}"],
+        ]
+        if not bulk:
+            spellings[1] += [f"\u00a0P{i}", f"P{i}\u3000"]
+            spellings.append([f'P"{i}', f' P"{i} '])
+        spellings = draw(st.sampled_from(spellings))
         rows.extend(
             [
                 draw(st.sampled_from(spellings)),
-                draw(st.sampled_from([str(p), f"0{p}", "0" * 25 + str(p), f'"{p}"'])),
+                draw(st.sampled_from([str(p), f"0{p}", f'"{p}"'] + ([] if bulk else ["0" * 25 + str(p)]))),
                 draw(names) + draw(ends),
             ]
             for p in range(1, k + 1)
@@ -439,28 +458,30 @@ class TestParseRecords:
         assert dist.total_works == len(records)
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
-    def test_only_rows_the_bulk_pass_cannot_read_reach_csv_reader(self, monkeypatch, newline):
-        # 2,000 plain rows, some with a name or every field wholly inside
-        # a pair of quotes, which the bulk pass reads, and a few that it
-        # leaves to csv.reader: two rows with a doubled quote in a run, a
-        # quoted name spanning two lines, a stray quote, a name spanning
-        # three lines whose middle one reads as a row, a U+00A0 at a name's
-        # edge, a 25-digit position.
-        lines, irregular = [], []
+    @pytest.mark.parametrize("irregular", [
+        None,
+        (10, 'P5000,1,"O""Brien"'),
+        (11, 'P5006,1,"O""Neil"'),
+        (500, 'P5001,1,"Two\nlines"'),
+        (900, 'P5002,1,ab"c'),
+        (1200, 'P5004,1,"Three\nP5005,1,Z\nlines"'),
+        (1500, "P5003,1,\u00a0Author 3"),
+        (1999, "P5007," + "0" * 24 + "1,B"),
+    ], ids=["none", "doubled-quote", "doubled-quote-2", "two-lines", "stray-quote", "three-lines", "nbsp-edge",
+            "25-digits"])
+    def test_csv_reader_reads_all_rows_or_none(self, monkeypatch, newline, irregular):
+        # 2,000 rows, some with a name or every field wholly inside a pair
+        # of quotes, which the bulk pass reads: csv.reader reads only the
+        # header. With one row it cannot prove csv.reader reads alike (a
+        # doubled quote, a name spanning two lines, a stray quote, a name
+        # spanning three lines whose middle one reads as a row, a U+00A0 at
+        # a name's edge, a 25-digit position), csv.reader reads every row.
+        lines = []
         for i in range(1000):
             lines.append(f'"P{i}","1","Author {i % 97}"' if i % 11 == 0 else f"P{i},1,Author {i % 97}")
             lines.append(f'P{i},2,"Author{i % 89}, J."' if i % 7 == 0 else f"P{i},2,Coauthor {i}")
-        for at, line, row in [
-            (10, 'P5000,1,"O""Brien"', ["P5000", "1", 'O"Brien']),
-            (11, 'P5006,1,"O""Neil"', ["P5006", "1", 'O"Neil']),
-            (500, 'P5001,1,"Two\nlines"', ["P5001", "1", "Two\nlines"]),
-            (900, 'P5002,1,ab"c', ["P5002", "1", 'ab"c']),
-            (1200, 'P5004,1,"Three\nP5005,1,Z\nlines"', ["P5004", "1", "Three\nP5005,1,Z\nlines"]),
-            (1500, "P5003,1,\u00a0Author 3", ["P5003", "1", "\u00a0Author 3"]),
-            (1999, "P5003," + "0" * 24 + "2,B", ["P5003", "0" * 24 + "2", "B"]),
-        ]:
-            lines.insert(at, line)
-            irregular.append(row)
+        if irregular:
+            lines.insert(*irregular)
         text = newline.join(["paper_id,position,author", *lines, ""])
         seen = []
         csv_reader = csv.reader
@@ -476,14 +497,12 @@ class TestParseRecords:
                 seen.append(next(self.rows))
                 return seen[-1]
 
-            @property
-            def line_num(self):
-                return self.rows.line_num
-
         monkeypatch.setattr(csv, "reader", reader)
         records = parse_records(text)
-        assert seen == [["paper_id", "position", "author"], *irregular]
         monkeypatch.undo()
+        every_row = list(csv.reader(io.StringIO(text)))
+        assert len(every_row) == (2002 if irregular else 2001)
+        assert seen == (every_row if irregular else every_row[:1])
         assert records == _row_loop_parse_records(text)
 
     @pytest.mark.parametrize("span_hash", [
