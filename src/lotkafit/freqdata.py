@@ -62,6 +62,7 @@ MAX_LEVEL = MAX_AUTHORS = 1 << 62
 MAX_BINS = 1 << 20
 RECORDS_HEADER = "paper_id,position,author"
 _NOT_INTEGERS = "levels and author counts must be integers"
+_NOT_PARALLEL = "levels and author counts must be 1-D arrays of equal length"
 
 
 def _parse_int(text: str) -> int:
@@ -112,6 +113,12 @@ class FrequencyDistribution:
 
         The name is the dataclass hook's: bench/tracer.py times construction through it.
         """
+        try:
+            levels, counts = np.asarray(levels), np.asarray(counts)
+        except ValueError:  # ragged nesting
+            raise InputError(_NOT_PARALLEL) from None
+        if levels.ndim != 1 or levels.shape != counts.shape:
+            raise InputError(_NOT_PARALLEL)
         try:
             levels, counts = _integers(levels), _integers(counts)
         except TypeError:

@@ -9,8 +9,14 @@ one fit path, _fit_tails, and it fits every xmin candidate of a padded
 batch of datasets in one vectorized pass: suffix sums give each tail's
 count and mean log level, a safeguarded Newton iteration runs all
 candidates in lockstep, and the KS distances come from zeta values at
-the observed levels only. select_xmin and mle_alpha are its batches of
-one dataset; each fit in a batch is the same float for float as alone.
+the observed levels only. Only the least KS distance of each dataset is
+ever used, so a cheap lower bound on every candidate's distance (its
+largest gap over the first _KS_HEAD levels of its tail) rules most of
+them out: the full distance is computed for the candidate of least bound
+and then for every candidate whose bound does not exceed that distance,
+which leaves the argmin, ties included, as a full scan would find it.
+select_xmin and mle_alpha are its batches of one dataset; each fit in a
+batch is the same float for float as alone.
 compare_methods and bias_experiment put this estimator next to the
 historical log-log regression and measure how far the two disagree. The
 bootstrap and the bias experiment hand their replicates to one runner,
@@ -65,6 +71,10 @@ _NEWTON_MAX_ITER = 100
 
 # Largest block of candidates x levels model-CDF cells the KS pass holds.
 _KS_BLOCK_CELLS = 1 << 16
+
+# Levels at the head of each candidate's tail whose largest gap bounds
+# its KS distance from below (see _least_ks).
+_KS_HEAD = 8
 
 # Forking replicate workers costs a few ms, which only pays when the
 # replicates after the first cost more than that together. Measured on a
@@ -204,6 +214,7 @@ def _ks(
     starts: np.ndarray,
     alpha: np.ndarray,
     normalizer: np.ndarray,
+    head: int | None = None,
 ) -> np.ndarray:
     """KS distance of each candidate tail levels[sets[i], starts[i]:] from its model.
 
@@ -217,7 +228,12 @@ def _ks(
     block's lowest start to the top, so for one dataset the cost is O(L)
     per candidate and the memory bounded. Every cell is the same float
     whatever block it lands in, so the distances do not depend on the
-    batch.
+    batch. With ``head``, each candidate's largest gap over only the first
+    ``head`` columns of its tail is returned instead (a tail narrower than
+    that repeats the batch's last column, whose gap is the row's last):
+    a subset of its cells, so an exact lower bound on its KS distance.
+    Those blocks gather each row's own columns, _KS_BLOCK_CELLS // head
+    rows at a time.
     """
     cum = np.cumsum(counts, axis=1)
     before = cum[sets, starts] - counts[sets, starts]
@@ -225,6 +241,19 @@ def _ks(
     next_levels = (levels + 1).astype(float)
     top = levels.shape[1]
     ks = np.empty(len(starts))
+
+    def gaps(rows: slice, block: np.ndarray, cols: slice | np.ndarray) -> np.ndarray:
+        model = 1.0 - _zeta(alpha[rows], next_levels[block, cols]) / normalizer[rows, None]
+        empirical = (cum[block, cols] - before[rows, None]) / n_tail[rows, None]
+        return np.abs(empirical - model)
+
+    if head is not None:
+        step = _KS_BLOCK_CELLS // head
+        for r0 in range(0, len(starts), step):
+            rows = slice(r0, r0 + step)
+            cols = np.minimum(starts[rows, None] + np.arange(head), top - 1)
+            ks[rows] = gaps(rows, sets[rows, None], cols).max(axis=1)
+        return ks
     r0 = 0
     while r0 < len(starts):
         cap = max(1, _KS_BLOCK_CELLS // (top - int(starts[r0])))
@@ -235,12 +264,45 @@ def _ks(
         rows = slice(r0, r1)
         # Rows of one dataset share its levels, which then broadcast.
         block = sets[rows] if sets[r0] != sets[r1 - 1] else sets[r0 : r0 + 1]
-        model = 1.0 - _zeta(alpha[rows], next_levels[block, first:]) / normalizer[rows, None]
-        empirical = (cum[block, first:] - before[rows, None]) / n_tail[rows, None]
-        gap = np.abs(empirical - model)
+        gap = gaps(rows, block, slice(first, None))
         gap[np.arange(top - first)[None, :] < (starts[rows] - first)[:, None]] = 0.0
         ks[rows] = gap.max(axis=1)
         r0 = r1
+    return ks
+
+
+def _least_ks(
+    levels: np.ndarray,
+    counts: np.ndarray,
+    sets: np.ndarray,
+    starts: np.ndarray,
+    alpha: np.ndarray,
+    normalizer: np.ndarray,
+) -> np.ndarray:
+    """_ks of every candidate that may hold its dataset's least KS distance; +inf for the rest.
+
+    Arguments are as for _ks. Each candidate's bound is its largest gap
+    over the first _KS_HEAD levels of its tail, which no full distance
+    undercuts. Round 1 fully evaluates, per dataset, the candidate of
+    least bound (the first of them on a tie); round 2 fully evaluates, in
+    one _ks call, every other candidate whose bound is <= its dataset's
+    round-1 distance. A candidate left out has a distance at least its
+    bound, so above the round-1 one and so above the least: it can
+    neither be the least nor tie with it. Every candidate at the least
+    distance is evaluated, exactly, so the first of them (the smallest
+    xmin) is the same as in a full scan.
+    """
+    firsts = np.flatnonzero(np.diff(sets, prepend=-1))
+    if len(firsts) == len(sets):
+        return _ks(levels, counts, sets, starts, alpha, normalizer)
+    bound = _ks(levels, counts, sets, starts, alpha, normalizer, head=_KS_HEAD)
+    seeds = np.lexsort((bound, sets))[firsts]
+    ks = np.full(len(sets), np.inf)
+    ks[seeds] = _ks(levels, counts, sets[seeds], starts[seeds], alpha[seeds], normalizer[seeds])
+    again = bound <= np.repeat(ks[seeds], np.diff(firsts, append=len(sets)))
+    again[seeds] = False
+    rows = np.flatnonzero(again)
+    ks[rows] = _ks(levels, counts, sets[rows], starts[rows], alpha[rows], normalizer[rows])
     return ks
 
 
@@ -254,7 +316,12 @@ def ks_distance(dist: FrequencyDistribution, model: PowerLawModel) -> float:
 
 @dataclass(frozen=True)
 class _TailFits:
-    """Per-candidate results of _fit_tails; see there."""
+    """Per-candidate results of _fit_tails; see there.
+
+    ``ks`` is NaN for a candidate pinned at the bracket edge and +inf for
+    one whose KS bound rules it out of its dataset's least distance (see
+    _least_ks); either way it cannot be selected.
+    """
 
     alpha: np.ndarray
     ks: np.ndarray
@@ -293,6 +360,8 @@ def _fit_tails(
     row against all the xmins. The other candidates run a Newton
     iteration in lockstep that falls back to bisection whenever a step
     leaves the bracket known to hold the root, starting from [lo, hi].
+    Their KS distances come from _least_ks: exact for every candidate
+    that may hold its dataset's least distance, +inf for the others.
     """
     log_levels = np.log(levels.astype(float))
     n_tail = np.cumsum(counts[:, ::-1], axis=1)[:, ::-1][sets, starts]
@@ -335,7 +404,7 @@ def _fit_tails(
         fitted = alpha[inside]
         normalizer = _zeta(fitted, x[inside, None])[:, 0]
         log_likelihood[inside] = -fitted * total_log[inside] - n_tail[inside] * np.log(normalizer)
-        ks[inside] = _ks(levels, counts, sets[inside], starts[inside], fitted, normalizer)
+        ks[inside] = _least_ks(levels, counts, sets[inside], starts[inside], fitted, normalizer)
     return _TailFits(alpha, ks, log_likelihood, n_tail, xmins)
 
 
@@ -421,7 +490,12 @@ def select_xmin(dist: FrequencyDistribution) -> MleResult:
     tail of at least two distinct levels beyond the candidate); ties in
     KS go to the smallest xmin, which keeps the most data. All candidates
     are fitted together, as the one-dataset case of the batch fit
-    (_fit_batch); one pinned to the bracket edge is skipped.
+    (_fit_batch); one pinned to the bracket edge is skipped. The full KS
+    distance is computed only for candidates whose bound, their largest
+    gap over the first _KS_HEAD levels of the tail, does not exceed the
+    full distance of the candidate of least bound (see _least_ks); the
+    others cannot hold the least distance, so the result, ties included,
+    is that of a full scan.
     """
     return _unwrap(_fit_batch([dist])[0])
 

@@ -1,7 +1,10 @@
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -32,6 +35,19 @@ def ca_file(tmp_path, ca_dist):
     path = tmp_path / "ca.csv"
     write_distribution(ca_dist, path)
     return str(path)
+
+
+@pytest.mark.parametrize("module", ["lotkafit", "lotkafit.cli"])
+def test_python_m_runs_the_cli(module):
+    # Both module forms reach the parser: fit mle without --dist is a usage error.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", module, "fit", "mle"], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert "the following arguments are required: --dist" in done.stderr
 
 
 def run_cli(capsys, argv):

@@ -67,6 +67,11 @@ class TestFrequencyDistribution:
         assert FrequencyDistribution([(1, 2.0), (2.0, 1)]).entries == ((1, 2), (2, 1))
         assert FrequencyDistribution.from_arrays(np.array([1.0, 3.0]), [2, 1]).entries == ((1, 2), (3, 1))
 
+    def test_rejects_arrays_that_are_not_parallel_and_1d(self):
+        for levels, counts in [([1, 2], [1]), (5, 1), ([[1, 2]], [[1, 1]]), ([[1], [1, 2]], [1, 2])]:
+            with pytest.raises(InputError, match="^levels and author counts must be 1-D arrays of equal length$"):
+                FrequencyDistribution.from_arrays(levels, counts)
+
     def test_name_not_compared(self):
         a = FrequencyDistribution.from_counts({1: 1}, name="a")
         b = FrequencyDistribution.from_counts({1: 1}, name="b")

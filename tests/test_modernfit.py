@@ -29,7 +29,15 @@ from lotkafit import (
 from lotkafit.freqdata import _tally, truncate_right
 from lotkafit.loglogfit import Denominator, fit_historical
 from lotkafit.lotkamodel import ALPHA_DOMAIN, _CdfTable, _zeta
-from lotkafit.modernfit import _EDGE, _KS_BLOCK_CELLS, _fit_batch, _fit_tails
+from lotkafit.modernfit import (
+    _EDGE,
+    _KS_BLOCK_CELLS,
+    _KS_HEAD,
+    _fit_batch,
+    _fit_tails,
+    _ks,
+    _least_ks,
+)
 
 
 @pytest.fixture(scope="module")
@@ -292,6 +300,24 @@ _distributions = st.one_of(
 ).filter(lambda counts: any(counts.values())).map(FrequencyDistribution.from_counts)
 
 
+def spy_ks_blocks(monkeypatch):
+    """The (rows, columns) of every KS evaluator call from now on, as a list that fills.
+
+    KS calls are the only ones without derivatives whose start points
+    span more than one column.
+    """
+    shapes = []
+
+    def spy(alpha, starts, derivatives=False):
+        shape = np.shape(starts)
+        if not derivatives and shape[1] > 1:
+            shapes.append((max(len(alpha), shape[0]), shape[1]))
+        return _zeta(alpha, starts, derivatives)
+
+    monkeypatch.setattr(modernfit, "_zeta", spy)
+    return shapes
+
+
 def fit_outcome(fit, *args):
     """What a one-dataset fit returns: the MleResult, or the DegenerateFitError's message."""
     try:
@@ -327,26 +353,123 @@ class TestFitBatch:
         assert [o for part in parts for o in batch_outcomes(part, xmin)] == alone
 
     def test_ks_blocks_stay_within_the_cell_bound(self, monkeypatch):
-        # No KS evaluator call of a batch takes more than _KS_BLOCK_CELLS
-        # model-CDF cells, at 1e5 authors, while the blocks still cover
-        # every candidate's tail. KS calls are the only ones without
-        # derivatives whose start points span more than one column.
-        cells = []
-
-        def spy(alpha, starts, derivatives=False):
-            shape = np.shape(starts)
-            if not derivatives and shape[1] > 1:
-                cells.append(max(len(alpha), shape[0]) * shape[1])
-            return _zeta(alpha, starts, derivatives)
-
-        monkeypatch.setattr(modernfit, "_zeta", spy)
+        # No KS evaluator call of a batch, bound pass or full pass, takes
+        # more than _KS_BLOCK_CELLS model-CDF cells, at 1e5 authors, and
+        # the bound leaves under a tenth of the tails' cells to evaluate.
+        shapes = spy_ks_blocks(monkeypatch)
         dists = [sample(PowerLawModel(2.0, 1), authors, 5) for authors in (100_000, 3000, 100_000)]
         fits = _fit_batch(dists)
+        cells = [rows * cols for rows, cols in shapes]
         assert fits == [select_xmin(d) for d in dists]
         tails = sum(n * (n + 1) // 2 - 3 for n in (len(d.populated_arrays[0]) for d in dists))
         assert len(cells) > 1
+        assert max(rows * cols for rows, cols in shapes) <= _KS_BLOCK_CELLS
+        assert sum(cells) < tails / 10
+
+    def test_ks_blocks_stay_within_the_cell_bound_when_nothing_is_pruned(self, monkeypatch):
+        # A zipf-1.3 law cut off at level 2,000: each tail follows its model
+        # over its first levels and strays only deep, at the cut, so no
+        # bound exceeds the full distance of the candidate of least bound.
+        # In a batch of six copies, every candidate is then evaluated in
+        # full, exactly as a full scan; the bound pass, at over 8,192
+        # candidates, takes several blocks; and still no evaluator call
+        # exceeds the cell bound.
+        k = np.arange(1, 2001)
+        expected = np.round(1e6 * k**-1.3 / (k**-1.3).sum()).astype(np.int64)
+        row, row_counts = FrequencyDistribution.from_arrays(k, expected).populated_arrays
+        levels, counts = np.tile(row, (6, 1)), np.tile(row_counts, (6, 1))
+        starts = np.tile(np.arange(len(row) - 2), 6)
+        sets = np.repeat(np.arange(6), len(row) - 2)
+        shapes = spy_ks_blocks(monkeypatch)
+        fits = _fit_tails(levels, counts, sets, starts, levels[sets, starts])
+        monkeypatch.undo()
+        inside = np.flatnonzero(~np.isnan(fits.ks))
+        assert len(inside) * _KS_HEAD > _KS_BLOCK_CELLS
+        assert np.isfinite(fits.ks[inside]).all()
+        cells = [rows * cols for rows, cols in shapes]
         assert max(cells) <= _KS_BLOCK_CELLS
-        assert sum(cells) >= tails
+        assert sum(rows for rows, cols in shapes if cols == _KS_HEAD) == len(inside)
+        assert sum(cells) >= sum(len(row) - starts[inside])
+        alpha = fits.alpha[inside]
+        normalizer = _zeta(alpha, levels[sets[inside], starts[inside], None].astype(float))[:, 0]
+        full = _ks(levels, counts, sets[inside], starts[inside], alpha, normalizer)
+        assert fits.ks[inside].tobytes() == full.tobytes()
+
+
+def poisson_body_zipf_tail(authors, seed):
+    """Half the authors from a Poisson body near level 4, half from a zipf-2.3 tail from 8."""
+    tail = sample(PowerLawModel(2.3, 8), authors // 2, seed)
+    body = np.random.default_rng(seed).poisson(3.0, authors - authors // 2) + 1
+    return _tally(np.concatenate([body, np.repeat(tail.levels, tail.counts)]), "mixture")
+
+
+class TestPrunedKs:
+    """select_xmin computes the full KS distance only where its bound cannot rule it out."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(d=_distributions)
+    def test_equals_brute_force(self, d):
+        expected = brute_force_select(d)
+        if expected is None:
+            populated = len(d.populated_arrays[0])
+            expected = (
+                f"need >= 3 distinct populated levels to select xmin, got {populated}"
+                if populated < 3
+                else "no xmin candidate produced a non-degenerate fit"
+            )
+        assert fit_outcome(select_xmin, d) == expected
+
+    def test_equals_brute_force_on_mixtures_alone_and_batched(self):
+        # A Poisson body under a zipf tail puts the best xmin at 6-15, so the
+        # candidate of least bound is rarely the selected one.
+        dists = [poisson_body_zipf_tail(3000, seed) for seed in (1, 2, 3, 4)]
+        dists += [poisson_body_zipf_tail(20_000, seed) for seed in (1, 2)]
+        expected = [brute_force_select(d) for d in dists]
+        assert all(6 <= fit.xmin <= 15 for fit in expected)
+        assert [select_xmin(d) for d in dists] == expected
+        assert _fit_batch(dists) == expected
+
+    def test_tie_prefers_smallest_xmin_over_the_least_bound(self):
+        # Two candidates at exactly the least distance, 1/4. The smaller
+        # xmin is not the candidate of least bound: its distance is reached
+        # within its first levels, so its bound equals the round-1 distance
+        # and only a bound test with <= evaluates it. At exponents 10 and 3
+        # each model CDF is exactly 1 from level 1,000 and at 2^61, so those
+        # gaps are exact fractions of the authors above them.
+        levels = np.array([1, 1000, *range(2000, 2008), 2**61, 2**62])
+        counts = np.array([29_999, 1, *[10] * 8, 7_420, 2_500])
+        sets = np.zeros(2, dtype=np.intp)
+        starts = np.array([0, 2])
+        alpha = np.array([10.0, 3.0])
+        normalizer = _zeta(alpha, levels[starts, None].astype(float))[:, 0]
+        args = (levels[None, :], counts[None, :], sets, starts, alpha, normalizer)
+        bound = _ks(*args, head=_KS_HEAD)
+        assert bound[1] < bound[0] == 0.25
+        assert _least_ks(*args).tolist() == _ks(*args).tolist() == [0.25, 0.25]
+
+    def test_gathered_cells_equal_broadcast_cells(self):
+        # The bound is exact because every KS cell is the same float in any
+        # block: a model-CDF cell against per-row gathered levels, as in a
+        # bound block or a block of several datasets, is bit for bit the
+        # cell of the one-dataset block where the levels broadcast. Levels
+        # lie on both sides of the evaluator's dense/tail switch at 64.
+        d = sample(PowerLawModel(1.5, 1), 4000, 8)
+        levels, counts = d.populated_arrays
+        starts = np.arange(len(levels) - 2)
+        sets = np.zeros_like(starts)
+        fits = _fit_tails(levels[None, :], counts[None, :], sets, starts, levels[starts])
+        inside = np.flatnonzero(~np.isnan(fits.ks))
+        alpha = fits.alpha[inside]
+        next_levels = (levels + 1).astype(float)
+        cols = np.minimum(starts[inside, None] + np.arange(_KS_HEAD), len(levels) - 1)
+        broadcast = _zeta(alpha, next_levels[None, :])
+        gathered = _zeta(alpha, next_levels[cols])
+        assert gathered.tobytes() == np.take_along_axis(broadcast, cols, axis=1).tobytes()
+        # A head as wide as the batch covers every cell: the bound pass then
+        # gives each full distance, bit for bit.
+        normalizer = _zeta(alpha, levels[inside, None].astype(float))[:, 0]
+        args = (levels[None, :], counts[None, :], sets[inside], starts[inside], alpha, normalizer)
+        assert _ks(*args, head=len(levels)).tobytes() == _ks(*args).tobytes()
 
 
 class TestGofBootstrap:
