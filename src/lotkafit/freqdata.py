@@ -7,11 +7,13 @@ exactly that many. Totals are exact Python ints computed once at
 construction; every consumer reads the arrays, and a tail is a slice of
 them. Ingestion from per-paper author records, right truncation,
 half-cutoff binning, and truncation reports all live here. A records
-file is tokenized in bulk over its UTF-8 bytes, and ids and names are
-grouped from their byte spans, so ingesting makes no string per field;
-csv.reader reads the whole file instead when any row's quoting or bytes
-are such that the bulk pass cannot prove it would read them the same
-way. Every operation is a pure function on immutable values.
+file's bytes are read once and tokenized in bulk, one block of about a
+MiB at a time, and ids and names are grouped from their byte spans
+(only the first of each run of equal adjacent ids sorted), so ingesting
+makes no string per field and its temporaries do not grow with the file;
+csv.reader reads the whole file instead as soon as a block holds a row
+whose quoting or bytes the bulk pass cannot prove it would read the
+same way. Every operation is a pure function on immutable values.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import csv
 import gc
 import io
 import operator
+import os
 from dataclasses import asdict, dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from functools import cached_property
@@ -106,7 +109,11 @@ class FrequencyDistribution:
 
     def __init__(self, entries: Iterable[tuple[int, int]], name: str = "dist") -> None:
         rows = tuple(entries)
-        self.__post_init__([row[0] for row in rows], [row[1] for row in rows], name)
+        try:
+            levels, counts = [level for level, _ in rows], [count for _, count in rows]
+        except (TypeError, ValueError):  # an entry that is no pair
+            raise InputError("entries must be (level, author count) pairs") from None
+        self.__post_init__(levels, counts, name)
 
     def __post_init__(self, levels: ArrayLike, counts: ArrayLike, name: str) -> None:
         """Check and store the 1-D arrays and their totals; every constructor ends here.
@@ -345,18 +352,41 @@ def serialize_distribution(dist: FrequencyDistribution) -> str:
 
 
 def _read(path: str | Path, parse):
-    """parse(text, path) on a UTF-8 file; errors name the file."""
+    """parse(data, path) on a UTF-8 file's bytes; errors name the file.
+
+    The bytes are read once into a buffer that ends in 8 zero bytes.
+    CRLF and a lone CR become LF, as text mode's universal newlines make
+    them; a CR byte is never part of a longer UTF-8 sequence.
+    """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        with open(path, "rb", buffering=0) as file:
+            data = bytearray(os.fstat(file.fileno()).st_size + 8)
+            with memoryview(data) as view:
+                got = file.readinto(view[:-8])
+            rest = file.read()
+        if got < len(data) - 8 or rest:  # a short read, or a size that was not the file's
+            data = data[:got] + rest + bytes(8)
+        if not data.isascii():
+            with memoryview(data) as view:
+                str(view[:-8], "utf-8")
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n")
+        data = data.replace(b"\r", b"\n")
     try:
-        return parse(text, path)
+        return parse(data, path)
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from None
+
+
+def _text(data: bytes) -> str:
+    """The text of data, but for its 8 trailing zero bytes."""
+    with memoryview(data) as view:
+        return str(view[:-8], "utf-8", "surrogatepass")
 
 
 def _write_text(path: str | Path, text: str) -> None:
@@ -368,7 +398,7 @@ def _write_text(path: str | Path, text: str) -> None:
 
 
 def read_distribution(path: str | Path) -> FrequencyDistribution:
-    return _read(path, lambda text, path: parse_distribution(text, name=path.stem))
+    return _read(path, lambda data, path: parse_distribution(_text(data), name=path.stem))
 
 
 def write_distribution(dist: FrequencyDistribution, path: str | Path) -> None:
@@ -385,22 +415,27 @@ _UNICODE_SPACES = np.array(
 )
 # Longest position the bulk pass parses: 18 digits stay below 10^18 < 2^62.
 _BULK_DIGITS = 18
+# Bytes the bulk pass tokenizes at a time; its temporaries are a few times this.
+_BLOCK = 1 << 20
 # _LOW_BYTES[k] keeps the first k bytes of a little-endian 8-byte word.
 _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 
 
-def _record_columns(text: str) -> tuple[bytes, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _record_columns(data: bytes) -> tuple[bytes, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Check a records file; return its bytes, positions, paper and author spans, codes and order.
 
-    One row per (paper, author position); position 1 marks the senior
-    author and every paper must have exactly one position-1 row. The
-    text is tokenized in bulk over its UTF-8 bytes: newlines end lines,
-    the two commas of a line that lie outside quotes end its fields, a
-    field wholly inside a pair of quotes is read without them, the
-    ASCII spaces str.strip() removes are stripped from ids and names, and
-    positions are parsed from their digits. The whole file goes to
-    csv.reader instead if any row is one the bulk pass cannot prove that
-    csv.reader would read the same way:
+    data is the file's UTF-8 bytes followed by 8 zero bytes. One row per
+    (paper, author position); position 1 marks the senior author and
+    every paper must have exactly one position-1 row. The bytes are
+    tokenized in bulk, one newline-aligned block of about _BLOCK bytes at
+    a time, so the tokenizer's temporaries never grow with the file:
+    newlines end lines, the two commas of a line that lie outside quotes
+    end its fields, a field wholly inside a pair of quotes is read
+    without them, the ASCII spaces str.strip() removes are stripped from
+    ids and names, and positions are parsed from their digits. Each block
+    keeps only its rows' positions and id and name spans. The whole file
+    goes to csv.reader instead, as soon as a block holds a row the bulk
+    pass cannot prove that csv.reader would read the same way:
 
     * its line holds a quote that does not open or close a whole field:
       a quote that opens a field spanning lines, a doubled quote, or a
@@ -412,30 +447,23 @@ def _record_columns(text: str) -> tuple[bytes, np.ndarray, np.ndarray, np.ndarra
     * its position has more than 18 digits.
 
     The header is csv.reader's either way. On the bulk route the ids and
-    names are spans of the text's bytes; on csv.reader's, of the bytes
-    of its stripped ids and names. Either bytes end in 8 zero bytes.
-    Positions come back as int64 and spans as (2, rows) arrays, rows in
-    file order. Each row's paper code is the index of the paper's first
-    row, so codes order papers as the file first lists them, and
-    ``order`` sorts the rows by (code, position). The rows are checked in
-    bulk; when a check fails, _record_fault rescans the text with
-    csv.reader to word the first fault.
+    names are spans of data; on csv.reader's, of the bytes of its
+    stripped ids and names, which also end in 8 zero bytes. Positions
+    come back as int64 and spans as (2, rows) arrays, rows in file order.
+    Each row's paper code is the index of the paper's first row, so codes
+    order papers as the file first lists them, and ``order`` sorts the
+    rows by (code, position). The rows are checked in bulk; when a check
+    fails, _record_fault rescans the file with csv.reader to word the
+    first fault.
     """
-    if not text:
+    if len(data) == 8:
         raise InputError(f"empty input: expected header {RECORDS_HEADER!r}")
-    data = text.encode("utf-8", "surrogatepass") + bytes(8)
-    lines, routed, pairs = _scan_lines(data)
-    # A line outside quotes that does not split in three is an invalid row.
-    rows = np.flatnonzero(lines[3, 1:] > 0) + 1
-    bulk = not routed.any()
+    spanned, bulk = data, _bulk_columns(data)
     if bulk:
-        positions, spans, valid, reroute = _split_fields(data, lines, rows, pairs)
-        bulk = not reroute.any()
-    if bulk:
-        header_end = lines[0, 1] if len(routed) > 1 else len(data) - 8
-        reader = csv.reader([data[:header_end].decode("utf-8", "surrogatepass")])
+        header, columns = bulk
+        reader = csv.reader([header.decode("utf-8", "surrogatepass")])
     else:
-        reader = csv.reader(io.StringIO(text))
+        reader = csv.reader(io.StringIO(_text(data)))
     try:
         header = next(reader)
     except csv.Error as exc:
@@ -443,39 +471,90 @@ def _record_columns(text: str) -> tuple[bytes, np.ndarray, np.ndarray, np.ndarra
     if [h.strip() for h in header] != RECORDS_HEADER.split(","):
         raise InputError(f"line 1: expected header {RECORDS_HEADER!r}, got {','.join(header)!r}")
     if bulk:
-        if not valid.all() or len(rows) < len(routed) - 1:
-            raise InputError(_record_fault(text))
-        papers, authors = spans[0], spans[2]
+        if columns is None:
+            raise InputError(_record_fault(data))
+        positions, papers, authors = columns
     else:
         # One list per column, not one per row, keeps the cyclic GC from rescanning them.
-        columns: tuple[list[str], list[str], list[str]] = ([], [], [])
+        columns = ([], [], [])
         add_paper, add_position, add_author = (column.append for column in columns)
         try:
             for paper_id, position, author in reader:  # a row of other than three fields is a ValueError
                 add_paper(paper_id)
                 add_position(position)
                 add_author(author)
-            positions, papers, authors, data = _routed_fields(*columns)
+            positions, papers, authors, spanned = _routed_fields(*columns)
         except (ValueError, OverflowError, csv.Error):  # an invalid row, or one csv.reader cannot read
-            raise InputError(_record_fault(text)) from None
+            raise InputError(_record_fault(data)) from None
     if not len(positions):
         raise InputError("empty input: no data rows")
-    codes = _span_groups(data, papers)
-    order = np.lexsort((positions, codes))
-    repeated = (np.diff(codes[order]) == 0) & (np.diff(positions[order]) == 0)
+    codes = _span_groups(spanned, papers)
+    # Rows listed paper by paper, in position order, need no sort.
+    order = rows = np.arange(len(codes))
+    step, rise = np.diff(codes), np.diff(positions)
+    if ((step < 0) | (step == 0) & (rise < 0)).any():
+        order = np.lexsort((positions, codes))
+        step, rise = np.diff(codes[order]), np.diff(positions[order])
+    repeated = (step == 0) & (rise == 0)
     # With no (paper, position) repeated, every paper has a position-1 row
     # exactly when there are as many position-1 rows as papers.
     seniors = np.count_nonzero(positions == 1)
-    if positions.min() < 1 or repeated.any() or seniors != np.count_nonzero(codes == np.arange(len(codes))):
-        raise InputError(_record_fault(text))
-    return data, positions, papers, authors, codes, order
+    if positions.min() < 1 or repeated.any() or seniors != np.count_nonzero(codes == rows):
+        raise InputError(_record_fault(data))
+    return spanned, positions, papers, authors, codes, order
+
+
+def _bulk_columns(data: bytes) -> tuple[bytes, tuple[np.ndarray, np.ndarray, np.ndarray] | None] | None:
+    """The bulk pass of _record_columns over data's blocks; None if csv.reader must read the file.
+
+    Returns the header line's bytes and the positions and paper and
+    author spans of every row, or None for them if a block holds an
+    invalid row, after which no further block is read. A block ends
+    with the first newline at least _BLOCK bytes on from its start, so
+    it holds at most _BLOCK bytes and one line.
+    """
+    size = len(data) - 8
+    columns: tuple[list, list, list] = ([], [], [])
+    start = 0
+    while start < size:
+        end = data.find(b"\n", min(start + _BLOCK, size) - 1, size) + 1 or size
+        block = data[start : end + 8]
+        lines, routed, pairs = _scan_lines(block)
+        if routed.any():
+            return None
+        first = int(start == 0)  # the first block's first line is the header
+        if first:
+            header = block[: lines[1, 0]]
+        rows = np.flatnonzero(lines[3, first:] > 0) + first
+        positions, spans, valid, reroute = _split_fields(block, lines, rows, pairs)
+        if reroute.any():
+            return None
+        # A line outside quotes that does not split in three is an invalid row.
+        if not valid.all() or len(rows) < lines.shape[1] - first:
+            return header, None
+        for column, part in zip(columns, (positions, spans[0] + start, spans[2] + start)):
+            column.append(part)
+        start = end
+    return header, tuple(map(_joined, columns))
+
+
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    """The parts joined along their last axis, each freed once copied, so no row is held twice."""
+    out = np.empty((*parts[0].shape[:-1], sum(part.shape[-1] for part in parts)), dtype=parts[0].dtype)
+    end = out.shape[-1]
+    while parts:
+        part = parts.pop()
+        out[..., end - part.shape[-1] : end] = part
+        end -= part.shape[-1]
+    return out
 
 
 def _scan_lines(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Where each line of data lies, whether the bulk pass must leave it to csv.reader, and its quotes.
 
-    data ends in 8 zero bytes. Returns a (4, lines) array of each line's
-    start, end (its newline, or the end of the text) and two
+    data is a block of whole lines and 8 bytes after it, zeros after a
+    file's last block. Returns a (4, lines) array of each line's
+    start, end (its newline, or the end of the block) and two
     field-ending commas; whether each line is routed; and the quote
     pairs as a (3, pairs) array of line, opening and closing quote. A
     line's quotes pair up in order, and a comma between a pair's quotes
@@ -539,7 +618,7 @@ def _split_fields(
     without its quotes; whether it is a valid row, with a non-empty id
     and name and a position of 1 to 18 digits; and whether csv.reader
     must read it instead, as _record_columns lists. A CRLF's CR ends the
-    author field.
+    author field. data is as _scan_lines takes it.
     """
     view = np.frombuffer(data, dtype=np.uint8)
     # Fields run from the line's start, or after a comma, to a comma or the line's end.
@@ -594,7 +673,9 @@ def _unicode_space_at(view: np.ndarray, at: np.ndarray) -> np.ndarray:
     two = (lead & 0x1F) << 6 | second & 0x3F
     three = (lead & 0x0F) << 12 | (second & 0x3F) << 6 | third & 0x3F
     code = np.where(lead < 0xE0, two, three)
-    return (lead >= 0xC0) & (lead < 0xF0) & np.isin(code, _UNICODE_SPACES)
+    # A sorted lookup; np.isin would import numpy.ma, which costs every process about 12 ms.
+    found = np.minimum(np.searchsorted(_UNICODE_SPACES, code), len(_UNICODE_SPACES) - 1)
+    return (lead >= 0xC0) & (lead < 0xF0) & (_UNICODE_SPACES[found] == code)
 
 
 def _parse_digits(
@@ -670,19 +751,25 @@ def _span_hash(words: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np
 def _span_groups(data: bytes, spans: np.ndarray) -> np.ndarray:
     """For each (start, end) span of data, the index of the first span with the same bytes.
 
-    Spans are grouped by _span_hash, and each span is then compared byte
-    for byte with the first span of its group, so a hash collision never
-    merges two different byte strings: if one would, the spans are
-    grouped by their bytes instead. data ends in 8 zero bytes.
+    Spans are grouped by _span_hash. A span whose hash equals the span
+    before it joins that span's run, and only the first span of each run
+    is sorted by hash: rows listed paper by paper repeat each id in a
+    run. Each span is then compared byte for byte with the first span of
+    its group, so a hash collision never merges two different byte
+    strings: if one would, the spans are grouped by their bytes instead.
+    data ends in 8 zero bytes.
     """
     starts, ends = spans
     lengths = ends - starts
     words = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))
     hashes = _span_hash(words, starts, lengths)
+    heads = np.flatnonzero(np.diff(hashes, prepend=~hashes[:1]))
+    hashes = hashes[heads]
     by_hash = np.argsort(hashes)
     runs = np.flatnonzero(np.diff(hashes[by_hash], prepend=~hashes[by_hash[:1]]))
     groups = np.empty_like(by_hash)
-    groups[by_hash] = np.repeat(np.minimum.reduceat(by_hash, runs), np.diff(runs, append=len(by_hash)))
+    groups[by_hash] = heads[np.repeat(np.minimum.reduceat(by_hash, runs), np.diff(runs, append=len(by_hash)))]
+    groups = np.repeat(groups, np.diff(heads, append=len(starts)))
     rest = np.flatnonzero(groups != np.arange(len(groups)))
     starts, heads = starts[rest], starts[groups[rest]]
     lengths, same = lengths[rest], lengths[rest] == lengths[groups[rest]]
@@ -696,7 +783,7 @@ def _span_groups(data: bytes, spans: np.ndarray) -> np.ndarray:
     if same.all():
         return groups
     firsts: dict[bytes, int] = {}
-    keys = [data[start:end] for start, end in zip(*spans.tolist())]
+    keys = [bytes(data[start:end]) for start, end in zip(*spans.tolist())]
     return np.fromiter(map(firsts.setdefault, keys, range(len(keys))), np.intp, len(keys))
 
 
@@ -705,16 +792,16 @@ def _span_text(data: bytes, spans: np.ndarray) -> list[str]:
     return [data[start:end].decode("utf-8", "surrogatepass") for start, end in zip(*spans.tolist())]
 
 
-def _record_fault(text: str) -> str:
+def _record_fault(data: bytes) -> str:
     """Why the first invalid row of a records file, in order, is invalid.
 
     These are the row-by-row checks of the records format, in their
     order. A fault names the 1-based physical line its row starts on,
     which differs from the row number once a quoted field spans lines.
-    Only text whose header passed and whose rows failed a bulk check in
-    _record_columns comes here.
+    Only a file whose header passed and whose rows failed a bulk check
+    in _record_columns comes here, as bytes that end in 8 zero bytes.
     """
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(_text(data)))
     next(reader)
     slots: dict[str, set[int]] = {}
     start = reader.line_num + 1
@@ -757,7 +844,12 @@ def parse_records(text: str) -> list[AuthorRecord]:
     its authors in position order. Fields containing commas may be
     quoted as in ordinary CSV. See _record_columns for the checks.
     """
-    data, _, papers, authors, codes, order = _record_columns(text)
+    return _records(text.encode("utf-8", "surrogatepass") + bytes(8))
+
+
+def _records(data: bytes) -> list[AuthorRecord]:
+    """parse_records on a file's bytes, followed by 8 zero bytes."""
+    data, _, papers, authors, codes, order = _record_columns(data)
     starts = np.flatnonzero(np.diff(codes[order], prepend=-1))
     paper_ids = _span_text(data, papers[:, order[starts]])
     names = _span_text(data, authors[:, order])
@@ -778,19 +870,20 @@ def parse_records(text: str) -> list[AuthorRecord]:
 
 
 def read_records(path: str | Path) -> list[AuthorRecord]:
-    return _read(path, lambda text, path: parse_records(text))
+    return _read(path, lambda data, path: _records(data))
 
 
 def ingest_records(path: str | Path, name: str = "records") -> FrequencyDistribution:
     """The senior-author distribution of a records file, with no per-paper objects.
 
     Equal to ``from_author_records(read_records(path), name)``; its
-    ``total_works`` is the number of papers. Senior names are grouped
-    from their bytes, never made into strings.
+    ``total_works`` is the number of papers. The file's bytes are read
+    once and tokenized a block at a time (see _record_columns), and
+    senior names are grouped from their bytes, never made into strings.
     """
 
-    def tally(text: str, path: Path) -> FrequencyDistribution:
-        data, positions, _, authors, _, _ = _record_columns(text)
+    def tally(data: bytes, path: Path) -> FrequencyDistribution:
+        data, positions, _, authors, _, _ = _record_columns(data)
         return _senior_tally(_span_groups(data, authors[:, positions == 1]), name)
 
     return _read(path, tally)

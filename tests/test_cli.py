@@ -627,6 +627,19 @@ class TestRandomArgvFuzz:
 
 
 class TestIngest:
+    def test_ingest_does_not_import_numpy_ma(self, tmp_path):
+        # numpy.ma takes about 12 ms to import, and nothing ingest does needs it.
+        records = tmp_path / "records.csv"
+        records.write_text("paper_id,position,author\nP1,1,A\nP1,2,B\nP2,1,A\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        script = "import sys; from lotkafit.cli import run; print(run(sys.argv[1:]), 'numpy.ma' in sys.modules)"
+        argv = ["ingest", "--records", str(records), "--out", str(tmp_path / "d.csv")]
+        done = subprocess.run(
+            [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert done.stdout == "0 False\n"
+
     @given(_RECORD_BYTES)
     @settings(max_examples=300, deadline=None)
     def test_any_file_exits_zero_or_two_with_one_line(self, data):

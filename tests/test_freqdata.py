@@ -1,9 +1,11 @@
 import csv
 import io
 import math
+import random
 import tempfile
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,7 +26,8 @@ from lotkafit import (
     truncate_right,
     truncation_report,
 )
-from lotkafit import freqdata
+from lotkafit import freqdata, read_records
+from lotkafit.cli import run
 from lotkafit.freqdata import MAX_BINS, MAX_LEVEL, _tally
 
 distributions = st.dictionaries(
@@ -65,6 +68,10 @@ class TestFrequencyDistribution:
         with pytest.raises(InputError, match="^levels and author counts must be integers$"):
             FrequencyDistribution([(1.5, 2)])
         assert FrequencyDistribution([(1, 2.0), (2.0, 1)]).entries == ((1, 2), (2, 1))
+        # Each entry is a (level, count) pair: no item is dropped, none is missing.
+        for entries in [[(1, 2, 3)], [(1,)], [1], [(1, 2), 5]]:
+            with pytest.raises(InputError, match=r"^entries must be \(level, author count\) pairs$"):
+                FrequencyDistribution(entries)
         assert FrequencyDistribution.from_arrays(np.array([1.0, 3.0]), [2, 1]).entries == ((1, 2), (3, 1))
 
     def test_rejects_arrays_that_are_not_parallel_and_1d(self):
@@ -535,6 +542,161 @@ class TestParseRecords:
         path.write_bytes(b"paper_id,position,author\nP1,1,\xff\n")
         with pytest.raises(InputError, match=f"^{path}: not UTF-8 \\(invalid start byte at byte 30\\)$"):
             ingest_records(path)
+
+
+class TestParseRecordsInBlocks(TestParseRecords):
+    """Every records test again, with blocks of a few bytes: a block of 1
+    or 7 bytes holds one line, and a block of 37 a line or three."""
+
+    @pytest.fixture(autouse=True, scope="class", params=[1, 7, 37])
+    def tiny_blocks(self, request):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(freqdata, "_BLOCK", request.param)
+            yield
+
+
+def _paper_rows(papers, seed=0):
+    """Rows of papers listed paper by paper: paper i has 1 to 3 authors from a pool of 50."""
+    rng = random.Random(seed)
+    return [
+        [f"P{i}", str(p), f"Author {rng.randrange(50)}"]
+        for i in range(papers)
+        for p in range(1, rng.randint(1, 3) + 1)
+    ]
+
+
+def _same_as_row_loop(text, tmp_path):
+    """parse_records and ingest_records on text give what the row loop gives, or its message."""
+    path = tmp_path / "records.csv"
+    path.write_text(text, encoding="utf-8")
+    try:
+        records = _row_loop_parse_records(text)
+    except InputError as exc:
+        for parse in (lambda: parse_records(text), lambda: ingest_records(path)):
+            with pytest.raises(InputError) as excinfo:
+                parse()
+            assert str(excinfo.value).removeprefix(f"{path}: ") == str(exc)
+        return str(exc)
+    assert parse_records(text) == records
+    assert ingest_records(path) == from_author_records(records)
+    return records
+
+
+class TestRecordBlocks:
+    def test_line_longer_than_a_block(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(freqdata, "_BLOCK", 16)
+        rows = _paper_rows(30)
+        rows[20][2] = "A long name " * 20
+        rows[21][2] = '"' + "Quoted, long name " * 20 + '"'
+        assert len(_same_as_row_loop(_records_text(rows), tmp_path)) == 30
+
+    def test_routed_row_only_in_the_last_block(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(freqdata, "_BLOCK", 64)
+        rows = _paper_rows(60) + [["P60", "1", '"Two\nlines"']]
+        records = _same_as_row_loop(_records_text(rows), tmp_path)
+        assert records[-1].authors == ("Two\nlines",)
+
+    def test_invalid_row_before_a_routed_row(self, monkeypatch, tmp_path):
+        # The invalid row ends the bulk pass in block 1 (bytes 0-69); the
+        # doubled quote at byte 195, in block 3, is never scanned, yet the
+        # message is the row loop's.
+        monkeypatch.setattr(freqdata, "_BLOCK", 64)
+        rows = _paper_rows(60)
+        rows[1][1] = "x"
+        rows[11][2] = '"O""Brien"'
+        text = _records_text(rows)
+        assert text.index('"O') == 195
+        scans = []
+        scan_lines = freqdata._scan_lines
+        monkeypatch.setattr(freqdata, "_scan_lines", lambda data: scans.append(len(data)) or scan_lines(data))
+        assert _same_as_row_loop(text, tmp_path) == "line 3: position must be an integer, got 'x'"
+        assert scans == [70 + 8, 70 + 8]  # block 1 alone, for parse_records and for ingest_records
+
+    def test_shuffled_rows_sort_to_the_ordered_result(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(freqdata, "_BLOCK", 256)
+        rows = _paper_rows(300)
+        shuffled = rows[:]
+        random.Random(1).shuffle(shuffled)
+        sorts = []
+        lexsort = np.lexsort
+        monkeypatch.setattr(freqdata.np, "lexsort", lambda keys: sorts.append(len(keys[0])) or lexsort(keys))
+        ordered = _same_as_row_loop(_records_text(rows), tmp_path)
+        assert sorts == []  # rows listed paper by paper in position order are not sorted
+        records = _same_as_row_loop(_records_text(shuffled), tmp_path)
+        assert sorts and set(sorts) == {len(rows)}
+        assert from_author_records(records) == from_author_records(ordered)
+
+    def test_tokenizer_sees_one_block_and_one_line_at_most(self, monkeypatch, tmp_path):
+        # The bulk pass's temporaries are bounded by its blocks, not the file.
+        block = 4096
+        monkeypatch.setattr(freqdata, "_BLOCK", block)
+        rows = _paper_rows(3000)
+        rows[1000][2] = "A name longer than a block " * 200
+        text = _records_text(rows)
+        longest = max(map(len, text.encode().split(b"\n"))) + 1
+        sizes = []
+        for name in ("_scan_lines", "_split_fields"):
+            spied = getattr(freqdata, name)
+            monkeypatch.setattr(freqdata, name, lambda data, *rest, spied=spied: sizes.append(len(data) - 8) or
+                                spied(data, *rest))
+        path = tmp_path / "records.csv"
+        path.write_text(text, encoding="utf-8")
+        assert ingest_records(path) == from_author_records(_row_loop_parse_records(text))
+        assert len(sizes) > 2 * len(text) // block
+        assert max(sizes) <= block + longest < len(text) // 4
+
+
+_ROWS = "paper_id,position,author\nP1,1,A\nP1,2,B\nP2,1,A\nP3,1,\"C, D\"\n"
+
+
+@pytest.mark.parametrize("block", [1 << 20, 7])
+@pytest.mark.parametrize("data", [
+    _ROWS.replace("\n", "\r\n").encode(),
+    _ROWS.replace("\n", "\r").encode(),
+    _ROWS.replace("\n", "\r", 2).encode(),
+    _ROWS.replace("C, D", "C\rD").encode(),
+    _ROWS.replace("C, D", "C\r\nD").encode(),
+    b"\xef\xbb\xbf" + _ROWS.encode(),
+    _ROWS.replace("B", "\u00e9").encode(),
+    _ROWS.encode() + b"P4,1,\xff\n",
+    _ROWS.encode() + b"P4,1,\xc3",
+    _ROWS.encode() + b"P4,1,\xed\xa0\x80\n",
+    b"",
+    b"\r\n",
+], ids=["crlf", "cr", "cr-and-lf", "cr-in-quotes", "crlf-in-quotes", "bom", "utf8", "invalid-utf8", "truncated-utf8",
+        "surrogate", "empty", "blank"])
+def test_bytes_read_as_text_mode_read(monkeypatch, capsys, tmp_path, block, data):
+    # Records read as bytes give what reading them as text gave: text mode
+    # made CRLF and CR into LF, kept a BOM, and refused invalid UTF-8.
+    monkeypatch.setattr(freqdata, "_BLOCK", block)
+    path = tmp_path / "records.csv"
+    path.write_bytes(data)
+    try:
+        records = _row_loop_parse_records(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        expected = f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})"
+    except InputError as exc:
+        expected = f"{path}: {exc}"
+    else:
+        assert read_records(path) == records
+        assert ingest_records(path) == from_author_records(records)
+        assert run(["ingest", "--records", str(path), "--out", str(tmp_path / "d.csv")]) == 0
+        return
+    for read in (read_records, ingest_records):
+        with pytest.raises(InputError) as excinfo:
+            read(path)
+        assert str(excinfo.value) == expected
+    assert run(["ingest", "--records", str(path), "--out", str(tmp_path / "d.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {expected}\n"
+
+
+@pytest.mark.parametrize("size", [0, 9, 10**6])
+def test_records_read_whole_whatever_size_the_file_reports(monkeypatch, tmp_path, size):
+    # A pipe reports size 0, and a file may change between fstat and read.
+    path = tmp_path / "records.csv"
+    path.write_text(_ROWS.replace("\n", "\r\n"), encoding="utf-8")
+    monkeypatch.setattr(freqdata.os, "fstat", lambda fd: SimpleNamespace(st_size=size))
+    assert read_records(path) == _row_loop_parse_records(_ROWS)
 
 
 class TestTruncateRight:
