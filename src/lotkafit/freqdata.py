@@ -18,6 +18,7 @@ same way. Every operation is a pure function on immutable values.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import gc
 import io
@@ -231,12 +232,6 @@ def _exact_totals(levels: np.ndarray, counts: np.ndarray) -> tuple[int, int]:
     return sum(counts), sum(map(operator.mul, levels.tolist(), counts))
 
 
-def _tally(draws: np.ndarray, name: str) -> FrequencyDistribution:
-    """The distribution of sampled levels: each distinct level and how often it was drawn."""
-    levels, counts = np.unique(draws, return_counts=True)
-    return FrequencyDistribution.from_arrays(levels, counts, name=name)
-
-
 @dataclass(frozen=True)
 class AuthorRecord:
     """One paper with its ordered author list; position 1 is the senior author."""
@@ -368,12 +363,15 @@ def _read(path: str | Path, parse):
         if got < len(data) - 8 or rest:  # a short read, or a size that was not the file's
             data = data[:got] + rest + bytes(8)
         if not data.isascii():
+            start, size = 0, len(data) - 8
             with memoryview(data) as view:
-                str(view[:-8], "utf-8")
+                while start < size:
+                    end = min(start + _UTF8_BLOCK, size)
+                    start += codecs.utf_8_decode(view[start:end], "strict", end == size)[1]
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
-        raise InputError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
+        raise InputError(f"{path}: not UTF-8 ({exc.reason} at byte {start + exc.start})") from None
     if b"\r" in data:
         data = data.replace(b"\r\n", b"\n")
         data = data.replace(b"\r", b"\n")
@@ -417,6 +415,8 @@ _UNICODE_SPACES = np.array(
 _BULK_DIGITS = 18
 # Bytes the bulk pass tokenizes at a time; its temporaries are a few times this.
 _BLOCK = 1 << 20
+# Bytes _read checks as UTF-8 at a time; at least 4, the longest character.
+_UTF8_BLOCK = 1 << 16
 # _LOW_BYTES[k] keeps the first k bytes of a little-endian 8-byte word.
 _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 

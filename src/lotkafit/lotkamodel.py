@@ -14,14 +14,15 @@ exponents and start points at once, together with the first two
 alpha-derivatives of its logarithm that the maximum-likelihood fit
 needs: a dense suffix sum below level 64 plus an Euler-Maclaurin tail,
 accurate to well under 1e-12 absolute error on the domain. Sampling is
-by inverse-CDF lookup against a precomputed cumulative table. A guide
-table of 2^16 equal-probability cells (Chen & Asau's indexed search)
-resolves most draws without a binary search; the rest search the full
-table, and one exact doubling-plus-bisection covers all draws beyond it.
-Sampling is reproducible: all randomness flows through numpy's PCG64
-generator consuming uniform doubles only, so identical (model, count,
-seed) gives identical output. That generator choice is a pinned
-contract, not an implementation detail.
+by inverse-CDF lookup against a precomputed cumulative table, tallied
+into counts a block at a time. A guide table of 2^16 equal-probability
+cells (Chen & Asau's indexed search) resolves most draws without a
+binary search; the rest search the full table, and one
+doubling-plus-bisection covers all draws beyond it, exact up to about
+level (alpha-1) * 5e13 (see _CdfTable._beyond_table). Sampling is
+reproducible: all randomness flows through numpy's PCG64 generator
+consuming uniform doubles only, so identical (model, count, seed) gives
+identical output: PCG64 is a pinned contract, not an implementation detail.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InputError
-from .freqdata import MAX_AUTHORS, MAX_LEVEL, FrequencyDistribution, _tally
+from .freqdata import MAX_AUTHORS, MAX_LEVEL, FrequencyDistribution
 
 __all__ = [
     "PowerLawModel",
@@ -83,6 +84,9 @@ _TABLE_TAIL_MASS = 1e-9
 # Cells of the sampler's guide table. A power of two, so that u * cells
 # and c / cells are exact and the guide never changes a drawn level.
 _GUIDE_CELLS = 1 << 16
+# Uniforms drawn and tallied at a time: a block's float64 temporaries (64 KiB)
+# stay under glibc's default 128 KiB mmap threshold and are reused from the heap.
+_DRAW_BLOCK = 1 << 13
 
 
 def _series_coeffs(alpha: np.ndarray, moments: int) -> np.ndarray:
@@ -219,8 +223,9 @@ class _CdfTable:
     """Cumulative probability table for inverse-CDF sampling.
 
     Covers levels from xmin up to the 1 - 1e-9 quantile, capped at
-    _TABLE_CAP rows; draws landing beyond the table are resolved exactly
-    by one doubling-plus-bisection over all of them on the zeta-based CDF.
+    _TABLE_CAP rows; draws landing beyond the table are resolved by one
+    doubling-plus-bisection over all of them on the zeta-based CDF, which
+    resolves consecutive levels up to about (alpha-1) * 5e13.
     A guide table (Chen & Asau 1974) splits [0, 1) into _GUIDE_CELLS
     cells of equal width: guide[c] is the first row whose cumulative
     probability reaches c / _GUIDE_CELLS. A draw u in cell c = floor(u *
@@ -247,27 +252,40 @@ class _CdfTable:
         self.straddles = guide[:-1] != guide[1:]
         self.last_level = xmin + length - 1
 
-    def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        u = rng.random(count)
-        cell = (u * _GUIDE_CELLS).astype(np.intp)
-        straddling = self.straddles[cell]
-        idx = self.guide[cell]
-        idx[straddling] = np.searchsorted(self.cdf, u[straddling], side="left")
-        overflow = idx == len(self.cdf)
-        idx += self.model.xmin
-        levels = idx.astype(np.int64, copy=False)
-        if overflow.any():
-            levels[overflow] = self._beyond_table(u[overflow])
-        return levels
+    def tally(self, rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending int64 levels of ``count`` draws and how often each was drawn.
+
+        The uniforms are one ``rng.random(count)`` stream, drawn and tallied
+        _DRAW_BLOCK at a time; block tallies are merged once they outgrow the
+        merged one. Draws beyond the table meet in one _beyond_table call.
+        """
+        end, tallies, beyond = len(self.cdf), [], []
+        for u in _uniform_blocks(rng, count):
+            cell = (u * _GUIDE_CELLS).astype(np.intp)
+            straddling = self.straddles[cell]
+            idx = self.guide[cell]
+            idx[straddling] = np.searchsorted(self.cdf, u[straddling], side="left")
+            tallies.append(np.unique(idx, return_counts=True))
+            if tallies[-1][0][-1] == end:
+                beyond.append(u[idx == end])
+            if sum(len(rows) for rows, _ in tallies[1:]) > len(tallies[0][0]) + _DRAW_BLOCK:
+                tallies = [_merged(tallies)]
+        rows, counts = _merged(tallies or [(np.empty(0, np.intp),) * 2])
+        if beyond:  # counted on the last row, one past the table
+            far = self._beyond_table(np.concatenate(beyond)) - self.model.xmin
+            rows, counts = _merged([(rows[:-1], counts[:-1]), np.unique(far, return_counts=True)])
+        return (rows + self.model.xmin).astype(np.int64, copy=False), counts.astype(np.int64, copy=False)
 
     def _beyond_table(self, u: np.ndarray) -> np.ndarray:
-        """Smallest level k > last_level with CDF(k) >= u, for every u at once.
+        """Smallest level k >= last_level with CDF(k) >= u in float, for every u at once.
 
-        CDF(k) >= u is equivalent to zeta(alpha, k+1) <= (1-u) * zeta(alpha,
-        xmin), which is monotone in k, so doubling plus bisection finds the
-        exact level. Quantiles beyond 2^62, the largest level a distribution
-        accepts, are refused; for alpha around 2 that has probability under
-        1e-18 per draw.
+        CDF(k) >= u is zeta(alpha, k+1) <= (1-u) * zeta(alpha, xmin), found by
+        doubling plus bisection. Levels differ by a relative (alpha-1)/k in
+        zeta, float zeta by under 2e-14 (mpmath): a level is one off only for
+        u within 2e-14 k/(alpha-1) of a step from its edge, and from about
+        (alpha-1) * 5e13 on, where float zeta is not monotone in k, within
+        1 + 2e-14 k/(alpha-1). Levels beyond 2^62 are refused: at alpha 2,
+        under 1e-18 per draw.
         """
         alpha = [self.model.alpha]
         target = (1.0 - u) * self.model.normalizer
@@ -299,6 +317,23 @@ class _CdfTable:
             lo = np.where(beyond, mid, lo)
 
 
+def _merged(tallies: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """One tally of ascending distinct rows from (rows, counts) tallies that may share rows."""
+    if len(tallies) == 1:
+        return tallies[0]
+    rows, counts = (np.concatenate(parts) for parts in zip(*tallies))
+    order = rows.argsort()
+    firsts = np.flatnonzero(np.diff(rows[order], prepend=-1))
+    return rows[order[firsts]], np.add.reduceat(counts[order], firsts)
+
+
+def _uniform_blocks(rng: np.random.Generator, count: int):
+    """The next ``count`` uniforms of rng, _DRAW_BLOCK at a time in one reused buffer."""
+    buffer = np.empty(min(count, _DRAW_BLOCK))
+    for start in range(0, count, _DRAW_BLOCK):
+        yield rng.random(out=buffer[: min(_DRAW_BLOCK, count - start)])
+
+
 def sample(model: PowerLawModel, count: int, seed: int) -> FrequencyDistribution:
     """Draw independent levels and aggregate them into a distribution.
 
@@ -310,4 +345,4 @@ def sample(model: PowerLawModel, count: int, seed: int) -> FrequencyDistribution
     if seed < 0:
         raise InputError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
-    return _tally(_CdfTable(model).draw(rng, count), "sample")
+    return FrequencyDistribution.from_arrays(*_CdfTable(model).tally(rng, count), name="sample")

@@ -39,9 +39,9 @@ from typing import Callable, NoReturn, Sequence, TypeVar
 import numpy as np
 
 from .errors import DegenerateFitError, InputError
-from .freqdata import MAX_AUTHORS, FrequencyDistribution, _tally, truncate_right, truncation_report
+from .freqdata import MAX_AUTHORS, FrequencyDistribution, truncate_right, truncation_report
 from .loglogfit import Denominator, FitResult, fit_historical
-from .lotkamodel import ALPHA_DOMAIN, PowerLawModel, _CdfTable, _zeta
+from .lotkamodel import ALPHA_DOMAIN, PowerLawModel, _CdfTable, _uniform_blocks, _zeta
 
 __all__ = [
     "MleResult",
@@ -676,22 +676,26 @@ def gof_bootstrap(
     table = _CdfTable(model)
     levels, counts = dist.populated_arrays
     body = int(np.searchsorted(levels, result.xmin))
-    body_pool = np.repeat(levels[:body], counts[:body])
+    body_pool = np.repeat(np.arange(body), counts[:body])  # each body author's level index
     n = dist.total_authors
     p_tail = (n - body_pool.size) / n
 
     def replicate(r: int, attempt: int) -> FrequencyDistribution:
         rng = np.random.default_rng((seed, r, attempt))
-        k_tail = int((rng.random(n) < p_tail).sum())
+        k_tail = sum(int(np.count_nonzero(u < p_tail)) for u in _uniform_blocks(rng, n))
         try:
-            tail = table.draw(rng, k_tail)
+            tail_levels, tail_counts = table.tally(rng, k_tail)
         except InputError:
             raise DegenerateFitError(
                 f"fitted alpha {model.alpha!r} cannot be bootstrapped: a replicate "
                 "draws a level beyond 2^62"
             ) from None
-        picks = (rng.random(n - k_tail) * body_pool.size).astype(np.int64)
-        return _tally(np.concatenate([tail, body_pool[picks]]), "bootstrap")
+        body_counts = np.zeros(body, dtype=np.int64)
+        for u in _uniform_blocks(rng, n - k_tail):
+            body_counts += np.bincount(body_pool[(u * body_pool.size).astype(np.int64)], minlength=body)
+        drawn = np.flatnonzero(body_counts)  # body levels lie below the tail's
+        tally = np.append(levels[drawn], tail_levels), np.append(body_counts[drawn], tail_counts)
+        return FrequencyDistribution.from_arrays(*tally, name="bootstrap")
 
     def replicate_ks(rs: range) -> list[float]:
         """Refit KS of each replicate; those that fail to refit are redrawn and refit together."""
@@ -804,7 +808,8 @@ def bias_experiment(
     table = _CdfTable(model)
 
     def draw(r: int) -> FrequencyDistribution:
-        return _tally(table.draw(np.random.default_rng((seed, r)), authors), "bias")
+        rng = np.random.default_rng((seed, r))
+        return FrequencyDistribution.from_arrays(*table.tally(rng, authors), name="bias")
 
     first = draw(0)
 

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from lotkafit import FrequencyDistribution
@@ -6,6 +7,43 @@ from lotkafit import FrequencyDistribution
 # totals: 6891 authors / 22934 works / max 346, and 1325 / 3398 / 48.
 CA_COUNTS = {1: 6312, 2: 42, 30: 424, 31: 112, 346: 1}
 AUERBACH_COUNTS = {1: 493, 3: 818, 31: 13, 48: 1}
+
+
+def per_draw_levels(table, u: np.ndarray) -> np.ndarray:
+    """Reference sampler: each uniform's level by a plain search of a _CdfTable, one per draw.
+
+    Levels beyond the table go through its _beyond_table; it raises where
+    one lies beyond 2^62.
+    """
+    levels = table.model.xmin + np.searchsorted(table.cdf, u, side="left")
+    beyond = levels > table.last_level
+    if beyond.any():
+        levels[beyond] = table._beyond_table(u[beyond])
+    return levels
+
+
+def per_draw_distribution(draws: np.ndarray, name: str) -> FrequencyDistribution:
+    """The distribution of per-draw levels: each distinct level and how often it was drawn."""
+    return FrequencyDistribution.from_arrays(*np.unique(draws, return_counts=True), name=name)
+
+
+@pytest.fixture
+def random_fills(monkeypatch) -> list[int]:
+    """How many uniforms each ``random`` call of every new numpy generator fills, in order."""
+    fills: list[int] = []
+    new_generator = np.random.default_rng
+
+    class Spy:
+        def __init__(self, seed) -> None:
+            self.rng = new_generator(seed)
+
+        def random(self, size=None, out=None):
+            fills.append(out.size if out is not None else size)
+            return self.rng.random(size=size, out=out)
+
+    monkeypatch.setattr(np.random, "default_rng", Spy)
+    return fills
+
 
 _acceptance_results: dict[str, tuple[str, str]] = {}
 

@@ -3,6 +3,7 @@ import io
 import math
 import random
 import tempfile
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -28,7 +29,7 @@ from lotkafit import (
 )
 from lotkafit import freqdata, read_records
 from lotkafit.cli import run
-from lotkafit.freqdata import MAX_BINS, MAX_LEVEL, _tally
+from lotkafit.freqdata import MAX_BINS, MAX_LEVEL
 
 distributions = st.dictionaries(
     st.integers(min_value=1, max_value=400),
@@ -128,14 +129,6 @@ class TestFrequencyDistribution:
     def test_rejects_counts_beyond_int64_safe_bound(self, counts, fragment):
         with pytest.raises(InputError, match=fragment):
             FrequencyDistribution.from_counts(counts)
-
-    def test_tally_matches_unique(self):
-        for seed in range(5):
-            draws = np.random.default_rng(seed).zipf(2.0, 5000)
-            values, counts = np.unique(draws, return_counts=True)
-            d = _tally(draws, "tally")
-            assert d.entries == tuple(zip(values.tolist(), counts.tolist()))
-            assert (d.name, d.total_authors) == ("tally", 5000)
 
 
 class TestParseDistribution:
@@ -697,6 +690,52 @@ def test_records_read_whole_whatever_size_the_file_reports(monkeypatch, tmp_path
     path.write_text(_ROWS.replace("\n", "\r\n"), encoding="utf-8")
     monkeypatch.setattr(freqdata.os, "fstat", lambda fd: SimpleNamespace(st_size=size))
     assert read_records(path) == _row_loop_parse_records(_ROWS)
+
+
+_GRIN = "\U0001f600"  # 4 bytes in UTF-8
+
+
+@pytest.mark.parametrize("block", [4, 5, 6, 7, 9])
+@pytest.mark.parametrize("tail", [b"", b"P4,1,\xff\n", b"P4,1,\xf0\x9f\x98", b"P4,1,\xe2\x28\xa1\n"],
+                         ids=["valid", "invalid-byte", "truncated-at-eof", "invalid-continuation"])
+def test_utf8_checked_in_blocks(monkeypatch, tmp_path, block, tail):
+    # Every name holds a 4-byte character, so blocks of 4 to 9 bytes split
+    # one at every offset; a fault in a later block is reported at its
+    # byte in the file, as the whole-file decode reports it.
+    monkeypatch.setattr(freqdata, "_UTF8_BLOCK", block)
+    path = tmp_path / "records.csv"
+    text = _ROWS.replace("A", _GRIN).replace("B", "x" + _GRIN).replace("C", "yz" + _GRIN)
+    path.write_bytes(text.encode() + tail)
+    try:
+        path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        assert exc.start > 4 * block
+        with pytest.raises(InputError) as excinfo:
+            ingest_records(path)
+        assert str(excinfo.value) == f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})"
+    else:
+        assert ingest_records(path) == from_author_records(_row_loop_parse_records(text))
+
+
+def test_non_ascii_records_checked_in_bounded_memory(tmp_path):
+    # One 4-byte character makes a whole-file decode hold 4 bytes a byte,
+    # 4 MB for this 1 MB file; block by block, reading the file and
+    # ingesting it peak within 1 MiB of the ASCII file's.
+    rows = "".join(f"P{i},1,Author {i % 5000}\n" for i in range(50_000))
+    peaks = []
+    for name in ("Author 7", _GRIN):
+        path = tmp_path / "records.csv"
+        path.write_text("paper_id,position,author\n" + rows.replace("Author 7\n", name + "\n", 1), encoding="utf-8")
+        assert path.stat().st_size > 10**6
+        for read in (lambda: freqdata._read(path, lambda data, path: None), lambda: ingest_records(path)):
+            tracemalloc.start()
+            try:
+                read()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    assert abs(peaks[2] - peaks[0]) < 2**20
+    assert abs(peaks[3] - peaks[1]) < 2**20
 
 
 class TestTruncateRight:

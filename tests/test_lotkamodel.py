@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from conftest import per_draw_levels
 from lotkafit import (
     FrequencyDistribution,
     InputError,
@@ -20,7 +22,8 @@ from lotkafit import (
     predicted_fraction,
     sample,
 )
-from lotkafit.lotkamodel import _GUIDE_CELLS, _CdfTable, _zeta
+from lotkafit import lotkamodel
+from lotkafit.lotkamodel import _DRAW_BLOCK, _GUIDE_CELLS, _CdfTable, _zeta
 
 
 def brute_force_zeta(alpha, xmin=1, terms=10**6):
@@ -278,14 +281,25 @@ class TestSample:
 
 
 class _FixedUniforms:
-    """Stands in for a generator whose uniform stream is a given array."""
+    """Stands in for a generator whose uniform stream is a given array.
+
+    Each ``random`` call serves the next uniforms, into ``out`` or as a
+    new array, and records how many it served in ``fills``.
+    """
 
     def __init__(self, u: np.ndarray) -> None:
         self.u = u
+        self.fills: list[int] = []
 
-    def random(self, count: int) -> np.ndarray:
-        assert count == len(self.u)
-        return self.u.copy()
+    def random(self, size: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
+        count = len(out) if out is not None else size
+        start = sum(self.fills)
+        assert start + count <= len(self.u)
+        self.fills.append(count)
+        if out is None:
+            return self.u[start : start + count].copy()
+        out[...] = self.u[start : start + count]
+        return out
 
 
 _TABLES: dict[tuple[float, int], _CdfTable] = {}
@@ -295,6 +309,20 @@ def _table(alpha: float, xmin: int) -> _CdfTable:
     if (alpha, xmin) not in _TABLES:
         _TABLES[alpha, xmin] = _CdfTable(PowerLawModel(alpha, xmin))
     return _TABLES[alpha, xmin]
+
+
+def _tally_of(table: _CdfTable, u: np.ndarray) -> tuple[list[int], list[int]]:
+    """table.tally over exactly the uniforms u, which it must all consume."""
+    uniforms = _FixedUniforms(u)
+    levels, counts = table.tally(uniforms, len(u))
+    assert sum(uniforms.fills) == len(u)
+    assert levels.dtype == counts.dtype == np.int64
+    return levels.tolist(), counts.tolist()
+
+
+def _unique(levels: np.ndarray) -> tuple[list[int], list[int]]:
+    values, counts = np.unique(levels, return_counts=True)
+    return values.tolist(), counts.tolist()
 
 
 class TestCdfTable:
@@ -307,7 +335,7 @@ class TestCdfTable:
     def test_guide_table_draws_equal_plain_search(self, alpha, xmin, data):
         # Uniforms at the exact cell edges c / G, one ulp below them, at
         # table entries, and beyond the table's last entry: the guide table
-        # must give the row a plain binary search gives.
+        # must give the row a plain binary search gives, draw by draw.
         table = _table(alpha, xmin)
         cells = st.integers(0, _GUIDE_CELLS - 1)
         rows = st.integers(0, len(table.cdf) - 1)
@@ -324,16 +352,125 @@ class TestCdfTable:
             + data.draw(st.lists(beyond, max_size=3)),
             dtype=float,
         )
-        plain = xmin + np.searchsorted(table.cdf, u, side="left")
-        beyond_table = plain > table.last_level
         try:
-            plain[beyond_table] = table._beyond_table(u[beyond_table])
+            plain = per_draw_levels(table, u)
         except InputError:
             # Near 1 at a small alpha the quantile lies beyond 2^62.
             with pytest.raises(InputError, match="beyond 2\\^62"):
-                table.draw(_FixedUniforms(u), len(u))
+                table.tally(_FixedUniforms(u), len(u))
             return
-        assert np.array_equal(table.draw(_FixedUniforms(u), len(u)), plain)
+        for one, level in zip(u, plain.tolist()):
+            assert _tally_of(table, one[None]) == ([level], [1])
+        assert _tally_of(table, u) == _unique(plain)
+
+    @pytest.mark.parametrize("block", [5, _DRAW_BLOCK])
+    @given(
+        alpha=st.sampled_from([1.5, 2.0, 3.0]),
+        xmin=st.sampled_from([1, 7]),
+        extra=st.sampled_from([-1, 0, 1, "3b+7"]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_tally_equals_per_draw_levels(self, block, alpha, xmin, extra, seed, data):
+        # Counts on both sides of a block edge and across several blocks,
+        # with draws beyond the table placed in any of them: the tally is
+        # np.unique of the per-draw levels, and one _beyond_table call
+        # resolves every draw beyond the table.
+        count = 3 * block + 7 if extra == "3b+7" else block + extra
+        table = _table(alpha, xmin)
+        u = np.random.default_rng(seed).random(count)
+        far = data.draw(st.lists(st.tuples(st.integers(0, count - 1), st.floats(0.0, 0.999)), max_size=6))
+        for i, fraction in far:
+            u[i] = table.cdf[-1] + fraction * (1.0 - table.cdf[-1])
+        expected = _unique(per_draw_levels(table, u))
+        calls = []
+        real_beyond = _CdfTable._beyond_table
+
+        def spy(self, uniforms):
+            calls.append(len(uniforms))
+            return real_beyond(self, uniforms)
+
+        uniforms = _FixedUniforms(u)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lotkamodel, "_DRAW_BLOCK", block)
+            patch.setattr(_CdfTable, "_beyond_table", spy)
+            levels, counts = table.tally(uniforms, count)
+        assert (levels.tolist(), counts.tolist()) == expected
+        overflow = int((u > table.cdf[-1]).sum())
+        assert calls == ([overflow] if overflow else [])
+        full, rest = divmod(count, block)
+        assert uniforms.fills == [block] * full + [rest] * (rest > 0)
+
+    def test_tally_of_no_draws_is_empty(self):
+        levels, counts = _table(2.0, 1).tally(_FixedUniforms(np.empty(0)), 0)
+        assert levels.tolist() == counts.tolist() == []
+
+    def test_sample_tallies_in_memory_bounded_by_a_block(self, monkeypatch):
+        # Once the table is built, 1e6 draws at alpha 1.5 (about 750 beyond
+        # the table) hold well under one int64 level per draw, which is 8 MB.
+        real_tally = _CdfTable.tally
+        tables = []
+
+        def measured(self, rng, count):
+            tables.append(self)
+            tracemalloc.reset_peak()
+            return real_tally(self, rng, count)
+
+        monkeypatch.setattr(_CdfTable, "tally", measured)
+        tracemalloc.start()
+        try:
+            d = sample(PowerLawModel(1.5, 1), 10**6, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        (table,) = tables
+        assert d.total_authors == 10**6 and d.max_level > table.last_level
+        assert peak - (table.cdf.nbytes + table.guide.nbytes + table.straddles.nbytes) < 3 * 2**20
+
+    def test_sample_draws_no_more_than_a_block_at_a_time(self, random_fills):
+        count = 3 * _DRAW_BLOCK + 7
+        d = sample(PowerLawModel(1.5, 1), count, 1)
+        assert random_fills == [_DRAW_BLOCK] * 3 + [7]
+        assert d.total_authors == count
+
+    @pytest.mark.parametrize("alpha", [1.3, 1.5, 2.0])
+    def test_levels_beyond_the_table_against_mpmath(self, alpha):
+        # Consecutive levels differ by a relative (alpha-1)/k in zeta. A
+        # level is exact unless u lies within a fraction 2e-14 k/(alpha-1)
+        # of a step from its edge, and never more than 1 + 2e-14 k/(alpha-1)
+        # levels off: from about (alpha-1) * 5e13 on, levels are not resolved.
+        table = _table(alpha, 1)
+        # 1 - u log-uniform from the table's tail mass down to about ccdf(2^61).
+        deepest = max(2.0**-53, 2.0 ** (61 * (1 - alpha)) / ((alpha - 1) * table.model.normalizer))
+        tails = np.random.default_rng(4).uniform(math.log10(deepest), math.log10(1.0 - table.cdf[-1]), 12)
+        u = 1.0 - 10.0**tails
+        if alpha == 1.3:  # the 3,120th draw of sample(PowerLawModel(1.3), 6891, 3)
+            u = np.append(u, 0.9999713321731779)
+        offsets, exact_far = [], 0
+        with mpmath.workdps(40):
+            z = mpmath.zeta(alpha)
+            for one in u:
+                (level,) = table._beyond_table(one[None]).tolist()
+                target = (1 - mpmath.mpf(one)) * z
+                lo, hi, step = level, level, 1
+                while mpmath.zeta(alpha, lo) <= target:  # CDF(lo - 1) >= u
+                    lo, step = lo - step, 2 * step
+                while mpmath.zeta(alpha, hi + 1) > target:  # CDF(hi) < u
+                    hi, step = hi + step, 2 * step
+                while hi - lo > 0:  # the exact level lies in [lo, hi]
+                    mid = (lo + hi) // 2
+                    lo, hi = (lo, mid) if mpmath.zeta(alpha, mid + 1) <= target else (mid + 1, hi)
+                edge = (mpmath.zeta(alpha, lo) - target) / lo ** -mpmath.mpf(alpha)
+                band = 2e-14 * lo / (alpha - 1)
+                assert abs(level - lo) <= 1 + band
+                if min(edge, 1 - edge) > band:
+                    assert level == lo
+                    exact_far += lo > 10**10
+                offsets.append(level - lo)
+        assert exact_far >= 2
+        if alpha == 1.3:
+            assert offsets[-1] == -4  # 799,687,384,657,412 against 416
 
     def test_guide_marks_exactly_the_cells_that_straddle_rows(self):
         table = _table(2.0, 1)

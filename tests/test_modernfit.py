@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lotkafit import modernfit
+from conftest import per_draw_distribution, per_draw_levels
+from lotkafit import lotkamodel, modernfit
 from lotkafit import (
     DegenerateFitError,
     FrequencyDistribution,
@@ -26,9 +27,9 @@ from lotkafit import (
     sample,
     select_xmin,
 )
-from lotkafit.freqdata import _tally, truncate_right
+from lotkafit.freqdata import truncate_right
 from lotkafit.loglogfit import Denominator, fit_historical
-from lotkafit.lotkamodel import ALPHA_DOMAIN, _CdfTable, _zeta
+from lotkafit.lotkamodel import _DRAW_BLOCK, ALPHA_DOMAIN, _CdfTable, _zeta
 from lotkafit.modernfit import (
     _EDGE,
     _KS_BLOCK_CELLS,
@@ -400,7 +401,7 @@ def poisson_body_zipf_tail(authors, seed):
     """Half the authors from a Poisson body near level 4, half from a zipf-2.3 tail from 8."""
     tail = sample(PowerLawModel(2.3, 8), authors // 2, seed)
     body = np.random.default_rng(seed).poisson(3.0, authors - authors // 2) + 1
-    return _tally(np.concatenate([body, np.repeat(tail.levels, tail.counts)]), "mixture")
+    return per_draw_distribution(np.concatenate([body, np.repeat(tail.levels, tail.counts)]), "mixture")
 
 
 class TestPrunedKs:
@@ -626,9 +627,9 @@ def serial_bootstrap_ks(d, fit, n_boot, seed, reselect_xmin):
         for attempt in range(10):
             rng = np.random.default_rng((seed, r, attempt))
             k_tail = int((rng.random(n) < p_tail).sum())
-            tail = table.draw(rng, k_tail)
+            tail = per_draw_levels(table, rng.random(k_tail))
             picks = (rng.random(n - k_tail) * body_pool.size).astype(np.int64)
-            replicate = _tally(np.concatenate([tail, body_pool[picks]]), "bootstrap")
+            replicate = per_draw_distribution(np.concatenate([tail, body_pool[picks]]), "bootstrap")
             try:
                 refit = select_xmin(replicate) if reselect_xmin else mle_alpha(replicate, fit.xmin)
             except DegenerateFitError:
@@ -645,7 +646,8 @@ def serial_bias_errors(alpha, authors, cutoffs, replicates, seed):
     table = _CdfTable(PowerLawModel(alpha, 1))
     out = []
     for r in range(replicates):
-        population = _tally(table.draw(np.random.default_rng((seed, r)), authors), "bias")
+        draws = per_draw_levels(table, np.random.default_rng((seed, r)).random(authors))
+        population = per_draw_distribution(draws, "bias")
         row = []
         for cutoff in cutoffs:
             try:
@@ -738,6 +740,37 @@ class TestReplicateRunner:
         assert len(forked) == count - 1
         monkeypatch.setattr(modernfit, "_cpu_count", lambda: 1)
         assert table == bias_experiment(2.0, 2000, cutoffs, replicates=30, seed=2)
+
+    @pytest.mark.parametrize("reselect_xmin", [True, False])
+    def test_replicates_drawn_in_small_blocks_equal_serial_loop(self, runner_results, monkeypatch, reselect_xmin):
+        # Blocks of 64 draws split each replicate's tail/body draw, its
+        # tail and its body picks over many blocks; the replicates are
+        # still the serial loop's, which draws each uniform array whole.
+        monkeypatch.setattr(lotkamodel, "_DRAW_BLOCK", 64)
+        d = poisson_body_zipf_tail(2000, 1)
+        fit = select_xmin(d) if reselect_xmin else mle_alpha(d, 8)
+        assert fit.xmin > 1
+        gof_bootstrap(d, fit, 100, seed=5, reselect_xmin=reselect_xmin)
+        assert runner_results == [serial_bootstrap_ks(d, fit, 100, 5, reselect_xmin)]
+        cutoffs = [5, 30]
+        bias_experiment(2.0, 2000, cutoffs, replicates=10, seed=2)
+        assert runner_results[1] == serial_bias_errors(2.0, 2000, cutoffs, 10, 2)
+
+    def test_replicates_draw_no_more_than_a_block_at_a_time(self, monkeypatch, random_fills):
+        monkeypatch.setattr(modernfit, "_cpu_count", lambda: 1)
+        n = 3 * _DRAW_BLOCK + 7
+        d = sample(PowerLawModel(2.0, 1), n, 9)
+        fit = mle_alpha(d, 2)
+        fills = random_fills
+        fills.clear()
+        gof_bootstrap(d, fit, 100, seed=5, reselect_xmin=False)
+        assert max(fills) <= _DRAW_BLOCK
+        # Each replicate draws n uniforms for its tail/body split and n more
+        # for its tail and body; none is redrawn at this size.
+        assert sum(fills) == 100 * 2 * n
+        fills.clear()
+        bias_experiment(2.0, n, [30], replicates=10, seed=2)
+        assert max(fills) <= _DRAW_BLOCK and sum(fills) == 10 * n
 
     def test_lowest_failing_replicate_raises_its_own_exception(self, workers):
         # Replicates 3, 4 and 8 fail; whichever worker runs them, the
