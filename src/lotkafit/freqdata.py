@@ -23,7 +23,6 @@ import csv
 import gc
 import io
 import operator
-import os
 from dataclasses import asdict, dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from functools import cached_property
@@ -349,19 +348,13 @@ def serialize_distribution(dist: FrequencyDistribution) -> str:
 def _read(path: str | Path, parse):
     """parse(data, path) on a UTF-8 file's bytes; errors name the file.
 
-    The bytes are read once into a buffer that ends in 8 zero bytes.
-    CRLF and a lone CR become LF, as text mode's universal newlines make
-    them; a CR byte is never part of a longer UTF-8 sequence.
+    The bytes are read once and end in 8 zero bytes. CRLF and a lone CR
+    become LF, as text mode's universal newlines make them; a CR byte is
+    never part of a longer UTF-8 sequence.
     """
     path = Path(path)
     try:
-        with open(path, "rb", buffering=0) as file:
-            data = bytearray(os.fstat(file.fileno()).st_size + 8)
-            with memoryview(data) as view:
-                got = file.readinto(view[:-8])
-            rest = file.read()
-        if got < len(data) - 8 or rest:  # a short read, or a size that was not the file's
-            data = data[:got] + rest + bytes(8)
+        data = path.read_bytes() + bytes(8)
         if not data.isascii():
             start, size = 0, len(data) - 8
             with memoryview(data) as view:
@@ -535,18 +528,7 @@ def _bulk_columns(data: bytes) -> tuple[bytes, tuple[np.ndarray, np.ndarray, np.
         for column, part in zip(columns, (positions, spans[0] + start, spans[2] + start)):
             column.append(part)
         start = end
-    return header, tuple(map(_joined, columns))
-
-
-def _joined(parts: list[np.ndarray]) -> np.ndarray:
-    """The parts joined along their last axis, each freed once copied, so no row is held twice."""
-    out = np.empty((*parts[0].shape[:-1], sum(part.shape[-1] for part in parts)), dtype=parts[0].dtype)
-    end = out.shape[-1]
-    while parts:
-        part = parts.pop()
-        out[..., end - part.shape[-1] : end] = part
-        end -= part.shape[-1]
-    return out
+    return header, tuple(np.concatenate(parts, axis=-1) for parts in columns)
 
 
 def _scan_lines(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

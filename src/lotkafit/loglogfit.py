@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -185,15 +185,4 @@ def fit_historical(
         denom = truncated.total_authors
     else:
         denom = int(denominator)
-    fit = ols_loglog(to_percent_series(truncated, denom))
-    return FitResult(
-        slope=fit.slope,
-        intercept=fit.intercept,
-        exponent=fit.exponent,
-        r_squared=fit.r_squared,
-        f_stat=fit.f_stat,
-        dof=fit.dof,
-        n_points=fit.n_points,
-        denominator=denom,
-        cutoff=cutoff,
-    )
+    return replace(ols_loglog(to_percent_series(truncated, denom)), cutoff=cutoff)

@@ -27,7 +27,6 @@ every CPU the process may use, with forked workers.
 from __future__ import annotations
 
 import math
-import mmap
 import os
 import pickle
 import signal
@@ -293,8 +292,6 @@ def _least_ks(
     xmin) is the same as in a full scan.
     """
     firsts = np.flatnonzero(np.diff(sets, prepend=-1))
-    if len(firsts) == len(sets):
-        return _ks(levels, counts, sets, starts, alpha, normalizer)
     bound = _ks(levels, counts, sets, starts, alpha, normalizer, head=_KS_HEAD)
     seeds = np.lexsort((bound, sets))[firsts]
     ks = np.full(len(sets), np.inf)
@@ -512,38 +509,34 @@ def _cpu_count() -> int:
     return 1
 
 
-def _drain(
-    job: Callable[[range], list[_T]], chunks: list[range], slot: int, state: np.ndarray,
-    lock: tuple[int, int],
-) -> list:
+def _drain(job: Callable[[range], list[_T]], chunks: list[range], token: tuple[int, int]) -> list:
     """Outcomes (c, job(chunks[c]), None) of the chunks this worker claims.
 
-    Workers claim chunks in increasing order: state[0] is the next one,
-    taken while holding the token of the pipe ``lock``. The first chunk
-    that raises ends the worker as (c, None, exception) and is published
-    in state[1 + slot], the worker's slot. A worker also stops at a claim
-    above a failure any worker has published: no later replicate can
-    change which exception the runner raises.
+    The pipe ``token`` holds one 8-byte word, the next chunk to claim. A
+    worker that reads it holds it alone, and claims chunk c by writing
+    back c + 1, so the chunks are claimed once each and in increasing
+    order. The first chunk that raises ends the worker as (c, None,
+    exception), and the worker writes len(chunks) back: every chunk below
+    c is claimed already and runs, and no chunk is claimed after that,
+    since no later replicate can change which exception the runner raises.
     """
     outcomes = []
     while True:
-        os.read(lock[0], 1)
-        c = int(state[0])
-        state[0] = c + 1
-        os.write(lock[1], b".")
-        if c >= len(chunks) or c > state[1:].min():
+        c = int.from_bytes(os.read(token[0], 8), "little")
+        os.write(token[1], min(c + 1, len(chunks)).to_bytes(8, "little"))
+        if c == len(chunks):
             return outcomes
         try:
             outcomes.append((c, job(chunks[c]), None))
         except Exception as exc:  # handed to _replicates, which re-raises it
+            os.read(token[0], 8)
+            os.write(token[1], len(chunks).to_bytes(8, "little"))
             outcomes.append((c, None, exc))
-            state[1 + slot] = c
             return outcomes
 
 
 def _run_child(
-    job: Callable[[range], list[_T]], chunks: list[range], slot: int, state: np.ndarray,
-    lock: tuple[int, int], cpu: int, fd: int,
+    job: Callable[[range], list[_T]], chunks: list[range], token: tuple[int, int], cpu: int, fd: int,
 ) -> NoReturn:
     """Forked worker: pin to cpu, pickle the outcomes of its claims into fd, then exit.
 
@@ -554,7 +547,7 @@ def _run_child(
     status = 1
     try:
         os.sched_setaffinity(0, {cpu})
-        outcomes = _drain(job, chunks, slot, state, lock)
+        outcomes = _drain(job, chunks, token)
         with os.fdopen(fd, "wb") as pipe:
             pickle.dump(outcomes, pipe, pickle.HIGHEST_PROTOCOL)
         status = 0
@@ -577,16 +570,15 @@ def _replicates(job: Callable[[range], list[_T]], count: int, levels: int) -> li
     caller too. Otherwise W = min(CPUs, chunks) workers, the caller and
     W - 1 forked children, each pinned to its own CPU of the caller's
     mask until the run ends, claim the chunks one at a time in order
-    from a shared counter, so that a worker whose chunks ran faster takes
-    more of them. The children inherit the caller's memory, sampler
-    tables included, and send back only their pickled outcomes through a
-    pipe. Each worker publishes its failing chunk in an anonymous shared
-    mapping, and no worker starts a chunk above a published failure,
-    which a serial loop would not have reached. When chunks fail, the
-    exception of the lowest failing chunk is raised: that of the lowest
-    failing r, the one a serial loop would have raised. job(rs) must
-    compute each r's result from r alone, so the results depend neither
-    on W nor on the chunks.
+    through one token pipe (see _drain), so that a worker whose chunks
+    ran faster takes more of them. The children inherit the caller's
+    memory, sampler tables included, and send back only their pickled
+    outcomes through a pipe each. No chunk is claimed once a chunk has
+    failed, so chunks far above it, which a serial loop would not have
+    reached, do not run. When chunks fail, the exception of the lowest
+    failing chunk is raised: that of the lowest failing r, the one a
+    serial loop would have raised. job(rs) must compute each r's result
+    from r alone, so the results depend neither on W nor on the chunks.
     """
     parts = max(1, -(-(count - 1) // max(1, _CHUNK_ROWS // levels)))
     edges = [1 + c * (count - 1) // parts for c in range(parts + 1)]
@@ -601,23 +593,20 @@ def _replicates(job: Callable[[range], list[_T]], count: int, levels: int) -> li
     # ran in parallel.
     mask = os.sched_getaffinity(0)
     cpus = sorted(mask)
-    # The next chunk to claim, then each worker's failing chunk.
-    state = np.frombuffer(mmap.mmap(-1, 8 * (1 + workers)), dtype=np.int64)
-    state[0] = 1
-    state[1:] = len(chunks)
-    lock = os.pipe()
-    os.write(lock[1], b".")
+    # Chunk 0 ran above: the token's first claim is chunk 1.
+    token = os.pipe()
+    os.write(token[1], (1).to_bytes(8, "little"))
     children = []
     try:
         for w in range(1, workers):
             read_fd, write_fd = os.pipe()
             pid = os.fork()
             if pid == 0:
-                _run_child(job, chunks, w, state, lock, cpus[w % len(cpus)], write_fd)
+                _run_child(job, chunks, token, cpus[w % len(cpus)], write_fd)
             os.close(write_fd)
             children.append((pid, os.fdopen(read_fd, "rb")))
         os.sched_setaffinity(0, {cpus[0]})
-        outcomes = [(0, first, None)] + _drain(job, chunks, 0, state, lock)
+        outcomes = [(0, first, None)] + _drain(job, chunks, token)
         while children:
             pid, pipe = children[0]
             data = pipe.read()
@@ -629,7 +618,7 @@ def _replicates(job: Callable[[range], list[_T]], count: int, levels: int) -> li
             outcomes += pickle.loads(data)
     finally:
         os.sched_setaffinity(0, mask)
-        for fd in lock:
+        for fd in token:
             os.close(fd)
         for pid, pipe in children:
             with suppress(ProcessLookupError):

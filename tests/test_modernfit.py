@@ -1,6 +1,7 @@
 import math
 import os
 import sys
+import time
 
 import mpmath
 import numpy as np
@@ -447,6 +448,10 @@ class TestPrunedKs:
         bound = _ks(*args, head=_KS_HEAD)
         assert bound[1] < bound[0] == 0.25
         assert _least_ks(*args).tolist() == _ks(*args).tolist() == [0.25, 0.25]
+        # The same two candidates as one each of two datasets: round 1
+        # evaluates both in full, and round 2 none.
+        one_each = (np.tile(levels, (2, 1)), np.tile(counts, (2, 1)), np.arange(2), *args[3:])
+        assert _least_ks(*one_each).tobytes() == _ks(*one_each).tobytes() == _ks(*args).tobytes()
 
     def test_gathered_cells_equal_broadcast_cells(self):
         # The bound is exact because every KS cell is the same float in any
@@ -682,7 +687,10 @@ def workers(request, monkeypatch):
         return pid
 
     monkeypatch.setattr(os, "fork", counting_fork)
-    return request.param, forked
+    yield request.param, forked
+    # The runner reaps every child it forked, whether or not a job raised.
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture
@@ -825,10 +833,44 @@ class TestReplicateRunner:
 
     def test_every_chunk_is_claimed_once(self, workers):
         # 1,999 one-replicate chunks, claimed one at a time by up to three
-        # workers on however many CPUs: a lost update of the shared claim
-        # counter would run a chunk twice or skip it.
+        # workers on however many CPUs: a claim token read by two workers
+        # at once, or lost, would run a chunk twice or skip it.
         count, forked = workers
         assert modernfit._replicates(per_replicate(lambda r: r), 2000, 1000) == list(range(2000))
+        assert len(forked) == count - 1
+
+    @pytest.mark.parametrize("fails", [True, False], ids=["failure", "no-failure"])
+    def test_no_chunk_far_above_a_failure_starts(self, workers, tmp_path, fails):
+        # 399 one-replicate chunks after replicate 0; replicate 20 raises at
+        # once while the others take 2 ms. Every chunk below the failure
+        # runs, none twice, and the workers still busy when it fails claim
+        # no more than a few chunks above it.
+        count, forked = workers
+        path = tmp_path / "started"
+        fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+
+        def job(r):
+            os.write(fd, f"{r}\n".encode())
+            if fails and r == 20:
+                raise InputError("replicate 20 is bad input")
+            time.sleep(0.002)
+            return r
+
+        try:
+            if fails:
+                with pytest.raises(InputError, match=r"^replicate 20 is bad input$"):
+                    modernfit._replicates(per_replicate(job), 400, 1000)
+            else:
+                assert modernfit._replicates(per_replicate(job), 400, 1000) == list(range(400))
+        finally:
+            os.close(fd)
+        started = [int(line) for line in path.read_text().split()]
+        assert len(started) == len(set(started))
+        if fails:
+            assert set(range(21)) <= set(started)
+            assert max(started) <= 20 + 40
+        else:
+            assert sorted(started) == list(range(400))
         assert len(forked) == count - 1
 
     def test_few_replicate_levels_run_serially(self, workers):
