@@ -12,14 +12,17 @@ it, and the maximum-likelihood fit searches the same range.
 One array evaluator computes the normalizer zeta(alpha, s) for many
 exponents and start points at once, together with the first two
 alpha-derivatives of its logarithm that the maximum-likelihood fit
-needs: a dense suffix sum below level 64 plus an Euler-Maclaurin tail,
-accurate to well under 1e-12 absolute error on the domain. Sampling is
-by inverse-CDF lookup against a precomputed cumulative table, tallied
-into counts a block at a time. A guide table of 2^16 equal-probability
-cells (Chen & Asau's indexed search) resolves most draws without a
-binary search; the rest search the full table, and one
-doubling-plus-bisection covers all draws beyond it, exact up to about
-level (alpha-1) * 5e13 (see _CdfTable._beyond_table). Sampling is
+needs: a dense suffix sum below level 64, computed a few exponent rows
+at a time so that its temporaries do not grow with the rows, plus an
+Euler-Maclaurin tail, accurate to well under 1e-12 absolute error on the
+domain. Sampling is by inverse-CDF lookup against a precomputed
+cumulative table of at most 2^16 rows, tallied into counts a block at a
+time. A guide table of 2^16 equal-probability cells (Chen & Asau's
+indexed search) resolves most draws without a binary search; the rest
+search the full table, and draws beyond it are inverted on the
+zeta-based CDF, all at once: a bracket around the asymptotic level, then
+bisection, exact up to about level (alpha-1) * 5e13 (see
+_CdfTable._beyond_table). Sampling is
 reproducible: all randomness flows through numpy's PCG64 generator
 consuming uniform doubles only, so identical (model, count, seed) gives
 identical output: PCG64 is a pinned contract, not an implementation detail.
@@ -64,6 +67,12 @@ _DENSE_LOGS = np.log(np.arange(_TAIL_START - 1, 0, -1, dtype=float))
 _DENSE_WEIGHTS = (_DENSE_LOGS - math.log(_TAIL_START)) ** np.arange(3)[:, None]
 _ORDERS = np.arange(3, dtype=float).reshape(-1, 1, 1)
 _FACTORIALS = np.array([1.0, 1.0, 2.0]).reshape(-1, 1, 1)
+# Dense-block cells computed at a time: _zeta takes as many exponent rows as
+# keep a block's suffix sums (orders x rows x 64 floats, orders 1 or 3) within
+# this, 128 rows or 42. Like _DRAW_BLOCK's, each of a block's float64
+# temporaries is then at most 64 KiB, under glibc's default 128 KiB mmap
+# threshold, and is reused from the heap however many rows the call has.
+_DENSE_CELLS = 1 << 13
 
 # B_{2j} / (2j)! for j = 1..6.
 _EM_COEFFS = (
@@ -77,9 +86,10 @@ _EM_COEFFS = (
 _EM_ARRAY = np.array(_EM_COEFFS)
 _RISE_STEPS = np.arange(2 * len(_EM_COEFFS) - 1, dtype=float)
 
-# Sampler cumulative table: stop at the 1 - 1e-9 quantile or this many rows,
-# whichever comes first. Rarer draws fall through to exact bisection.
-_TABLE_CAP = 1 << 20
+# Sampler cumulative table: stop at the 1 - 1e-9 quantile or this many rows
+# (512 KiB), whichever comes first. Rarer draws, about 3,000 in 1e6 at alpha
+# 1.5, are inverted on the zeta-based CDF (see _CdfTable._beyond_table).
+_TABLE_CAP = 1 << 16
 _TABLE_TAIL_MASS = 1e-9
 # Cells of the sampler's guide table. A power of two, so that u * cells
 # and c / cells are exact and the guide never changes a drawn level.
@@ -128,8 +138,9 @@ def _zeta(alpha, starts, derivatives: bool = False):
     (zeta, d/dalpha ln zeta, d^2/dalpha^2 ln zeta): the second is minus
     the model mean of ln k over k >= s and the third its variance, both
     computed from moments of ln k - c with c = ln max(s, _TAIL_START), so
-    that no large terms cancel. This is the only zeta formula in the
-    package.
+    that no large terms cancel. The dense sums are computed for a block
+    of rows at a time (see _DENSE_CELLS); each row's values are the same
+    floats in any block. This is the only zeta formula in the package.
     """
     orders = 3 if derivatives else 1
     a = np.asarray(alpha, dtype=float).reshape(-1, 1)
@@ -145,12 +156,16 @@ def _zeta(alpha, starts, derivatives: bool = False):
     moments[0] += 0.5 * power
     moments += (power / n) * _horner(_series_coeffs(a, orders), 1.0 / (n * n))
     if (s < _TAIL_START).any():
-        # suffix[..., i] sums the dense terms for k >= _TAIL_START - i.
-        terms = np.exp(-a * _DENSE_LOGS) * _DENSE_WEIGHTS[:orders, None, :]
-        suffix = np.zeros(terms.shape[:-1] + (_TAIL_START,))
-        terms.cumsum(axis=-1, out=suffix[..., 1:])
         col = _TAIL_START - np.minimum(s, _TAIL_START).astype(np.intp)
-        moments += suffix[:, np.arange(a.shape[0]).reshape(-1, 1), col]
+        col = np.broadcast_to(col, moments.shape[1:])
+        block = _DENSE_CELLS // (orders * _TAIL_START)
+        for r0 in range(0, len(col), block):
+            rows = slice(r0, r0 + block)
+            # suffix[:, j, i] sums block row j's dense terms for k >= _TAIL_START - i.
+            terms = np.exp(-a[rows] * _DENSE_LOGS) * _DENSE_WEIGHTS[:orders, None, :]
+            suffix = np.zeros(terms.shape[:-1] + (_TAIL_START,))
+            terms.cumsum(axis=-1, out=suffix[..., 1:])
+            moments[:, rows] += suffix[:, np.arange(terms.shape[1]).reshape(-1, 1), col[rows]]
     if not derivatives:
         return moments[0]
     zeta, m1, m2 = moments
@@ -223,9 +238,9 @@ class _CdfTable:
     """Cumulative probability table for inverse-CDF sampling.
 
     Covers levels from xmin up to the 1 - 1e-9 quantile, capped at
-    _TABLE_CAP rows; draws landing beyond the table are resolved by one
-    doubling-plus-bisection over all of them on the zeta-based CDF, which
-    resolves consecutive levels up to about (alpha-1) * 5e13.
+    _TABLE_CAP rows; draws landing beyond the table are inverted all at
+    once on the zeta-based CDF (_beyond_table), which resolves
+    consecutive levels up to about (alpha-1) * 5e13.
     A guide table (Chen & Asau 1974) splits [0, 1) into _GUIDE_CELLS
     cells of equal width: guide[c] is the first row whose cumulative
     probability reaches c / _GUIDE_CELLS. A draw u in cell c = floor(u *
@@ -279,42 +294,48 @@ class _CdfTable:
     def _beyond_table(self, u: np.ndarray) -> np.ndarray:
         """Smallest level k >= last_level with CDF(k) >= u in float, for every u at once.
 
-        CDF(k) >= u is zeta(alpha, k+1) <= (1-u) * zeta(alpha, xmin), found by
-        doubling plus bisection. Levels differ by a relative (alpha-1)/k in
-        zeta, float zeta by under 2e-14 (mpmath): a level is one off only for
-        u within 2e-14 k/(alpha-1) of a step from its edge, and from about
-        (alpha-1) * 5e13 on, where float zeta is not monotone in k, within
-        1 + 2e-14 k/(alpha-1). Levels beyond 2^62 are refused: at alpha 2,
-        under 1e-18 per draw.
+        CDF(k) >= u is zeta(alpha, k+1) <= (1-u) * zeta(alpha, xmin). The
+        search starts at the asymptotic level ((alpha-1) (1-u) zeta(alpha,
+        xmin))^(1/(1-alpha)) - 1/2, off by about alpha / (24 k) of a level in
+        exact arithmetic, gallops away from it by 1, 2, 4, ... levels until the level
+        is bracketed, then bisects, all on the same zeta comparison: 2
+        evaluator calls for all draws, more where float zeta is not
+        monotone. Any search for that crossing gives the same level where
+        float zeta is monotone in k. Levels differ by a relative
+        (alpha-1)/k in zeta, float zeta by under 2e-14 (mpmath): a level is
+        one off only for u within 2e-14 k/(alpha-1) of a step from its
+        edge, and from about (alpha-1) * 5e13 on, where float zeta is not
+        monotone in k, within 1 + 2e-14 k/(alpha-1). Levels beyond 2^62 are
+        refused: at alpha 2, under 1e-18 per draw.
         """
-        alpha = [self.model.alpha]
+        alpha, first = self.model.alpha, self.last_level
         target = (1.0 - u) * self.model.normalizer
-
-        def above(k: np.ndarray, where: np.ndarray) -> np.ndarray:
-            return _zeta(alpha, (k[where] + 1.0).reshape(1, -1))[0] > target[where]
-
-        lo = np.full(u.shape, self.last_level, dtype=np.int64)
-        hi = lo.copy()
-        grow = np.ones(u.shape, dtype=bool)
-        while True:
-            grow[grow] = above(hi, grow)
-            if not grow.any():
-                break
-            if (hi[grow] > MAX_LEVEL // 2).any():
-                raise InputError(
-                    f"a sampled level lies beyond 2^62; alpha {self.model.alpha!r} "
-                    "is too close to 1 for exact sampling"
-                )
-            hi[grow] *= 2
-        while True:
-            active = hi - lo > 1
-            if not active.any():
-                return hi
-            mid = (lo + hi) // 2
-            beyond = np.zeros(u.shape, dtype=bool)
-            beyond[active] = above(mid, active)
-            hi = np.where(active & ~beyond, mid, hi)
-            lo = np.where(beyond, mid, lo)
+        with np.errstate(over="ignore"):  # a guess beyond 2^62 is clipped to it
+            guess = ((alpha - 1.0) * target) ** (1.0 / (1.0 - alpha)) - 0.5
+        probe = np.clip(np.ceil(guess), first, MAX_LEVEL).astype(np.int64)
+        # The level lies in (lo, hi]: CDF(lo) < u unless lo is first - 1, and
+        # CDF(hi) >= u unless hi is 2^62 + 1. While one end is open, probes
+        # gallop from the first one towards it; then they bisect.
+        lo = np.full(u.shape, first - 1)
+        hi = np.full(u.shape, MAX_LEVEL + 1)
+        step = 1
+        while (active := hi - lo > 1).any():
+            k = probe[active]
+            beyond = _zeta([alpha], (k + 1.0).reshape(1, -1))[0] > target[active]  # CDF(k) < u
+            lo[active] = np.where(beyond, k, lo[active])
+            hi[active] = np.where(beyond, hi[active], k)
+            probe = np.where(
+                hi > MAX_LEVEL,
+                lo + np.minimum(step, MAX_LEVEL - lo),
+                np.where(lo < first, hi - np.minimum(step, hi - first), lo + (hi - lo) // 2),
+            )
+            step = min(2 * step, MAX_LEVEL)
+        if (hi > MAX_LEVEL).any():
+            raise InputError(
+                f"a sampled level lies beyond 2^62; alpha {alpha!r} "
+                "is too close to 1 for exact sampling"
+            )
+        return hi
 
 
 def _merged(tallies: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:

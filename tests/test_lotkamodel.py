@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import re
 import tracemalloc
@@ -15,15 +17,31 @@ from lotkafit import (
     InputError,
     PercentSeries,
     PowerLawModel,
+    bias_experiment,
     ccdf,
     expected_counts,
     hurwitz_zeta,
     ols_loglog,
     predicted_fraction,
     sample,
+    serialize_distribution,
 )
 from lotkafit import lotkamodel
-from lotkafit.lotkamodel import _DRAW_BLOCK, _GUIDE_CELLS, _CdfTable, _zeta
+from lotkafit.freqdata import MAX_LEVEL
+from lotkafit.lotkamodel import (
+    _DENSE_CELLS,
+    _DENSE_LOGS,
+    _DENSE_WEIGHTS,
+    _DRAW_BLOCK,
+    _FACTORIALS,
+    _GUIDE_CELLS,
+    _ORDERS,
+    _TAIL_START,
+    _CdfTable,
+    _horner,
+    _series_coeffs,
+    _zeta,
+)
 
 
 def brute_force_zeta(alpha, xmin=1, terms=10**6):
@@ -38,6 +56,32 @@ def brute_force_zeta(alpha, xmin=1, terms=10**6):
     lower = (n + 1) ** (1 - alpha) / (alpha - 1)
     upper = n ** (1 - alpha) / (alpha - 1)
     return partial + 0.5 * (lower + upper), 0.5 * (upper - lower)
+
+
+def _unblocked_zeta(alpha, starts, derivatives=False):
+    """Reference: _zeta with its dense block computed for all rows at once."""
+    orders = 3 if derivatives else 1
+    a = np.asarray(alpha, dtype=float).reshape(-1, 1)
+    s = np.asarray(starts, dtype=float)
+    n = np.maximum(s, float(_TAIL_START))
+    shift = np.log(n)
+    power = np.exp(-a * shift)
+    inv_am1 = 1.0 / (a - 1.0)
+    lead = n * power * inv_am1
+    moments = lead * (_FACTORIALS[:orders] * inv_am1 ** _ORDERS[:orders])
+    moments[0] += 0.5 * power
+    moments += (power / n) * _horner(_series_coeffs(a, orders), 1.0 / (n * n))
+    if (s < _TAIL_START).any():
+        terms = np.exp(-a * _DENSE_LOGS) * _DENSE_WEIGHTS[:orders, None, :]
+        suffix = np.zeros(terms.shape[:-1] + (_TAIL_START,))
+        terms.cumsum(axis=-1, out=suffix[..., 1:])
+        col = _TAIL_START - np.minimum(s, _TAIL_START).astype(np.intp)
+        moments += suffix[:, np.arange(a.shape[0]).reshape(-1, 1), col]
+    if not derivatives:
+        return moments[0]
+    zeta, m1, m2 = moments
+    mean = m1 / zeta
+    return zeta, -(shift + mean), m2 / zeta - mean * mean
 
 
 class TestHurwitzZeta:
@@ -91,6 +135,38 @@ class TestHurwitzZeta:
             assert np.array_equal(_zeta([alpha], starts)[0], batch[r])
             for i, s in enumerate(starts[0]):
                 assert batch[r, i] == hurwitz_zeta(alpha, int(s))
+
+    @pytest.mark.parametrize("derivatives", [False, True])
+    @pytest.mark.parametrize("shape", ["R,1", "1,M", "R,M"])
+    @pytest.mark.parametrize("rows", ["1", "block-1", "block", "block+1", "1000"])
+    def test_dense_row_blocks_change_no_float(self, rows, shape, derivatives):
+        # The dense block is computed for a block of exponent rows at a time
+        # (128 rows, 42 with derivatives); each row's exp, weights and cumsum
+        # are as in one block of all rows, so every value is the same float.
+        block = _DENSE_CELLS // ((3 if derivatives else 1) * _TAIL_START)
+        rows = {"1": 1, "block-1": block - 1, "block": block, "block+1": block + 1, "1000": 1000}[rows]
+        rng = np.random.default_rng(rows)
+        alpha = rng.uniform(1.01, 10.0, rows)
+        columns = 1 if shape == "R,1" else 9
+        starts = rng.integers(1, 80, size=(1 if shape == "1,M" else rows, columns)).astype(float)
+        if columns > 1:
+            starts[:, -1] = 2.0**40
+        got, want = _zeta(alpha, starts, derivatives), _unblocked_zeta(alpha, starts, derivatives)
+        for g, w in zip(got, want) if derivatives else [(got, want)]:
+            assert g.shape == w.shape and np.array_equal(g, w)
+
+    def test_dense_block_temporaries_do_not_grow_with_the_rows(self):
+        # A 1,000-row derivative call, every start below 64: the unblocked
+        # dense block held 3 x 1,000 x 64 floats of suffix sums alone.
+        alpha = np.linspace(1.01, 10.0, 1000)
+        starts = np.arange(1000, dtype=float).reshape(-1, 1) % 63 + 1
+        tracemalloc.start()
+        try:
+            _zeta(alpha, starts, derivatives=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_divergent_alpha(self):
         with pytest.raises(InputError, match=r"alpha must lie in \[1\.01, 10\], got 1\.0$"):
@@ -258,6 +334,18 @@ class TestSample:
             with pytest.raises(InputError, match=rf"count must lie in \[1, 2\^62\], got {count}$"):
                 sample(PowerLawModel(2.0, 1), count, 1)
 
+    def test_seed_one_outputs_are_pinned(self):
+        # sha256 of seed-1 outputs that draw beyond the sampler table: 1e6
+        # draws at alpha 1.5 (about 3,000 beyond it), and a bias experiment.
+        drawn = serialize_distribution(sample(PowerLawModel(1.5), 10**6, 1))
+        assert hashlib.sha256(drawn.encode()).hexdigest() == (
+            "7a669419f18200ff9b3079779b579b49c1cebe7c741e96ed8c05047a5b7aa306"
+        )
+        bias = json.dumps(bias_experiment(2.0, 6891, [30, 10**6], 20, 1).to_dict())
+        assert hashlib.sha256(bias.encode()).hexdigest() == (
+            "f0ed9f19f679e8cacbee21ede5f336689648d2aea18aa75397127721498b0038"
+        )
+
     def test_chi_square_goodness_across_seeds(self):
         # Chi-square of each 1e5-draw sample against the pmf on levels
         # 1..20 with the tail pooled; the 0.999 quantile of chi2(20) must
@@ -278,6 +366,33 @@ class TestSample:
             statistic = float(((observed - expected) ** 2 / expected).sum())
             passes += statistic < threshold
         assert passes >= 95
+
+
+def _doubling_search(table: _CdfTable, u: np.ndarray) -> np.ndarray:
+    """Reference: levels of draws beyond the table by doubling from its last level, then bisection."""
+    target = (1.0 - u) * table.model.normalizer
+
+    def above(k: np.ndarray, where: np.ndarray) -> np.ndarray:
+        return _zeta([table.model.alpha], (k[where] + 1.0).reshape(1, -1))[0] > target[where]
+
+    lo = np.full(u.shape, table.last_level, dtype=np.int64)
+    hi = lo.copy()
+    grow = np.ones(u.shape, dtype=bool)
+    while True:
+        grow[grow] = above(hi, grow)
+        if not grow.any():
+            break
+        assert (hi[grow] <= MAX_LEVEL // 2).all()
+        hi[grow] *= 2
+    while True:
+        active = hi - lo > 1
+        if not active.any():
+            return hi
+        mid = (lo + hi) // 2
+        beyond = np.zeros(u.shape, dtype=bool)
+        beyond[active] = above(mid, active)
+        hi = np.where(active & ~beyond, mid, hi)
+        lo = np.where(beyond, mid, lo)
 
 
 class _FixedUniforms:
@@ -407,7 +522,7 @@ class TestCdfTable:
         assert levels.tolist() == counts.tolist() == []
 
     def test_sample_tallies_in_memory_bounded_by_a_block(self, monkeypatch):
-        # Once the table is built, 1e6 draws at alpha 1.5 (about 750 beyond
+        # Once the table is built, 1e6 draws at alpha 1.5 (about 3,000 beyond
         # the table) hold well under one int64 level per draw, which is 8 MB.
         real_tally = _CdfTable.tally
         tables = []
@@ -470,7 +585,59 @@ class TestCdfTable:
                 offsets.append(level - lo)
         assert exact_far >= 2
         if alpha == 1.3:
-            assert offsets[-1] == -4  # 799,687,384,657,412 against 416
+            assert offsets[-1] == 1  # 799,687,384,657,417 against 416
+
+    @pytest.mark.parametrize("alpha", [1.3, 1.5, 2.0, 3.0, 5.0])
+    @pytest.mark.parametrize("xmin", [1, 3, 40, 10**6, 2**40])
+    def test_bracket_equals_doubling_plus_bisection(self, alpha, xmin):
+        # Where float zeta is monotone in k, every search for its crossing
+        # finds the same level. Monotone means a relative step (alpha-1)/k
+        # well above its 2e-14 error: below (alpha-1) * 5e12, where the step
+        # is ten times that. Towards (alpha-1) * 5e13 both searches stay
+        # within the band test_levels_beyond_the_table_against_mpmath allows.
+        table = _table(alpha, xmin)
+        edge, z = table.cdf[-1], table.model.normalizer
+        exact_to = (alpha - 1) * 5e12
+        u = [edge, np.nextafter(edge, 1.0)]
+        for limit in (exact_to, 10 * exact_to):  # 1 - u log-uniform down to about ccdf(limit)
+            deepest = max(2.0**-53, hurwitz_zeta(alpha, int(limit)) / z)
+            tails = np.random.default_rng(xmin).uniform(math.log10(deepest), math.log10(1.0 - edge), 200)
+            u.extend(1.0 - 10.0**tails)
+        u = np.array(u)
+        new, old = table._beyond_table(u), _doubling_search(table, u)
+        exact = old < exact_to
+        assert exact[:2].all() and exact.sum() > 150
+        assert np.array_equal(new[exact], old[exact])
+        assert (np.abs(new - old) <= 2 + 4e-14 * old / (alpha - 1)).all()
+
+    @pytest.mark.parametrize("xmin", [1, 3])
+    def test_levels_up_to_two_to_the_62_returned_and_beyond_refused(self, xmin):
+        # At alpha 1.05 over half the draws lie beyond the table and about
+        # an eighth beyond 2^62. Each uniform is one whose exact level is a
+        # fraction of 2^62; float u resolves it to about 2e-14 relative. A
+        # doubling from the table's last level refused 0.75 and 0.97 at xmin 3.
+        table = _table(1.05, xmin)
+        returned, refused = (0.5, 0.75, 0.97, 1 - 2**-20), (1 + 2**-20, 1.03)
+        with mpmath.workdps(40):
+            z = mpmath.zeta(1.05, xmin)
+            uniform = {f: float(1 - mpmath.zeta(1.05, int(f * 2**62)) / z) for f in returned + refused}
+        for f in returned:
+            (level,) = table._beyond_table(np.array([uniform[f]])).tolist()
+            assert level == pytest.approx(f * 2**62, rel=1e-12)
+            assert _tally_of(table, np.array([0.5, uniform[f]]))[0][1:] == [level]
+        message = r"^a sampled level lies beyond 2\^62; alpha 1\.05 is too close to 1 for exact sampling$"
+        for f in refused:
+            for u in ([uniform[f]], [uniform[0.5], uniform[f]]):
+                with pytest.raises(InputError, match=message):
+                    table._beyond_table(np.array(u))
+                with pytest.raises(InputError, match=message):
+                    table.tally(_FixedUniforms(np.array(u)), len(u))
+
+    def test_table_holds_at_most_two_to_the_16_rows(self):
+        # 512 KiB of cumulative probabilities, one row per guide cell.
+        for alpha, xmin in ((1.01, 1), (1.5, 1), (2.0, 10**6), (3.0, 1), (10.0, 1)):
+            assert len(_table(alpha, xmin).cdf) <= 2**16 == _GUIDE_CELLS
+        assert len(_table(1.5, 1).cdf) == 2**16
 
     def test_guide_marks_exactly_the_cells_that_straddle_rows(self):
         table = _table(2.0, 1)
