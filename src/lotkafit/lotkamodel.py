@@ -306,7 +306,8 @@ class _CdfTable:
         one off only for u within 2e-14 k/(alpha-1) of a step from its
         edge, and from about (alpha-1) * 5e13 on, where float zeta is not
         monotone in k, within 1 + 2e-14 k/(alpha-1). Levels beyond 2^62 are
-        refused: at alpha 2, under 1e-18 per draw.
+        refused, at the first probe that shows one: at alpha 2 and xmin 1,
+        under 1e-18 per draw.
         """
         alpha, first = self.model.alpha, self.last_level
         target = (1.0 - u) * self.model.normalizer
@@ -315,11 +316,15 @@ class _CdfTable:
         probe = np.clip(np.ceil(guess), first, MAX_LEVEL).astype(np.int64)
         # The level lies in (lo, hi]: CDF(lo) < u unless lo is first - 1, and
         # CDF(hi) >= u unless hi is 2^62 + 1. While one end is open, probes
-        # gallop from the first one towards it; then they bisect.
+        # gallop from the first one towards it; then they bisect. The first
+        # probe that finds CDF(2^62) < u for any draw ends the search.
         lo = np.full(u.shape, first - 1)
         hi = np.full(u.shape, MAX_LEVEL + 1)
         step = 1
-        while (active := hi - lo > 1).any():
+        while lo.max() < MAX_LEVEL:
+            active = hi - lo > 1
+            if not active.any():
+                return hi
             k = probe[active]
             beyond = _zeta([alpha], (k + 1.0).reshape(1, -1))[0] > target[active]  # CDF(k) < u
             lo[active] = np.where(beyond, k, lo[active])
@@ -330,12 +335,7 @@ class _CdfTable:
                 np.where(lo < first, hi - np.minimum(step, hi - first), lo + (hi - lo) // 2),
             )
             step = min(2 * step, MAX_LEVEL)
-        if (hi > MAX_LEVEL).any():
-            raise InputError(
-                f"a sampled level lies beyond 2^62; alpha {alpha!r} "
-                "is too close to 1 for exact sampling"
-            )
-        return hi
+        raise InputError(f"a sampled level lies beyond 2^62 (alpha {alpha!r}, xmin {self.model.xmin})")
 
 
 def _merged(tallies: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:

@@ -75,25 +75,6 @@ _KS_BLOCK_CELLS = 1 << 16
 # its KS distance from below (see _least_ks).
 _KS_HEAD = 8
 
-# Forking replicate workers costs a few ms, which only pays when the
-# replicates after the first cost more than that together. Measured on a
-# 2-vCPU machine, the whole command in 6-8 fresh processes each, serial ->
-# forked, with bias sized from the levels replicate 0 holds: bias with
-# 20 replicates and cutoffs 30 and 10^6 at 6,891 authors (about 20 x 140
-# levels) 106-147 -> 91-132 ms, median 117 -> 106, at 3,000 authors
-# (20 x 103) 71-102 -> 76-93 ms; with 10 replicates at 3,000 authors
-# (10 x 103) 67-74 -> 66-78 ms and at 1,000 (10 x 67) 45-53 -> 41-62 ms;
-# fit mle --xmin auto --bootstrap 100 on 4,781 authors 152-179 -> 119-132
-# ms. A bootstrap of 2,000-3,999 replicate levels, which the gate forked
-# only once it went from 4,000 to 2,000, is unresolved: on 20 levels of
-# 474 authors (100 x 20) it took 87-100 ms serial and 82-129 ms forked,
-# ranges that overlap. The smallest legal bootstrap, 100 replicates of 3
-# levels, is a single chunk and takes 25-30 ms in one process; forked,
-# before replicates were fitted in batches, it took 97-105 ms. So the
-# replicates fork only when count x the populated levels one replicate
-# holds reaches 2,000, so that bias at about 20 x 140 levels stays forked.
-_FORK_MIN_LEVELS = 2000
-
 # Candidate rows a chunk of replicates fits in one batch: about 9
 # replicates of 107 levels, one at 1e6 authors. A fit call has a fixed
 # cost of about 1 ms around the zeta evaluator, which a batch pays once,
@@ -565,9 +546,13 @@ def _replicates(job: Callable[[range], list[_T]], count: int, levels: int) -> li
     first-use costs such as lazy imports are paid once. The others are
     split into equal chunks of at most max(1, _CHUNK_ROWS // levels)
     consecutive replicates, which the job fits as one batch; the chunks
-    depend on the inputs only. With one CPU (see _cpu_count), one chunk,
-    or below _FORK_MIN_LEVELS replicate levels, the chunks run in the
-    caller too. Otherwise W = min(CPUs, chunks) workers, the caller and
+    depend on the inputs only. With one CPU (see _cpu_count) or one chunk
+    after replicate 0, the chunks run in the caller too. A chunk batches
+    its replicates' fits, so forking for as few as two chunks measured no
+    slower than running them in the caller: fit mle --xmin auto on 12
+    levels of 290 authors, 2 CPUs, 10 fresh-process pairs, median serial ->
+    forked 66 -> 57 ms with 100 replicates and 63 -> 63 ms with 160.
+    Otherwise W = min(CPUs, chunks after replicate 0) workers, the caller and
     W - 1 forked children, each pinned to its own CPU of the caller's
     mask until the run ends, claim the chunks one at a time in order
     through one token pipe (see _drain), so that a worker whose chunks
@@ -584,7 +569,7 @@ def _replicates(job: Callable[[range], list[_T]], count: int, levels: int) -> li
     edges = [1 + c * (count - 1) // parts for c in range(parts + 1)]
     chunks = [range(1)] + [range(a, b) for a, b in zip(edges, edges[1:]) if a < b]
     first = job(chunks[0])
-    workers = min(_cpu_count(), len(chunks) - 1) if count * levels >= _FORK_MIN_LEVELS else 1
+    workers = min(_cpu_count(), len(chunks) - 1)
     if workers <= 1:
         return first + [result for chunk in chunks[1:] for result in job(chunk)]
     # Left to the scheduler, a forked child on a 2-vCPU Linux VM often
@@ -665,9 +650,11 @@ def gof_bootstrap(
     table = _CdfTable(model)
     levels, counts = dist.populated_arrays
     body = int(np.searchsorted(levels, result.xmin))
-    body_pool = np.repeat(np.arange(body), counts[:body])  # each body author's level index
+    # Body author j (0 <= j < n_body) is at the level index whose cumulative count first exceeds j.
+    body_cum = np.cumsum(counts[:body])
+    n_body = int(counts[:body].sum())
     n = dist.total_authors
-    p_tail = (n - body_pool.size) / n
+    p_tail = (n - n_body) / n
 
     def replicate(r: int, attempt: int) -> FrequencyDistribution:
         rng = np.random.default_rng((seed, r, attempt))
@@ -681,7 +668,8 @@ def gof_bootstrap(
             ) from None
         body_counts = np.zeros(body, dtype=np.int64)
         for u in _uniform_blocks(rng, n - k_tail):
-            body_counts += np.bincount(body_pool[(u * body_pool.size).astype(np.int64)], minlength=body)
+            picks = np.searchsorted(body_cum, (u * n_body).astype(np.int64), side="right")
+            body_counts += np.bincount(picks, minlength=body)
         drawn = np.flatnonzero(body_counts)  # body levels lie below the tail's
         tally = np.append(levels[drawn], tail_levels), np.append(body_counts[drawn], tail_counts)
         return FrequencyDistribution.from_arrays(*tally, name="bootstrap")
@@ -777,9 +765,12 @@ def bias_experiment(
     truncations run as one batch, each exactly as alone: the table is the
     same on any number of CPUs. The runner sizes its chunks from the
     populated levels of replicate 0's truncations, which is drawn first;
-    the other replicates hold about as many. Replicates where an estimator
+    the other replicates hold about as many. The errors are one array of
+    replicates x cutoffs x (historical, MLE), NaN where a fit failed: a
+    fit that succeeds is never NaN. Replicates where an estimator
     degenerates are left out of that estimator's summary; a cutoff where
-    one estimator fails in every replicate is an error.
+    one estimator fails in every replicate is an error, raised for the
+    first such cutoff, historical before MLE.
     """
     if not 10 <= replicates <= MAX_AUTHORS:
         raise InputError(f"replicates must lie in [10, 2^62], got {replicates}")
@@ -802,50 +793,36 @@ def bias_experiment(
 
     first = draw(0)
 
-    def replicate_errors(rs: range) -> list[list[tuple[float | None, float | None]]]:
-        """(historical, MLE) exponent error per cutoff of each replicate; None where a fit fails.
+    def replicate_errors(rs: range) -> list[np.ndarray]:
+        """(historical, MLE) exponent error at each cutoff of each replicate; NaN where a fit fails.
 
         The MLE fits of every replicate's truncations run as one batch.
         """
-        hist: list[float | None] = []
-        truncated: dict[int, FrequencyDistribution] = {}
-        for r in rs:
+        errors = np.full((len(rs), len(cutoffs), 2), np.nan)
+        truncated: dict[tuple[int, int], FrequencyDistribution] = {}
+        for i, r in enumerate(rs):
             population = first if r == 0 else draw(r)
-            for cutoff in cutoffs:
-                hist.append(None)
+            for j, cutoff in enumerate(cutoffs):
                 with suppress(DegenerateFitError, InputError):
-                    hist[-1] = fit_historical(population, cutoff, Denominator.FULL).exponent - alpha
+                    errors[i, j, 0] = fit_historical(population, cutoff, Denominator.FULL).exponent - alpha
                 with suppress(InputError):
-                    truncated[len(hist) - 1] = truncate_right(population, cutoff)
-        mle: list[float | None] = [None] * len(hist)
-        for i, fit in zip(truncated, _fit_batch(list(truncated.values()))):
+                    truncated[i, j] = truncate_right(population, cutoff)
+        for (i, j), fit in zip(truncated, _fit_batch(list(truncated.values()))):
             if isinstance(fit, MleResult):
-                mle[i] = fit.alpha_hat - alpha
-        pairs = list(zip(hist, mle))
-        return [pairs[i : i + len(cutoffs)] for i in range(0, len(pairs), len(cutoffs))]
+                errors[i, j, 1] = fit.alpha_hat - alpha
+        return list(errors)
 
-    hist_errors: dict[int, list[float]] = {c: [] for c in cutoffs}
-    mle_errors: dict[int, list[float]] = {c: [] for c in cutoffs}
     top = first.populated_arrays[0]
     levels = max(1, sum(int(np.searchsorted(top, c, side="right")) for c in cutoffs))
-    for errors in _replicates(replicate_errors, replicates, levels):
-        for cutoff, (hist, mle) in zip(cutoffs, errors):
-            if hist is not None:
-                hist_errors[cutoff].append(hist)
-            if mle is not None:
-                mle_errors[cutoff].append(mle)
+    errors = np.array(_replicates(replicate_errors, replicates, levels))
     rows = []
-    for cutoff in cutoffs:
-        hist = hist_errors[cutoff]
-        mle = mle_errors[cutoff]
-        if not hist:
-            raise DegenerateFitError(
-                f"cutoff {cutoff}: historical fit degenerate in all {replicates} replicates"
-            )
-        if not mle:
-            raise DegenerateFitError(
-                f"cutoff {cutoff}: modern fit degenerate in all {replicates} replicates"
-            )
+    for cutoff, (hist, mle) in zip(cutoffs, errors.transpose(1, 2, 0)):
+        hist, mle = hist[~np.isnan(hist)], mle[~np.isnan(mle)]
+        for name, kept in (("historical", hist), ("modern", mle)):
+            if not kept.size:
+                raise DegenerateFitError(
+                    f"cutoff {cutoff}: {name} fit degenerate in all {replicates} replicates"
+                )
         rows.append(
             BiasRow(
                 cutoff=cutoff,

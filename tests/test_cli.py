@@ -211,7 +211,7 @@ class TestExitCodes:
              "--out", str(out_file)],
         )
         assert code == 2
-        assert "alpha 1.0100001 is too close to 1" in err
+        assert "beyond 2^62 (alpha 1.0100001, xmin 1)" in err
         assert len(err.splitlines()) == 1
 
     def test_repeated_cutoff_exits_two(self, capsys):

@@ -625,7 +625,7 @@ class TestCdfTable:
             (level,) = table._beyond_table(np.array([uniform[f]])).tolist()
             assert level == pytest.approx(f * 2**62, rel=1e-12)
             assert _tally_of(table, np.array([0.5, uniform[f]]))[0][1:] == [level]
-        message = r"^a sampled level lies beyond 2\^62; alpha 1\.05 is too close to 1 for exact sampling$"
+        message = rf"^a sampled level lies beyond 2\^62 \(alpha 1\.05, xmin {xmin}\)$"
         for f in refused:
             for u in ([uniform[f]], [uniform[0.5], uniform[f]]):
                 with pytest.raises(InputError, match=message):
@@ -654,5 +654,31 @@ class TestCdfTable:
             _CdfTable(PowerLawModel(alpha, 1))
 
     def test_beyond_bound_message_keeps_every_digit_of_alpha(self):
-        with pytest.raises(InputError, match=r"alpha 1\.0100001 is too close to 1"):
+        with pytest.raises(InputError, match=r"beyond 2\^62 \(alpha 1\.0100001, xmin 1\)$"):
             sample(PowerLawModel(1.0100001, 1), 10, 1)
+
+    def test_beyond_bound_message_names_the_xmin(self):
+        # At xmin 2^61 a level beyond 2^62 has probability 2^-9 at alpha 10,
+        # the top of the domain: the support bound, not the exponent, is why.
+        with pytest.raises(InputError, match=r"beyond 2\^62 \(alpha 10\.0, xmin 2305843009213693952\)$"):
+            sample(PowerLawModel(10.0, 2**61), 1000, 1)
+
+    @pytest.mark.parametrize("alpha", [1.1, 1.05])
+    def test_refusal_at_the_first_probe_beyond_two_to_the_62(self, monkeypatch, alpha):
+        # 31,245 of these draws lie beyond the table at alpha 1.1 and 55,731
+        # at 1.05, and finishing every draw's search takes 34 and 36
+        # evaluator calls. The first probe that proves a level beyond 2^62
+        # refuses the batch, and the asymptotic guess puts it at 2^62 at once.
+        table = _table(alpha, 1)
+        u = np.random.default_rng(1).random(10**5)
+        calls = []
+        real_zeta = lotkamodel._zeta
+
+        def counting_zeta(*args, **kwargs):
+            calls.append(1)
+            return real_zeta(*args, **kwargs)
+
+        monkeypatch.setattr(lotkamodel, "_zeta", counting_zeta)
+        with pytest.raises(InputError, match=rf"beyond 2\^62 \(alpha {alpha}, xmin 1\)$"):
+            table._beyond_table(u[u > table.cdf[-1]])
+        assert 1 <= len(calls) <= 2

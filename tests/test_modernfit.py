@@ -1,7 +1,9 @@
+import contextlib
 import math
 import os
 import sys
 import time
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -32,6 +34,7 @@ from lotkafit.freqdata import truncate_right
 from lotkafit.loglogfit import Denominator, fit_historical
 from lotkafit.lotkamodel import _DRAW_BLOCK, ALPHA_DOMAIN, _CdfTable, _zeta
 from lotkafit.modernfit import (
+    ALPHA_TOL,
     _EDGE,
     _KS_BLOCK_CELLS,
     _KS_HEAD,
@@ -129,6 +132,43 @@ class TestMleAlpha:
         d = FrequencyDistribution.from_counts({1: 5, 2: 3})
         with pytest.raises(InputError):
             mle_alpha(d, 0)
+
+    @pytest.mark.parametrize(
+        "counts, xmin, near",
+        [
+            ({1: 722, 2**62: 278}, 1, 1.08),
+            ({2**40: 711, 2**60: 289}, 2**40, 1.25),
+            ({2**40: 568, 2**41: 432}, 2**40, 4.34),
+            ({3: 926, 4: 74}, 3, 9.65),
+        ],
+    )
+    def test_exponent_within_tolerance_of_mpmath_root(self, counts, xmin, near):
+        # The documented claim: alpha_hat lies within ALPHA_TOL of the score's
+        # root, here near both ends of the bracket and at a large xmin. The
+        # root is solved by mpmath at 40 digits; gaps seen are below 1e-13.
+        root = _mpmath_score_root(counts, xmin)
+        assert abs(root - near) < 0.01
+        fit = mle_alpha(FrequencyDistribution.from_counts(counts), xmin)
+        assert abs(fit.alpha_hat - root) <= ALPHA_TOL
+
+    def test_root_above_the_bracket_reported_degenerate(self):
+        # Nearly every author at xmin: the score's root lies near 16, above
+        # the domain, so the likelihood still rises at its upper end.
+        counts, xmin = {3: 990, 4: 10}, 3
+        assert _mpmath_score_root(counts, xmin) > ALPHA_DOMAIN[1]
+        with pytest.raises(DegenerateFitError, match=r"bracket edge \(alpha ~ 10\.0000\)"):
+            mle_alpha(FrequencyDistribution.from_counts(counts), xmin)
+
+
+def _mpmath_score_root(counts, xmin):
+    """Root of psi(alpha) = d/dalpha ln zeta(alpha, xmin) + mean ln k, at 40 digits."""
+    with mpmath.workdps(40):
+        mean_log = mpmath.fsum(c * mpmath.log(k) for k, c in counts.items()) / sum(counts.values())
+
+        def psi(alpha):
+            return mpmath.zeta(alpha, xmin, 1) / mpmath.zeta(alpha, xmin) + mean_log
+
+        return float(mpmath.findroot(psi, (mpmath.mpf("1.0001"), mpmath.mpf(20)), solver="illinois"))
 
 
 class TestKsDistance:
@@ -536,6 +576,23 @@ class TestGofBootstrap:
         p = gof_bootstrap(d, fit, 100, seed=8, reselect_xmin=False)
         assert 0.0 <= p <= 1.0
 
+    def test_body_picks_hold_no_array_per_body_author(self, monkeypatch):
+        # 7 x 150,000 authors below xmin 8: a pool of one int64 level index
+        # per body author would hold 8.4 MB. Body picks search the 7
+        # cumulative counts instead, and one replicate (replicate 0, run in
+        # place of the runner) peaks well under that, sampler table included.
+        counts = {k: 150_000 for k in range(1, 8)} | {8: 300, 9: 200, 12: 100, 20: 40, 50: 5, 100: 1}
+        d = FrequencyDistribution.from_counts(counts)
+        fit = mle_alpha(d, 8)
+        monkeypatch.setattr(modernfit, "_replicates", lambda job, count, levels: job(range(1)))
+        tracemalloc.start()
+        try:
+            gof_bootstrap(d, fit, 100, seed=1, reselect_xmin=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 7 * 150_000
+
 
 class TestCompareMethods:
     def test_noiseless_consistency(self, noiseless_square_law):
@@ -647,25 +704,25 @@ def serial_bootstrap_ks(d, fit, n_boot, seed, reselect_xmin):
 
 
 def serial_bias_errors(alpha, authors, cutoffs, replicates, seed):
-    """Oracle for the bias replicates: (historical, MLE) error per cutoff, None on failure."""
+    """Oracle for the bias replicates: replicates x cutoffs x (historical, MLE) errors, NaN on failure."""
     table = _CdfTable(PowerLawModel(alpha, 1))
-    out = []
+    out = np.full((replicates, len(cutoffs), 2), np.nan)
     for r in range(replicates):
         draws = per_draw_levels(table, np.random.default_rng((seed, r)).random(authors))
         population = per_draw_distribution(draws, "bias")
-        row = []
-        for cutoff in cutoffs:
-            try:
-                hist = fit_historical(population, cutoff, Denominator.FULL).exponent - alpha
-            except (DegenerateFitError, InputError):
-                hist = None
-            try:
-                mle = select_xmin(truncate_right(population, cutoff)).alpha_hat - alpha
-            except (DegenerateFitError, InputError):
-                mle = None
-            row.append((hist, mle))
-        out.append(row)
+        for j, cutoff in enumerate(cutoffs):
+            with contextlib.suppress(DegenerateFitError, InputError):
+                out[r, j, 0] = fit_historical(population, cutoff, Denominator.FULL).exponent - alpha
+            with contextlib.suppress(DegenerateFitError, InputError):
+                out[r, j, 1] = select_xmin(truncate_right(population, cutoff)).alpha_hat - alpha
     return out
+
+
+def assert_same_bits(results, oracle):
+    """The runner's per-replicate arrays, stacked, are the oracle's array bit for bit, NaN included."""
+    stacked = np.array(results)
+    assert stacked.shape == oracle.shape
+    assert stacked.tobytes() == oracle.tobytes()
 
 
 @pytest.fixture(params=[1, 2, 3], ids=lambda w: f"workers{w}")
@@ -740,11 +797,12 @@ class TestReplicateRunner:
 
     def test_bias_replicates_equal_serial_loop(self, workers, runner_results, monkeypatch):
         count, forked = workers
-        # Replicate 0's truncations hold 93 levels: 30 x 93 replicate levels
-        # pass the fork gate, in three chunks of up to 10 replicates.
+        # Replicate 0's truncations hold 93 levels, so the 29 replicates
+        # after it run in three chunks of up to 10.
         cutoffs = [5, 30, 10**6]
         table = bias_experiment(2.0, 2000, cutoffs, replicates=30, seed=2)
-        assert runner_results == [serial_bias_errors(2.0, 2000, cutoffs, 30, 2)]
+        (results,) = runner_results
+        assert_same_bits(results, serial_bias_errors(2.0, 2000, cutoffs, 30, 2))
         assert len(forked) == count - 1
         monkeypatch.setattr(modernfit, "_cpu_count", lambda: 1)
         assert table == bias_experiment(2.0, 2000, cutoffs, replicates=30, seed=2)
@@ -762,7 +820,7 @@ class TestReplicateRunner:
         assert runner_results == [serial_bootstrap_ks(d, fit, 100, 5, reselect_xmin)]
         cutoffs = [5, 30]
         bias_experiment(2.0, 2000, cutoffs, replicates=10, seed=2)
-        assert runner_results[1] == serial_bias_errors(2.0, 2000, cutoffs, 10, 2)
+        assert_same_bits(runner_results[1], serial_bias_errors(2.0, 2000, cutoffs, 10, 2))
 
     def test_replicates_draw_no_more_than_a_block_at_a_time(self, monkeypatch, random_fills):
         monkeypatch.setattr(modernfit, "_cpu_count", lambda: 1)
@@ -873,9 +931,15 @@ class TestReplicateRunner:
             assert sorted(started) == list(range(400))
         assert len(forked) == count - 1
 
-    def test_few_replicate_levels_run_serially(self, workers):
+    def test_chunks_alone_decide_whether_to_fork(self, workers):
+        # However few levels the replicates hold, two chunks after replicate
+        # 0 fork: at 333 levels a chunk holds 1000 // 333 = 3 replicates, so
+        # replicates 1-5 make two chunks.
         count, forked = workers
         assert modernfit._replicates(per_replicate(lambda r: r), 6, 333) == list(range(6))
+        assert len(forked) == min(count, 2) - 1
+        # At 334 levels a chunk holds 2 replicates: replicates 1-2 are one
+        # chunk, which runs in the caller.
+        forked.clear()
+        assert modernfit._replicates(per_replicate(lambda r: r), 3, 334) == list(range(3))
         assert forked == []
-        assert modernfit._replicates(per_replicate(lambda r: r), 6, 334) == list(range(6))
-        assert len(forked) == count - 1
