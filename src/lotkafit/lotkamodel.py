@@ -12,8 +12,9 @@ it, and the maximum-likelihood fit searches the same range.
 One array evaluator computes the normalizer zeta(alpha, s) for many
 exponents and start points at once, together with the first two
 alpha-derivatives of its logarithm that the maximum-likelihood fit
-needs: a dense suffix sum below level 64, computed a few exponent rows
-at a time so that its temporaries do not grow with the rows, plus an
+needs: a dense suffix sum below level 64, computed only for the
+exponent rows with a start below 64 and a few of those rows at a time,
+so that its temporaries do not grow with the rows, plus an
 Euler-Maclaurin tail, accurate to well under 1e-12 absolute error on the
 domain. Sampling is by inverse-CDF lookup against a precomputed
 cumulative table of at most 2^16 rows, tallied into counts a block at a
@@ -67,11 +68,12 @@ _DENSE_LOGS = np.log(np.arange(_TAIL_START - 1, 0, -1, dtype=float))
 _DENSE_WEIGHTS = (_DENSE_LOGS - math.log(_TAIL_START)) ** np.arange(3)[:, None]
 _ORDERS = np.arange(3, dtype=float).reshape(-1, 1, 1)
 _FACTORIALS = np.array([1.0, 1.0, 2.0]).reshape(-1, 1, 1)
-# Dense-block cells computed at a time: _zeta takes as many exponent rows as
-# keep a block's suffix sums (orders x rows x 64 floats, orders 1 or 3) within
-# this, 128 rows or 42. Like _DRAW_BLOCK's, each of a block's float64
-# temporaries is then at most 64 KiB, under glibc's default 128 KiB mmap
-# threshold, and is reused from the heap however many rows the call has.
+# Dense-block cells computed at a time: _zeta takes as many of the exponent
+# rows with a start below 64 as keep a block's suffix sums (orders x rows x 64
+# floats, orders 1 or 3) within this, 128 rows or 42. Like _DRAW_BLOCK's, each
+# of a block's float64 temporaries is then at most 64 KiB, under glibc's
+# default 128 KiB mmap threshold, and is reused from the heap however many
+# rows the call has.
 _DENSE_CELLS = 1 << 13
 
 # B_{2j} / (2j)! for j = 1..6.
@@ -138,9 +140,11 @@ def _zeta(alpha, starts, derivatives: bool = False):
     (zeta, d/dalpha ln zeta, d^2/dalpha^2 ln zeta): the second is minus
     the model mean of ln k over k >= s and the third its variance, both
     computed from moments of ln k - c with c = ln max(s, _TAIL_START), so
-    that no large terms cancel. The dense sums are computed for a block
-    of rows at a time (see _DENSE_CELLS); each row's values are the same
-    floats in any block. This is the only zeta formula in the package.
+    that no large terms cancel. The dense sums are computed only for the
+    rows with a start below _TAIL_START, a block of them at a time (see
+    _DENSE_CELLS); the other rows use none of them. Each row's values are
+    the same floats in any block, and the same as with dense sums for
+    every row. This is the only zeta formula in the package.
     """
     orders = 3 if derivatives else 1
     a = np.asarray(alpha, dtype=float).reshape(-1, 1)
@@ -155,17 +159,17 @@ def _zeta(alpha, starts, derivatives: bool = False):
     moments = lead * (_FACTORIALS[:orders] * inv_am1 ** _ORDERS[:orders])
     moments[0] += 0.5 * power
     moments += (power / n) * _horner(_series_coeffs(a, orders), 1.0 / (n * n))
-    if (s < _TAIL_START).any():
-        col = _TAIL_START - np.minimum(s, _TAIL_START).astype(np.intp)
-        col = np.broadcast_to(col, moments.shape[1:])
-        block = _DENSE_CELLS // (orders * _TAIL_START)
-        for r0 in range(0, len(col), block):
-            rows = slice(r0, r0 + block)
-            # suffix[:, j, i] sums block row j's dense terms for k >= _TAIL_START - i.
-            terms = np.exp(-a[rows] * _DENSE_LOGS) * _DENSE_WEIGHTS[:orders, None, :]
-            suffix = np.zeros(terms.shape[:-1] + (_TAIL_START,))
-            terms.cumsum(axis=-1, out=suffix[..., 1:])
-            moments[:, rows] += suffix[:, np.arange(terms.shape[1]).reshape(-1, 1), col[rows]]
+    col = _TAIL_START - np.minimum(s, _TAIL_START).astype(np.intp)
+    col = np.broadcast_to(col, moments.shape[1:])
+    dense = np.flatnonzero((col > 0).any(axis=1))
+    block = _DENSE_CELLS // (orders * _TAIL_START)
+    for r0 in range(0, len(dense), block):
+        rows = dense[r0 : r0 + block]
+        # suffix[:, j, i] sums block row j's dense terms for k >= _TAIL_START - i.
+        terms = np.exp(-a[rows] * _DENSE_LOGS) * _DENSE_WEIGHTS[:orders, None, :]
+        suffix = np.zeros(terms.shape[:-1] + (_TAIL_START,))
+        terms.cumsum(axis=-1, out=suffix[..., 1:])
+        moments[:, rows] += suffix[:, np.arange(len(rows)).reshape(-1, 1), col[rows]]
     if not derivatives:
         return moments[0]
     zeta, m1, m2 = moments

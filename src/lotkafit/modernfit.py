@@ -188,8 +188,8 @@ def log_likelihood(dist: FrequencyDistribution, model: PowerLawModel) -> float:
 
 
 def _ks(
-    levels: np.ndarray,
-    counts: np.ndarray,
+    cum: np.ndarray,
+    next_levels: np.ndarray,
     sets: np.ndarray,
     starts: np.ndarray,
     alpha: np.ndarray,
@@ -198,28 +198,28 @@ def _ks(
 ) -> np.ndarray:
     """KS distance of each candidate tail levels[sets[i], starts[i]:] from its model.
 
-    ``levels`` and ``counts`` are a padded batch (see _fit_tails), and
-    candidates are sorted by (set, start). Both CDFs are conditioned on
-    the tail; the model CDF at an observed level k is 1 - zeta(alpha, k+1)
-    / zeta(alpha, xmin), with ``normalizer`` holding zeta(alpha, xmin). A
-    padding column repeats its row's last level and total, so its gap
-    repeats the last real one. Candidates are processed in blocks of at
-    most _KS_BLOCK_CELLS candidate-level cells, each running from the
-    block's lowest start to the top, so for one dataset the cost is O(L)
-    per candidate and the memory bounded. Every cell is the same float
-    whatever block it lands in, so the distances do not depend on the
-    batch. With ``head``, each candidate's largest gap over only the first
-    ``head`` columns of its tail is returned instead (a tail narrower than
-    that repeats the batch's last column, whose gap is the row's last):
-    a subset of its cells, so an exact lower bound on its KS distance.
-    Those blocks gather each row's own columns, _KS_BLOCK_CELLS // head
-    rows at a time.
+    ``cum`` and ``next_levels`` are the cumulative counts along each row
+    and the levels plus one, as floats, of a padded batch ``levels``,
+    ``counts`` (see _fit_tails); candidates are sorted by (set, start).
+    Both CDFs are conditioned on the tail; the model CDF at an observed
+    level k is 1 - zeta(alpha, k+1) / zeta(alpha, xmin), with
+    ``normalizer`` holding zeta(alpha, xmin). A padding column repeats
+    its row's last level and total, so its gap repeats the last real
+    one. Candidates are processed in blocks of at most _KS_BLOCK_CELLS
+    candidate-level cells, each running from the block's lowest start to
+    the top, so for one dataset the cost is O(L) per candidate and the
+    memory bounded. Every cell is the same float whatever block it lands
+    in, so the distances do not depend on the batch. With ``head``, each
+    candidate's largest gap over only the first ``head`` columns of its
+    tail is returned instead (a tail narrower than that repeats the
+    batch's last column, whose gap is the row's last): a subset of its
+    cells, so an exact lower bound on its KS distance. Those blocks
+    gather each row's own columns, _KS_BLOCK_CELLS // head rows at a
+    time.
     """
-    cum = np.cumsum(counts, axis=1)
-    before = cum[sets, starts] - counts[sets, starts]
+    before = np.where(starts > 0, cum[sets, starts - 1], 0)  # authors below each tail
     n_tail = cum[sets, -1] - before
-    next_levels = (levels + 1).astype(float)
-    top = levels.shape[1]
+    top = cum.shape[1]
     ks = np.empty(len(starts))
 
     def gaps(rows: slice, block: np.ndarray, cols: slice | np.ndarray) -> np.ndarray:
@@ -261,26 +261,30 @@ def _least_ks(
 ) -> np.ndarray:
     """_ks of every candidate that may hold its dataset's least KS distance; +inf for the rest.
 
-    Arguments are as for _ks. Each candidate's bound is its largest gap
-    over the first _KS_HEAD levels of its tail, which no full distance
-    undercuts. Round 1 fully evaluates, per dataset, the candidate of
-    least bound (the first of them on a tie); round 2 fully evaluates, in
-    one _ks call, every other candidate whose bound is <= its dataset's
-    round-1 distance. A candidate left out has a distance at least its
-    bound, so above the round-1 one and so above the least: it can
-    neither be the least nor tie with it. Every candidate at the least
-    distance is evaluated, exactly, so the first of them (the smallest
-    xmin) is the same as in a full scan.
+    ``levels`` and ``counts`` are the padded batch; the other arguments
+    are as for _ks, whose three calls here (bound, round 1, round 2)
+    share one computation of its ``cum`` and ``next_levels``. Each
+    candidate's bound is its largest gap over the first _KS_HEAD levels
+    of its tail, which no full distance undercuts. Round 1 fully
+    evaluates, per dataset, the candidate of least bound (the first of
+    them on a tie); round 2 fully evaluates, in one _ks call, every
+    other candidate whose bound is <= its dataset's round-1 distance. A
+    candidate left out has a distance at least its bound, so above the
+    round-1 one and so above the least: it can neither be the least nor
+    tie with it. Every candidate at the least distance is evaluated,
+    exactly, so the first of them (the smallest xmin) is the same as in
+    a full scan.
     """
+    table = np.cumsum(counts, axis=1), (levels + 1).astype(float)
     firsts = np.flatnonzero(np.diff(sets, prepend=-1))
-    bound = _ks(levels, counts, sets, starts, alpha, normalizer, head=_KS_HEAD)
+    bound = _ks(*table, sets, starts, alpha, normalizer, head=_KS_HEAD)
     seeds = np.lexsort((bound, sets))[firsts]
     ks = np.full(len(sets), np.inf)
-    ks[seeds] = _ks(levels, counts, sets[seeds], starts[seeds], alpha[seeds], normalizer[seeds])
+    ks[seeds] = _ks(*table, sets[seeds], starts[seeds], alpha[seeds], normalizer[seeds])
     again = bound <= np.repeat(ks[seeds], np.diff(firsts, append=len(sets)))
     again[seeds] = False
     rows = np.flatnonzero(again)
-    ks[rows] = _ks(levels, counts, sets[rows], starts[rows], alpha[rows], normalizer[rows])
+    ks[rows] = _ks(*table, sets[rows], starts[rows], alpha[rows], normalizer[rows])
     return ks
 
 
@@ -288,8 +292,9 @@ def ks_distance(dist: FrequencyDistribution, model: PowerLawModel) -> float:
     """Supremum gap between empirical and model CDFs on the tail."""
     levels, counts = _tail_arrays(dist, model.xmin)
     alpha, normalizer = np.array([model.alpha]), np.array([model.normalizer])
+    cum, next_levels = np.cumsum(counts)[None, :], (levels[None, :] + 1).astype(float)
     zero = np.zeros(1, dtype=np.intp)
-    return float(_ks(levels[None, :], counts[None, :], zero, zero, alpha, normalizer)[0])
+    return float(_ks(cum, next_levels, zero, zero, alpha, normalizer)[0])
 
 
 @dataclass(frozen=True)

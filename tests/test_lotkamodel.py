@@ -15,18 +15,22 @@ from conftest import per_draw_levels
 from lotkafit import (
     FrequencyDistribution,
     InputError,
+    MleResult,
     PercentSeries,
     PowerLawModel,
     bias_experiment,
     ccdf,
+    compare_methods,
     expected_counts,
     hurwitz_zeta,
+    mle_alpha,
     ols_loglog,
     predicted_fraction,
     sample,
+    select_xmin,
     serialize_distribution,
 )
-from lotkafit import lotkamodel
+from lotkafit import lotkamodel, modernfit
 from lotkafit.freqdata import MAX_LEVEL
 from lotkafit.lotkamodel import (
     _DENSE_CELLS,
@@ -59,7 +63,7 @@ def brute_force_zeta(alpha, xmin=1, terms=10**6):
 
 
 def _unblocked_zeta(alpha, starts, derivatives=False):
-    """Reference: _zeta with its dense block computed for all rows at once."""
+    """Reference: _zeta with its dense block computed for all rows at once, used or not."""
     orders = 3 if derivatives else 1
     a = np.asarray(alpha, dtype=float).reshape(-1, 1)
     s = np.asarray(starts, dtype=float)
@@ -154,6 +158,56 @@ class TestHurwitzZeta:
         got, want = _zeta(alpha, starts, derivatives), _unblocked_zeta(alpha, starts, derivatives)
         for g, w in zip(got, want) if derivatives else [(got, want)]:
             assert g.shape == w.shape and np.array_equal(g, w)
+
+    @pytest.mark.parametrize("derivatives", [False, True])
+    @pytest.mark.parametrize("dense", ["0", "1", "block-1", "block", "block+1", "999", "last column"])
+    def test_dense_row_selection_changes_no_float(self, dense, derivatives):
+        # Only rows with a start below 64 get dense sums; the others get none
+        # added, so each value is the float of a dense block over all rows.
+        # (R, 1) starts with that many of 1,000 rows below 64, or (R, M)
+        # starts where a row's only start below 64 is its last column.
+        block = _DENSE_CELLS // ((3 if derivatives else 1) * _TAIL_START)
+        if dense == "last column":
+            alpha = np.array([1.5, 2.5, 9.0])
+            starts = np.array([[64.0, 80.0, 2.0**40], [64.0, 2.0**40, 63.0], [100.0, 65.0, 64.0]])
+        else:
+            dense = {"0": 0, "1": 1, "block-1": block - 1, "block": block, "block+1": block + 1}.get(
+                dense, 999
+            )
+            rng = np.random.default_rng(dense)
+            alpha = rng.uniform(1.01, 10.0, 1000)
+            starts = rng.integers(_TAIL_START, 2**40, size=(1000, 1)).astype(float)
+            starts[rng.permutation(1000)[:dense]] = rng.integers(1, _TAIL_START, size=(dense, 1))
+        got, want = _zeta(alpha, starts, derivatives), _unblocked_zeta(alpha, starts, derivatives)
+        for g, w in zip(got, want) if derivatives else [(got, want)]:
+            assert g.shape == w.shape and np.array_equal(g, w)
+
+    def test_dense_sums_run_only_for_rows_with_a_start_below_64(self, monkeypatch):
+        # For each fit call of _zeta, the rows that the dense exp runs over
+        # (recorded where the exponents meet _DENSE_LOGS) are exactly its
+        # rows with a start below 64: at 1e6 authors, 63 of the first Newton
+        # pass's 1,344 candidate rows.
+        d = sample(PowerLawModel(2.0), 10**6, 1)
+        exp_rows, calls = [], []
+
+        class RowSpy(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                exp_rows.append(len(inputs[0]))
+                return getattr(ufunc, method)(*map(np.asarray, inputs), **kwargs)
+
+        def spy(alpha, starts, derivatives=False):
+            first = len(exp_rows)
+            result = _zeta(alpha, starts, derivatives)
+            below = np.broadcast_to(np.asarray(starts) < _TAIL_START, (len(alpha), np.shape(starts)[1]))
+            calls.append((sum(exp_rows[first:]), int(below.any(axis=1).sum()), len(alpha)))
+            return result
+
+        monkeypatch.setattr(lotkamodel, "_DENSE_LOGS", _DENSE_LOGS.view(RowSpy))
+        monkeypatch.setattr(modernfit, "_zeta", spy)
+        select_xmin(d)
+        assert len(calls) >= 5
+        assert all(ran == below for ran, below, _ in calls)
+        assert (63, 63, 1344) in calls
 
     def test_dense_block_temporaries_do_not_grow_with_the_rows(self):
         # A 1,000-row derivative call, every start below 64: the unblocked
@@ -345,6 +399,34 @@ class TestSample:
         assert hashlib.sha256(bias.encode()).hexdigest() == (
             "f0ed9f19f679e8cacbee21ede5f336689648d2aea18aa75397127721498b0038"
         )
+
+    def test_seed_one_fits_at_a_million_authors_are_pinned(self):
+        # Exact floats of the fits whose zeta rows mostly start at 64 or
+        # above; at xmin 70 no row has a dense sum.
+        d = sample(PowerLawModel(2.0), 10**6, 1)
+        modern = MleResult(1.9999800707459034, 1, 0.00031957437577900816, 10**6, -1637657.5433851453)
+        assert select_xmin(d) == modern
+        assert mle_alpha(d, 70) == MleResult(
+            2.02370485149949, 70, 0.010971329755193271, 8826, -54675.10956323717
+        )
+        assert compare_methods(d, 30).to_dict() == {
+            "cutoff_used": 30,
+            "divergence": 0.008405936507758893,
+            "historical": {
+                "slope": -2.0083860072536623,
+                "intercept": 1.789755428880155,
+                "exponent": 2.0083860072536623,
+                "r_squared": 0.9998396077793594,
+                "f_stat": 174544.0577230883,
+                "dof": 28,
+                "n_points": 30,
+                "denominator": 1000000,
+                "cutoff": 30,
+            },
+            "modern": modern.to_dict(),
+            "notes": "right truncation at 30 removes 100.00% of the level range and 82.03% of works;"
+            " author denominator kept at the full total 1000000",
+        }
 
     def test_chi_square_goodness_across_seeds(self):
         # Chi-square of each 1e5-draw sample against the pmf on levels

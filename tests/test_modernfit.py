@@ -342,6 +342,11 @@ _distributions = st.one_of(
 ).filter(lambda counts: any(counts.values())).map(FrequencyDistribution.from_counts)
 
 
+def batch_ks(levels, counts, *args, head=None):
+    """_ks of a padded batch, with the cumulative counts and next levels it takes."""
+    return _ks(np.cumsum(counts, axis=1), (levels + 1).astype(float), *args, head=head)
+
+
 def spy_ks_blocks(monkeypatch):
     """The (rows, columns) of every KS evaluator call from now on, as a list that fills.
 
@@ -434,7 +439,7 @@ class TestFitBatch:
         assert sum(cells) >= sum(len(row) - starts[inside])
         alpha = fits.alpha[inside]
         normalizer = _zeta(alpha, levels[sets[inside], starts[inside], None].astype(float))[:, 0]
-        full = _ks(levels, counts, sets[inside], starts[inside], alpha, normalizer)
+        full = batch_ks(levels, counts, sets[inside], starts[inside], alpha, normalizer)
         assert fits.ks[inside].tobytes() == full.tobytes()
 
 
@@ -485,13 +490,13 @@ class TestPrunedKs:
         alpha = np.array([10.0, 3.0])
         normalizer = _zeta(alpha, levels[starts, None].astype(float))[:, 0]
         args = (levels[None, :], counts[None, :], sets, starts, alpha, normalizer)
-        bound = _ks(*args, head=_KS_HEAD)
+        bound = batch_ks(*args, head=_KS_HEAD)
         assert bound[1] < bound[0] == 0.25
-        assert _least_ks(*args).tolist() == _ks(*args).tolist() == [0.25, 0.25]
+        assert _least_ks(*args).tolist() == batch_ks(*args).tolist() == [0.25, 0.25]
         # The same two candidates as one each of two datasets: round 1
         # evaluates both in full, and round 2 none.
         one_each = (np.tile(levels, (2, 1)), np.tile(counts, (2, 1)), np.arange(2), *args[3:])
-        assert _least_ks(*one_each).tobytes() == _ks(*one_each).tobytes() == _ks(*args).tobytes()
+        assert _least_ks(*one_each).tobytes() == batch_ks(*one_each).tobytes() == batch_ks(*args).tobytes()
 
     def test_gathered_cells_equal_broadcast_cells(self):
         # The bound is exact because every KS cell is the same float in any
@@ -515,7 +520,7 @@ class TestPrunedKs:
         # gives each full distance, bit for bit.
         normalizer = _zeta(alpha, levels[inside, None].astype(float))[:, 0]
         args = (levels[None, :], counts[None, :], sets[inside], starts[inside], alpha, normalizer)
-        assert _ks(*args, head=len(levels)).tobytes() == _ks(*args).tobytes()
+        assert batch_ks(*args, head=len(levels)).tobytes() == batch_ks(*args).tobytes()
 
 
 class TestGofBootstrap:
