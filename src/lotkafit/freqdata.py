@@ -155,8 +155,11 @@ class FrequencyDistribution:
         counts: Mapping[int, int] | Iterable[tuple[int, int]],
         name: str = "dist",
     ) -> "FrequencyDistribution":
-        items = counts.items() if isinstance(counts, Mapping) else counts
-        return cls(tuple(sorted((int(k), int(v)) for k, v in items)), name=name)
+        try:  # sorted as given: the constructor checks each pair and converts none
+            entries = sorted(counts.items() if isinstance(counts, Mapping) else counts)
+        except (TypeError, ValueError):  # levels, or a repeated level's counts, that do not compare
+            raise InputError(_NOT_INTEGERS) from None
+        return cls(entries, name=name)
 
     @classmethod
     def from_arrays(

@@ -17,13 +17,14 @@ exponent rows with a start below 64 and a few of those rows at a time,
 so that its temporaries do not grow with the rows, plus an
 Euler-Maclaurin tail, accurate to well under 1e-12 absolute error on the
 domain. Sampling is by inverse-CDF lookup against a precomputed
-cumulative table of at most 2^16 rows, tallied into counts a block at a
-time. A guide table of 2^16 equal-probability cells (Chen & Asau's
-indexed search) resolves most draws without a binary search; the rest
-search the full table, and draws beyond it are inverted on the
-zeta-based CDF, all at once: a bracket around the asymptotic level, then
-bisection, exact up to about level (alpha-1) * 5e13 (see
-_CdfTable._beyond_table). Sampling is
+cumulative table of at most 2^16 model rows, tallied into counts a block
+at a time; the bootstrap's table puts its observed body's rows before
+them, so that one uniform draws each author from body or tail. A guide
+table of 2^16 equal-probability cells (Chen & Asau's indexed search)
+resolves most draws without a binary search; the rest search the full
+table, and draws beyond it are inverted on the zeta-based CDF, all at
+once: a bracket around the asymptotic level, then bisection, exact up to
+about level (alpha-1) * 5e13 (see _CdfTable._beyond_table). Sampling is
 reproducible: all randomness flows through numpy's PCG64 generator
 consuming uniform doubles only, so identical (model, count, seed) gives
 identical output: PCG64 is a pinned contract, not an implementation detail.
@@ -241,10 +242,15 @@ def ccdf(level: int, model: PowerLawModel) -> float:
 class _CdfTable:
     """Cumulative probability table for inverse-CDF sampling.
 
-    Covers levels from xmin up to the 1 - 1e-9 quantile, capped at
+    Covers levels from xmin up to the model's 1 - 1e-9 quantile, capped at
     _TABLE_CAP rows; draws landing beyond the table are inverted all at
     once on the zeta-based CDF (_beyond_table), which resolves
-    consecutive levels up to about (alpha-1) * 5e13.
+    consecutive levels up to about (alpha-1) * 5e13. ``body`` is a
+    bootstrap's observed levels below xmin, their counts and the author
+    total n (Clauset et al. 2009, section 4.1): its rows come first, each
+    of mass count / n, and the model's rows follow, scaled by the tail
+    share n_tail / n. Without one the tail share is 1.0 and the rows are
+    the model's cumulative probabilities, float for float.
     A guide table (Chen & Asau 1974) splits [0, 1) into _GUIDE_CELLS
     cells of equal width: guide[c] is the first row whose cumulative
     probability reaches c / _GUIDE_CELLS. A draw u in cell c = floor(u *
@@ -255,7 +261,7 @@ class _CdfTable:
     replicate workers inherit it.
     """
 
-    def __init__(self, model: PowerLawModel) -> None:
+    def __init__(self, model: PowerLawModel, body: tuple[np.ndarray, np.ndarray, int] | None = None) -> None:
         self.model = model
         alpha, xmin, z = model.alpha, model.xmin, model.normalizer
         # Asymptotic quantile estimate: ccdf(L) ~ L^(1-alpha) / ((alpha-1) z).
@@ -264,8 +270,15 @@ class _CdfTable:
             length = _TABLE_CAP
         else:
             length = int(min(max(math.exp(log_quantile) * 1.05 - xmin + 1, 1024), _TABLE_CAP))
-        levels = np.arange(xmin, xmin + length, dtype=float)
-        self.cdf = np.cumsum(np.power(levels, -alpha)) / z
+        self.body, counts, total = body or (np.empty(0, np.int64), np.empty(0, np.int64), 1)
+        self.tail_share = (total - counts.sum()) / total
+        self.cdf = np.empty(len(counts) + length)
+        head, tail = self.cdf[: len(counts)], self.cdf[len(counts) :]
+        np.divide(np.cumsum(counts), total, out=head)
+        np.cumsum(np.power(np.arange(xmin, xmin + length, dtype=float), -alpha, out=tail), out=tail)
+        tail /= z
+        tail *= self.tail_share
+        tail += counts.sum() / total
         guide = np.searchsorted(self.cdf, np.arange(_GUIDE_CELLS + 1) / _GUIDE_CELLS)
         self.guide = guide[:-1]
         self.straddles = guide[:-1] != guide[1:]
@@ -274,12 +287,16 @@ class _CdfTable:
     def tally(self, rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
         """Ascending int64 levels of ``count`` draws and how often each was drawn.
 
-        The uniforms are one ``rng.random(count)`` stream, drawn and tallied
-        _DRAW_BLOCK at a time; block tallies are merged once they outgrow the
-        merged one. Draws beyond the table meet in one _beyond_table call.
+        The uniforms are one ``rng.random(count)`` stream, drawn into one
+        reused buffer and tallied _DRAW_BLOCK at a time; block tallies are
+        merged once they outgrow the merged one. Draws beyond the table meet
+        in one _beyond_table call. Body rows map back to their levels, which
+        lie below xmin.
         """
         end, tallies, beyond = len(self.cdf), [], []
-        for u in _uniform_blocks(rng, count):
+        buffer = np.empty(min(count, _DRAW_BLOCK))
+        for start in range(0, count, _DRAW_BLOCK):
+            u = rng.random(out=buffer[: min(_DRAW_BLOCK, count - start)])
             cell = (u * _GUIDE_CELLS).astype(np.intp)
             straddling = self.straddles[cell]
             idx = self.guide[cell]
@@ -290,21 +307,26 @@ class _CdfTable:
             if sum(len(rows) for rows, _ in tallies[1:]) > len(tallies[0][0]) + _DRAW_BLOCK:
                 tallies = [_merged(tallies)]
         rows, counts = _merged(tallies or [(np.empty(0, np.intp),) * 2])
+        offset = self.model.xmin - len(self.body)  # model row i is level i + offset
         if beyond:  # counted on the last row, one past the table
-            far = self._beyond_table(np.concatenate(beyond)) - self.model.xmin
+            far = self._beyond_table(np.concatenate(beyond)) - offset
             rows, counts = _merged([(rows[:-1], counts[:-1]), np.unique(far, return_counts=True)])
-        return (rows + self.model.xmin).astype(np.int64, copy=False), counts.astype(np.int64, copy=False)
+        levels = (rows + offset).astype(np.int64, copy=False)
+        drawn = np.searchsorted(rows, len(self.body))  # body rows come first
+        levels[:drawn] = self.body[rows[:drawn]]
+        return levels, counts.astype(np.int64, copy=False)
 
     def _beyond_table(self, u: np.ndarray) -> np.ndarray:
         """Smallest level k >= last_level with CDF(k) >= u in float, for every u at once.
 
-        CDF(k) >= u is zeta(alpha, k+1) <= (1-u) * zeta(alpha, xmin). The
-        search starts at the asymptotic level ((alpha-1) (1-u) zeta(alpha,
-        xmin))^(1/(1-alpha)) - 1/2, off by about alpha / (24 k) of a level in
-        exact arithmetic, gallops away from it by 1, 2, 4, ... levels until the level
-        is bracketed, then bisects, all on the same zeta comparison: 2
-        evaluator calls for all draws, more where float zeta is not
-        monotone. Any search for that crossing gives the same level where
+        Only the model's rows, scaled by the tail share s, reach past the
+        table: CDF(k) >= u is zeta(alpha, k+1) <= t = (1-u) / s *
+        zeta(alpha, xmin). The search starts at the asymptotic level
+        ((alpha-1) t)^(1/(1-alpha)) - 1/2, off by about alpha / (24 k) of a
+        level in exact arithmetic, gallops away from it by 1, 2, 4, ...
+        levels until the level is bracketed, then bisects, all on the same
+        zeta comparison: 2 evaluator calls for all draws, more where float
+        zeta is not monotone. Any search for that crossing gives the same level where
         float zeta is monotone in k. Levels differ by a relative
         (alpha-1)/k in zeta, float zeta by under 2e-14 (mpmath): a level is
         one off only for u within 2e-14 k/(alpha-1) of a step from its
@@ -314,7 +336,7 @@ class _CdfTable:
         under 1e-18 per draw.
         """
         alpha, first = self.model.alpha, self.last_level
-        target = (1.0 - u) * self.model.normalizer
+        target = (1.0 - u) / self.tail_share * self.model.normalizer
         with np.errstate(over="ignore"):  # a guess beyond 2^62 is clipped to it
             guess = ((alpha - 1.0) * target) ** (1.0 / (1.0 - alpha)) - 0.5
         probe = np.clip(np.ceil(guess), first, MAX_LEVEL).astype(np.int64)
@@ -350,13 +372,6 @@ def _merged(tallies: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, n
     order = rows.argsort()
     firsts = np.flatnonzero(np.diff(rows[order], prepend=-1))
     return rows[order[firsts]], np.add.reduceat(counts[order], firsts)
-
-
-def _uniform_blocks(rng: np.random.Generator, count: int):
-    """The next ``count`` uniforms of rng, _DRAW_BLOCK at a time in one reused buffer."""
-    buffer = np.empty(min(count, _DRAW_BLOCK))
-    for start in range(0, count, _DRAW_BLOCK):
-        yield rng.random(out=buffer[: min(_DRAW_BLOCK, count - start)])
 
 
 def sample(model: PowerLawModel, count: int, seed: int) -> FrequencyDistribution:

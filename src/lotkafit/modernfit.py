@@ -40,7 +40,7 @@ import numpy as np
 from .errors import DegenerateFitError, InputError
 from .freqdata import MAX_AUTHORS, FrequencyDistribution, truncate_right, truncation_report
 from .loglogfit import Denominator, FitResult, fit_historical
-from .lotkamodel import ALPHA_DOMAIN, PowerLawModel, _CdfTable, _uniform_blocks, _zeta
+from .lotkamodel import ALPHA_DOMAIN, PowerLawModel, _CdfTable, _zeta
 
 __all__ = [
     "MleResult",
@@ -631,9 +631,11 @@ def gof_bootstrap(
 ) -> float:
     """Semi-parametric bootstrap p-value for the fitted tail model.
 
-    Each replicate draws a same-size synthetic dataset: levels >= xmin
-    from the fitted model, levels below xmin resampled from the observed
-    body. The replicate is refit the same way the original was
+    Each replicate draws a same-size synthetic dataset (Clauset et al.
+    2009, section 4.1): an author is resampled from the observed body
+    below xmin with probability n_body / n, else drawn from the fitted
+    model. One sampler table holds both (see _CdfTable), so a replicate
+    is one tally of n uniforms. It is refit the same way the original was
     (select_xmin when reselect_xmin, else mle_alpha at the original
     xmin) and its KS recorded; the p-value is the fraction of replicate
     KS values at or above the observed one. Replicate r derives its
@@ -651,32 +653,18 @@ def gof_bootstrap(
         raise InputError(f"n_boot must lie in [100, 2^62], got {n_boot}")
     if seed < 0:
         raise InputError(f"seed must be non-negative, got {seed}")
-    model = PowerLawModel(result.alpha_hat, result.xmin)
-    table = _CdfTable(model)
     levels, counts = dist.populated_arrays
-    body = int(np.searchsorted(levels, result.xmin))
-    # Body author j (0 <= j < n_body) is at the level index whose cumulative count first exceeds j.
-    body_cum = np.cumsum(counts[:body])
-    n_body = int(counts[:body].sum())
-    n = dist.total_authors
-    p_tail = (n - n_body) / n
+    body = levels[levels < result.xmin], counts[levels < result.xmin], dist.total_authors
+    table = _CdfTable(PowerLawModel(result.alpha_hat, result.xmin), body)
 
     def replicate(r: int, attempt: int) -> FrequencyDistribution:
-        rng = np.random.default_rng((seed, r, attempt))
-        k_tail = sum(int(np.count_nonzero(u < p_tail)) for u in _uniform_blocks(rng, n))
         try:
-            tail_levels, tail_counts = table.tally(rng, k_tail)
+            tally = table.tally(np.random.default_rng((seed, r, attempt)), dist.total_authors)
         except InputError:
             raise DegenerateFitError(
-                f"fitted alpha {model.alpha!r} cannot be bootstrapped: a replicate "
+                f"fitted alpha {table.model.alpha!r} cannot be bootstrapped: a replicate "
                 "draws a level beyond 2^62"
             ) from None
-        body_counts = np.zeros(body, dtype=np.int64)
-        for u in _uniform_blocks(rng, n - k_tail):
-            picks = np.searchsorted(body_cum, (u * n_body).astype(np.int64), side="right")
-            body_counts += np.bincount(picks, minlength=body)
-        drawn = np.flatnonzero(body_counts)  # body levels lie below the tail's
-        tally = np.append(levels[drawn], tail_levels), np.append(body_counts[drawn], tail_counts)
         return FrequencyDistribution.from_arrays(*tally, name="bootstrap")
 
     def replicate_ks(rs: range) -> list[float]:

@@ -12,10 +12,14 @@ AUERBACH_COUNTS = {1: 493, 3: 818, 31: 13, 48: 1}
 def per_draw_levels(table, u: np.ndarray) -> np.ndarray:
     """Reference sampler: each uniform's level by a plain search of a _CdfTable, one per draw.
 
-    Levels beyond the table go through its _beyond_table; it raises where
-    one lies beyond 2^62.
+    A row of the table's body is that body level; the model's rows follow
+    it, from xmin up. Levels beyond the table go through its
+    _beyond_table; it raises where one lies beyond 2^62.
     """
-    levels = table.model.xmin + np.searchsorted(table.cdf, u, side="left")
+    rows = np.searchsorted(table.cdf, u, side="left")
+    body = rows < len(table.body)
+    levels = table.model.xmin + rows - len(table.body)
+    levels[body] = table.body[rows[body]]
     beyond = levels > table.last_level
     if beyond.any():
         levels[beyond] = table._beyond_table(u[beyond])

@@ -76,6 +76,15 @@ class TestFrequencyDistribution:
             with pytest.raises(InputError, match=r"^entries must be \(level, author count\) pairs$"):
                 FrequencyDistribution(entries)
         assert FrequencyDistribution.from_arrays(np.array([1.0, 3.0]), [2, 1]).entries == ((1, 2), (3, 1))
+        # from_counts hands its pairs to the same checks, unconverted.
+        bad_counts = [{1.5: 3}, {2: 3.7}, {"2": 3}, {math.nan: 1}, {math.inf: 1}, {1: None}, {1: 1, "a": 2},
+                      [(1, 2), (1, None)]]
+        for counts in bad_counts:
+            with pytest.raises(InputError, match="^levels and author counts must be integers$"):
+                FrequencyDistribution.from_counts(counts)
+        with pytest.raises(InputError, match=r"^entries must be \(level, author count\) pairs$"):
+            FrequencyDistribution.from_counts([(1, 2, 3)])
+        assert FrequencyDistribution.from_counts({3: 1, 1: 2.0, 2.0: 4}).entries == ((1, 2), (2, 4), (3, 1))
 
     def test_rejects_arrays_that_are_not_parallel_and_1d(self):
         for levels, counts in [([1, 2], [1]), (5, 1), ([[1, 2]], [[1, 1]]), ([[1], [1, 2]], [1, 2])]:

@@ -499,13 +499,16 @@ class _FixedUniforms:
         return out
 
 
-_TABLES: dict[tuple[float, int], _CdfTable] = {}
+_TABLES: dict[tuple[float, int, bool], _CdfTable] = {}
+# A bootstrap's body: 50 of 100 observed authors at levels 1, 3 and 6.
+_BODY = (np.array([1, 3, 6]), np.array([40, 1, 9]), 100)
 
 
-def _table(alpha: float, xmin: int) -> _CdfTable:
-    if (alpha, xmin) not in _TABLES:
-        _TABLES[alpha, xmin] = _CdfTable(PowerLawModel(alpha, xmin))
-    return _TABLES[alpha, xmin]
+def _table(alpha: float, xmin: int, body: bool = False) -> _CdfTable:
+    """The model's table; with ``body``, the bootstrap table of _BODY below xmin (at least 7)."""
+    if (alpha, xmin, body) not in _TABLES:
+        _TABLES[alpha, xmin, body] = _CdfTable(PowerLawModel(alpha, xmin), _BODY if body else None)
+    return _TABLES[alpha, xmin, body]
 
 
 def _tally_of(table: _CdfTable, u: np.ndarray) -> tuple[list[int], list[int]]:
@@ -526,14 +529,16 @@ class TestCdfTable:
     @given(
         st.sampled_from([1.3, 1.5, 2.0, 2.5, 3.0, 4.5]),
         st.sampled_from([1, 2, 7, 40]),
+        st.booleans(),
         st.data(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_guide_table_draws_equal_plain_search(self, alpha, xmin, data):
+    def test_guide_table_draws_equal_plain_search(self, alpha, xmin, body, data):
         # Uniforms at the exact cell edges c / G, one ulp below them, at
         # table entries, and beyond the table's last entry: the guide table
-        # must give the row a plain binary search gives, draw by draw.
-        table = _table(alpha, xmin)
+        # must give the row a plain binary search gives, draw by draw, with
+        # or without a bootstrap body before the model's rows.
+        table = _table(alpha, xmin, body and xmin >= 7)
         cells = st.integers(0, _GUIDE_CELLS - 1)
         rows = st.integers(0, len(table.cdf) - 1)
         below = np.nextafter
@@ -566,16 +571,17 @@ class TestCdfTable:
         xmin=st.sampled_from([1, 7]),
         extra=st.sampled_from([-1, 0, 1, "3b+7"]),
         seed=st.integers(0, 2**32 - 1),
+        body=st.booleans(),
         data=st.data(),
     )
     @settings(max_examples=40, deadline=None)
-    def test_tally_equals_per_draw_levels(self, block, alpha, xmin, extra, seed, data):
+    def test_tally_equals_per_draw_levels(self, block, alpha, xmin, extra, seed, body, data):
         # Counts on both sides of a block edge and across several blocks,
         # with draws beyond the table placed in any of them: the tally is
-        # np.unique of the per-draw levels, and one _beyond_table call
-        # resolves every draw beyond the table.
+        # np.unique of the per-draw levels, body levels included, and one
+        # _beyond_table call resolves every draw beyond the table.
         count = 3 * block + 7 if extra == "3b+7" else block + extra
-        table = _table(alpha, xmin)
+        table = _table(alpha, xmin, body and xmin == 7)
         u = np.random.default_rng(seed).random(count)
         far = data.draw(st.lists(st.tuples(st.integers(0, count - 1), st.floats(0.0, 0.999)), max_size=6))
         for i, fraction in far:
@@ -598,6 +604,32 @@ class TestCdfTable:
         assert calls == ([overflow] if overflow else [])
         full, rest = divmod(count, block)
         assert uniforms.fills == [block] * full + [rest] * (rest > 0)
+
+    def test_body_rows_precede_the_scaled_model_rows(self):
+        # The bootstrap's table: body level k holds count / n, and the
+        # model's rows follow at the tail share 50 / 100. Without a body the
+        # share is 1.0 and the body mass 0.0, so the rows are the model's
+        # cumulative probabilities themselves, float for float.
+        model, plain, mixed = PowerLawModel(2.0, 7), _table(2.0, 7), _table(2.0, 7, True)
+        assert mixed.cdf[:3].tolist() == [0.4, 0.41, 0.5]
+        assert mixed.cdf[3:].tobytes() == (plain.cdf * 0.5 + 0.5).tobytes()
+        assert mixed.last_level == plain.last_level
+        levels = np.arange(7, plain.last_level + 1, dtype=float)
+        assert plain.cdf.tobytes() == (np.cumsum(np.power(levels, -2.0)) / model.normalizer).tobytes()
+
+    def test_mixed_table_maps_rows_back_to_levels(self):
+        # Draws midway up each body level's step, the first model rows' and
+        # those of three levels beyond the table, where CDF(k) = 1 - 0.5
+        # zeta(alpha, k+1) / zeta(alpha, 7): each lands on its own level.
+        table = _table(1.5, 7, True)
+        z = table.model.normalizer
+        far = np.array([table.last_level + 1, 10**6, 10**8])
+        steps = _zeta([1.5], np.concatenate([far, far + 1]).reshape(1, -1).astype(float))[0]
+        model_u = (table.cdf[2:5] + table.cdf[3:6]) / 2
+        u = np.concatenate([[0.2, 0.405, 0.45], model_u, 1.0 - 0.25 * (steps[:3] + steps[3:]) / z])
+        levels = [1, 3, 6, 7, 8, 9, *far.tolist()]
+        assert per_draw_levels(table, u).tolist() == levels
+        assert _tally_of(table, u) == (levels, [1] * len(levels))
 
     def test_tally_of_no_draws_is_empty(self):
         levels, counts = _table(2.0, 1).tally(_FixedUniforms(np.empty(0)), 0)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from conftest import per_draw_distribution, per_draw_levels
 from lotkafit import lotkamodel, modernfit
@@ -581,10 +582,36 @@ class TestGofBootstrap:
         p = gof_bootstrap(d, fit, 100, seed=8, reselect_xmin=False)
         assert 0.0 <= p <= 1.0
 
+    @pytest.mark.parametrize("lowest", [1, 3])
+    def test_replicates_at_the_lowest_populated_xmin_are_model_samples(self, monkeypatch, lowest):
+        # With no body below xmin, the bootstrap's table is the model's own,
+        # float for float, so each replicate is the sampler's tally of the
+        # replicate's generator, bit for bit.
+        d = sample(PowerLawModel(2.0, lowest), 1000, 9)
+        fit = mle_alpha(d, lowest)
+        assert d.populated_arrays[0][0] == lowest
+        batches = []
+        real_fit_batch = modernfit._fit_batch
+
+        def recording(dists, xmin):
+            batches.append(dists)
+            return real_fit_batch(dists, xmin)
+
+        monkeypatch.setattr(modernfit, "_cpu_count", lambda: 1)
+        monkeypatch.setattr(modernfit, "_fit_batch", recording)
+        gof_bootstrap(d, fit, 100, seed=5, reselect_xmin=False)
+        replicates = [replicate for batch in batches for replicate in batch]
+        assert len(replicates) == 100  # none redrawn
+        table = _CdfTable(PowerLawModel(fit.alpha_hat, lowest))
+        for r, replicate in enumerate(replicates):
+            levels, counts = table.tally(np.random.default_rng((5, r, 0)), 1000)
+            assert replicate.levels.tobytes() == levels.tobytes()
+            assert replicate.counts.tobytes() == counts.tobytes()
+
     def test_body_picks_hold_no_array_per_body_author(self, monkeypatch):
         # 7 x 150,000 authors below xmin 8: a pool of one int64 level index
-        # per body author would hold 8.4 MB. Body picks search the 7
-        # cumulative counts instead, and one replicate (replicate 0, run in
+        # per body author would hold 8.4 MB. The body is instead the first 7
+        # rows of the sampler table, and one replicate (replicate 0, run in
         # place of the runner) peaks well under that, sampler table included.
         counts = {k: 150_000 for k in range(1, 8)} | {8: 300, 9: 200, 12: 100, 20: 40, 50: 5, 100: 1}
         d = FrequencyDistribution.from_counts(counts)
@@ -597,6 +624,57 @@ class TestGofBootstrap:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 7 * 150_000
+
+
+@pytest.fixture(scope="module")
+def mixed_replicates():
+    """2,000 replicates of a bootstrap table: 1,200 observed authors, 582 of them below xmin 8.
+
+    Returns the observed distribution, the fitted tail model and the
+    replicates' pooled levels and counts, with each replicate's tail count.
+    """
+    d = poisson_body_zipf_tail(1200, 4)
+    levels, counts = d.populated_arrays
+    body = int(np.searchsorted(levels, 8))
+    model = PowerLawModel(mle_alpha(d, 8).alpha_hat, 8)
+    table = _CdfTable(model, (levels[:body], counts[:body], d.total_authors))
+    tallies = [table.tally(np.random.default_rng((3, r, 0)), d.total_authors) for r in range(2000)]
+    tail_counts = np.array([counts[levels >= 8].sum() for levels, counts in tallies])
+    drawn, where = np.unique(np.concatenate([levels for levels, _ in tallies]), return_inverse=True)
+    pooled = np.bincount(where, weights=np.concatenate([counts for _, counts in tallies]))
+    return d, model, drawn, pooled, tail_counts
+
+
+class TestBootstrapReplicateLaw:
+    """Each author of a replicate is a body author with probability n_body / n, else a model draw."""
+
+    def test_tail_counts_are_binomial(self, mixed_replicates):
+        # 20 bins of about equal Binomial(n, p_tail) mass.
+        d, _, _, _, tail_counts = mixed_replicates
+        levels, counts = d.populated_arrays
+        n, p = d.total_authors, counts[levels >= 8].sum() / d.total_authors
+        edges = np.unique(stats.binom.ppf(np.arange(1, 20) / 20, n, p))
+        expected = np.diff(stats.binom.cdf(edges, n, p), prepend=0.0, append=1.0) * len(tail_counts)
+        observed = np.bincount(np.searchsorted(edges, tail_counts), minlength=len(edges) + 1)
+        assert stats.chisquare(observed, expected).pvalue > 1e-3
+
+    def test_body_picks_follow_the_body_counts(self, mixed_replicates):
+        d, _, drawn, pooled, _ = mixed_replicates
+        levels, counts = d.populated_arrays
+        body_levels, body_counts = levels[levels < 8], counts[levels < 8]
+        assert np.array_equal(drawn[drawn < 8], body_levels)
+        observed = pooled[drawn < 8]
+        expected = observed.sum() * body_counts / body_counts.sum()
+        assert stats.chisquare(observed, expected).pvalue > 1e-3
+
+    def test_first_tail_levels_follow_the_pmf(self, mixed_replicates):
+        # Levels 8..27 one by one, the rest pooled.
+        _, model, drawn, pooled, tail_counts = mixed_replicates
+        head = np.arange(8, 28)
+        observed = np.append(pooled[np.searchsorted(drawn, head)], pooled[drawn >= 28].sum())
+        assert np.array_equal(drawn[(drawn >= 8) & (drawn < 28)], head)
+        pmf = np.append(np.power(head, -model.alpha), hurwitz_zeta(model.alpha, 28)) / model.normalizer
+        assert stats.chisquare(observed, tail_counts.sum() * pmf).pvalue > 1e-3
 
 
 class TestCompareMethods:
@@ -682,21 +760,20 @@ class TestBiasExperiment:
 
 
 def serial_bootstrap_ks(d, fit, n_boot, seed, reselect_xmin):
-    """Oracle for the bootstrap's replicate KS values: one plain loop in replicate order."""
-    table = _CdfTable(PowerLawModel(fit.alpha_hat, fit.xmin))
+    """Oracle for the bootstrap's replicate KS values: one plain loop in replicate order.
+
+    Each attempt draws one uniform per author and looks each up by a plain
+    search of the table of the observed body and the fitted tail.
+    """
     levels, counts = d.populated_arrays
     body = int(np.searchsorted(levels, fit.xmin))
-    body_pool = np.repeat(levels[:body], counts[:body])
     n = d.total_authors
-    p_tail = (n - body_pool.size) / n
+    table = _CdfTable(PowerLawModel(fit.alpha_hat, fit.xmin), (levels[:body], counts[:body], n))
     ks = []
     for r in range(n_boot):
         for attempt in range(10):
             rng = np.random.default_rng((seed, r, attempt))
-            k_tail = int((rng.random(n) < p_tail).sum())
-            tail = per_draw_levels(table, rng.random(k_tail))
-            picks = (rng.random(n - k_tail) * body_pool.size).astype(np.int64)
-            replicate = per_draw_distribution(np.concatenate([tail, body_pool[picks]]), "bootstrap")
+            replicate = per_draw_distribution(per_draw_levels(table, rng.random(n)), "bootstrap")
             try:
                 refit = select_xmin(replicate) if reselect_xmin else mle_alpha(replicate, fit.xmin)
             except DegenerateFitError:
@@ -814,9 +891,9 @@ class TestReplicateRunner:
 
     @pytest.mark.parametrize("reselect_xmin", [True, False])
     def test_replicates_drawn_in_small_blocks_equal_serial_loop(self, runner_results, monkeypatch, reselect_xmin):
-        # Blocks of 64 draws split each replicate's tail/body draw, its
-        # tail and its body picks over many blocks; the replicates are
-        # still the serial loop's, which draws each uniform array whole.
+        # Blocks of 64 draws split each replicate's draws of body and tail
+        # authors over many blocks; the replicates are still the serial
+        # loop's, which draws each uniform array whole.
         monkeypatch.setattr(lotkamodel, "_DRAW_BLOCK", 64)
         d = poisson_body_zipf_tail(2000, 1)
         fit = select_xmin(d) if reselect_xmin else mle_alpha(d, 8)
@@ -836,9 +913,9 @@ class TestReplicateRunner:
         fills.clear()
         gof_bootstrap(d, fit, 100, seed=5, reselect_xmin=False)
         assert max(fills) <= _DRAW_BLOCK
-        # Each replicate draws n uniforms for its tail/body split and n more
-        # for its tail and body; none is redrawn at this size.
-        assert sum(fills) == 100 * 2 * n
+        # Each replicate draws one uniform per author, body or tail; none is
+        # redrawn at this size.
+        assert sum(fills) == 100 * n
         fills.clear()
         bias_experiment(2.0, n, [30], replicates=10, seed=2)
         assert max(fills) <= _DRAW_BLOCK and sum(fills) == 10 * n
@@ -874,9 +951,14 @@ class TestReplicateRunner:
         assert forked == []
 
     def test_unrefittable_bootstrap_raises_same_replicate(self, workers):
+        # Replicate 34 is the first that the serial oracle cannot refit in
+        # 10 attempts.
         tiny = FrequencyDistribution.from_counts({1: 1, 2: 1, 3: 1})
-        with pytest.raises(DegenerateFitError, match=r"^bootstrap replicate 22 could not be "):
-            gof_bootstrap(tiny, select_xmin(tiny), 100, seed=1)
+        fit = select_xmin(tiny)
+        with pytest.raises(AssertionError, match=r"^oracle replicate 34 not refit$"):
+            serial_bootstrap_ks(tiny, fit, 100, 1, True)
+        with pytest.raises(DegenerateFitError, match=r"^bootstrap replicate 34 could not be "):
+            gof_bootstrap(tiny, fit, 100, seed=1)
 
     def test_children_do_not_flush_the_callers_stdout(self, workers, capfd):
         # Text buffered but not yet written when the children fork must
