@@ -17,17 +17,18 @@ exponent rows with a start below 64 and a few of those rows at a time,
 so that its temporaries do not grow with the rows, plus an
 Euler-Maclaurin tail, accurate to well under 1e-12 absolute error on the
 domain. Sampling is by inverse-CDF lookup against a precomputed
-cumulative table of at most 2^16 model rows, tallied into counts a block
-at a time; the bootstrap's table puts its observed body's rows before
-them, so that one uniform draws each author from body or tail. A guide
-table of 2^16 equal-probability cells (Chen & Asau's indexed search)
-resolves most draws without a binary search; the rest search the full
-table, and draws beyond it are inverted on the zeta-based CDF, all at
-once: a bracket around the asymptotic level, then bisection, exact up to
-about level (alpha-1) * 5e13 (see _CdfTable._beyond_table). Sampling is
-reproducible: all randomness flows through numpy's PCG64 generator
-consuming uniform doubles only, so identical (model, count, seed) gives
-identical output: PCG64 is a pinned contract, not an implementation detail.
+cumulative table of 2^16 model rows, with the draws counted into one
+array over the table's rows; the bootstrap's table puts its observed
+body's rows before them, so that one uniform draws each author from body
+or tail. A guide table of 2^16 equal-probability cells (Chen & Asau's
+indexed search) resolves most draws without a binary search; the rest
+search the full table, and draws beyond it are inverted on the
+zeta-based CDF, all at once: a bracket around the asymptotic level, then
+bisection, exact up to about level (alpha-1) * 5e13 (see
+_CdfTable._beyond_table). Sampling is reproducible: all randomness flows
+through numpy's PCG64 generator consuming uniform doubles only, so
+identical (model, count, seed) gives identical output: PCG64 is a pinned
+contract, not an implementation detail.
 """
 
 from __future__ import annotations
@@ -89,11 +90,10 @@ _EM_COEFFS = (
 _EM_ARRAY = np.array(_EM_COEFFS)
 _RISE_STEPS = np.arange(2 * len(_EM_COEFFS) - 1, dtype=float)
 
-# Sampler cumulative table: stop at the 1 - 1e-9 quantile or this many rows
-# (512 KiB), whichever comes first. Rarer draws, about 3,000 in 1e6 at alpha
-# 1.5, are inverted on the zeta-based CDF (see _CdfTable._beyond_table).
+# Model rows of the sampler's cumulative table (512 KiB), at every exponent.
+# Rarer draws, about 3,000 in 1e6 at alpha 1.5, are inverted on the
+# zeta-based CDF (see _CdfTable._beyond_table).
 _TABLE_CAP = 1 << 16
-_TABLE_TAIL_MASS = 1e-9
 # Cells of the sampler's guide table. A power of two, so that u * cells
 # and c / cells are exact and the guide never changes a drawn level.
 _GUIDE_CELLS = 1 << 16
@@ -242,14 +242,13 @@ def ccdf(level: int, model: PowerLawModel) -> float:
 class _CdfTable:
     """Cumulative probability table for inverse-CDF sampling.
 
-    Covers levels from xmin up to the model's 1 - 1e-9 quantile, capped at
-    _TABLE_CAP rows; draws landing beyond the table are inverted all at
-    once on the zeta-based CDF (_beyond_table), which resolves
-    consecutive levels up to about (alpha-1) * 5e13. ``body`` is a
-    bootstrap's observed levels below xmin, their counts and the author
-    total n (Clauset et al. 2009, section 4.1): its rows come first, each
-    of mass count / n, and the model's rows follow, scaled by the tail
-    share n_tail / n. Without one the tail share is 1.0 and the rows are
+    Covers the _TABLE_CAP levels from xmin on; draws landing beyond the
+    table are inverted all at once on the zeta-based CDF (_beyond_table),
+    which resolves consecutive levels up to about (alpha-1) * 5e13.
+    ``body`` is a bootstrap's observed levels below xmin, their counts and
+    the author total n (Clauset et al. 2009, section 4.1): its rows come
+    first, each of mass count / n, and the model's rows follow, scaled by
+    the tail share n_tail / n. Without one the tail share is 1.0 and the rows are
     the model's cumulative probabilities, float for float.
     A guide table (Chen & Asau 1974) splits [0, 1) into _GUIDE_CELLS
     cells of equal width: guide[c] is the first row whose cumulative
@@ -264,36 +263,33 @@ class _CdfTable:
     def __init__(self, model: PowerLawModel, body: tuple[np.ndarray, np.ndarray, int] | None = None) -> None:
         self.model = model
         alpha, xmin, z = model.alpha, model.xmin, model.normalizer
-        # Asymptotic quantile estimate: ccdf(L) ~ L^(1-alpha) / ((alpha-1) z).
-        log_quantile = math.log((alpha - 1.0) * z * _TABLE_TAIL_MASS) / (1.0 - alpha)
-        if log_quantile > math.log(_TABLE_CAP) + math.log(xmin + 1.0):
-            length = _TABLE_CAP
-        else:
-            length = int(min(max(math.exp(log_quantile) * 1.05 - xmin + 1, 1024), _TABLE_CAP))
         self.body, counts, total = body or (np.empty(0, np.int64), np.empty(0, np.int64), 1)
         self.tail_share = (total - counts.sum()) / total
-        self.cdf = np.empty(len(counts) + length)
+        self.cdf = np.empty(len(counts) + _TABLE_CAP)
         head, tail = self.cdf[: len(counts)], self.cdf[len(counts) :]
         np.divide(np.cumsum(counts), total, out=head)
-        np.cumsum(np.power(np.arange(xmin, xmin + length, dtype=float), -alpha, out=tail), out=tail)
+        np.cumsum(np.power(np.arange(xmin, xmin + _TABLE_CAP, dtype=float), -alpha, out=tail), out=tail)
         tail /= z
         tail *= self.tail_share
         tail += counts.sum() / total
         guide = np.searchsorted(self.cdf, np.arange(_GUIDE_CELLS + 1) / _GUIDE_CELLS)
         self.guide = guide[:-1]
         self.straddles = guide[:-1] != guide[1:]
-        self.last_level = xmin + length - 1
+        self.last_level = xmin + _TABLE_CAP - 1
 
     def tally(self, rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
         """Ascending int64 levels of ``count`` draws and how often each was drawn.
 
         The uniforms are one ``rng.random(count)`` stream, drawn into one
-        reused buffer and tallied _DRAW_BLOCK at a time; block tallies are
-        merged once they outgrow the merged one. Draws beyond the table meet
-        in one _beyond_table call. Body rows map back to their levels, which
-        lie below xmin.
+        reused buffer _DRAW_BLOCK at a time; each block's table rows are
+        counted into one array with a cell per row and a last cell for the
+        draws beyond the table, scanned only up to the highest row drawn.
+        Draws beyond the table meet in one _beyond_table call, whose levels
+        are all at least last_level. Body rows map back to their levels,
+        which lie below xmin.
         """
-        end, tallies, beyond = len(self.cdf), [], []
+        end, top, beyond = len(self.cdf), -1, []
+        tallied = np.zeros(end + 1, np.int64)
         buffer = np.empty(min(count, _DRAW_BLOCK))
         for start in range(0, count, _DRAW_BLOCK):
             u = rng.random(out=buffer[: min(_DRAW_BLOCK, count - start)])
@@ -301,20 +297,23 @@ class _CdfTable:
             straddling = self.straddles[cell]
             idx = self.guide[cell]
             idx[straddling] = np.searchsorted(self.cdf, u[straddling], side="left")
-            tallies.append(np.unique(idx, return_counts=True))
-            if tallies[-1][0][-1] == end:
+            np.add.at(tallied, idx, 1)
+            high = idx.max()
+            if high == end:
                 beyond.append(u[idx == end])
-            if sum(len(rows) for rows, _ in tallies[1:]) > len(tallies[0][0]) + _DRAW_BLOCK:
-                tallies = [_merged(tallies)]
-        rows, counts = _merged(tallies or [(np.empty(0, np.intp),) * 2])
-        offset = self.model.xmin - len(self.body)  # model row i is level i + offset
-        if beyond:  # counted on the last row, one past the table
-            far = self._beyond_table(np.concatenate(beyond)) - offset
-            rows, counts = _merged([(rows[:-1], counts[:-1]), np.unique(far, return_counts=True)])
-        levels = (rows + offset).astype(np.int64, copy=False)
+            top = max(top, high)
+        far_levels = far_counts = np.empty(0, np.int64)
+        if beyond:
+            resolved = self._beyond_table(np.concatenate(beyond))
+            tallied[end - 1] += np.count_nonzero(resolved == self.last_level)
+            far_levels, far_counts = np.unique(resolved[resolved > self.last_level], return_counts=True)
+        # The last cell is the draws beyond the table. A bool mask scans in a
+        # third of the time the counts themselves take.
+        rows = np.flatnonzero(tallied[: min(top + 1, end)] != 0)
+        levels = rows + (self.model.xmin - len(self.body))
         drawn = np.searchsorted(rows, len(self.body))  # body rows come first
         levels[:drawn] = self.body[rows[:drawn]]
-        return levels, counts.astype(np.int64, copy=False)
+        return np.concatenate([levels, far_levels]), np.concatenate([tallied[rows], far_counts])
 
     def _beyond_table(self, u: np.ndarray) -> np.ndarray:
         """Smallest level k >= last_level with CDF(k) >= u in float, for every u at once.
@@ -362,16 +361,6 @@ class _CdfTable:
             )
             step = min(2 * step, MAX_LEVEL)
         raise InputError(f"a sampled level lies beyond 2^62 (alpha {alpha!r}, xmin {self.model.xmin})")
-
-
-def _merged(tallies: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
-    """One tally of ascending distinct rows from (rows, counts) tallies that may share rows."""
-    if len(tallies) == 1:
-        return tallies[0]
-    rows, counts = (np.concatenate(parts) for parts in zip(*tallies))
-    order = rows.argsort()
-    firsts = np.flatnonzero(np.diff(rows[order], prepend=-1))
-    return rows[order[firsts]], np.add.reduceat(counts[order], firsts)
 
 
 def sample(model: PowerLawModel, count: int, seed: int) -> FrequencyDistribution:

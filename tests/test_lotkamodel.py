@@ -527,7 +527,7 @@ def _unique(levels: np.ndarray) -> tuple[list[int], list[int]]:
 
 class TestCdfTable:
     @given(
-        st.sampled_from([1.3, 1.5, 2.0, 2.5, 3.0, 4.5]),
+        st.sampled_from([1.3, 1.5, 2.0, 2.5, 3.0, 4.5, 6.0]),
         st.sampled_from([1, 2, 7, 40]),
         st.booleans(),
         st.data(),
@@ -567,7 +567,7 @@ class TestCdfTable:
 
     @pytest.mark.parametrize("block", [5, _DRAW_BLOCK])
     @given(
-        alpha=st.sampled_from([1.5, 2.0, 3.0]),
+        alpha=st.sampled_from([1.5, 2.0, 3.0, 6.0]),
         xmin=st.sampled_from([1, 7]),
         extra=st.sampled_from([-1, 0, 1, "3b+7"]),
         seed=st.integers(0, 2**32 - 1),
@@ -584,8 +584,8 @@ class TestCdfTable:
         table = _table(alpha, xmin, body and xmin == 7)
         u = np.random.default_rng(seed).random(count)
         far = data.draw(st.lists(st.tuples(st.integers(0, count - 1), st.floats(0.0, 0.999)), max_size=6))
-        for i, fraction in far:
-            u[i] = table.cdf[-1] + fraction * (1.0 - table.cdf[-1])
+        for i, fraction in far:  # below 1.0 like every uniform: at alpha 6 the table ends 73 ulps short of it
+            u[i] = min(table.cdf[-1] + fraction * (1.0 - table.cdf[-1]), np.nextafter(1.0, 0.0))
         expected = _unique(per_draw_levels(table, u))
         calls = []
         real_beyond = _CdfTable._beyond_table
@@ -747,11 +747,30 @@ class TestCdfTable:
                 with pytest.raises(InputError, match=message):
                     table.tally(_FixedUniforms(np.array(u)), len(u))
 
-    def test_table_holds_at_most_two_to_the_16_rows(self):
-        # 512 KiB of cumulative probabilities, one row per guide cell.
-        for alpha, xmin in ((1.01, 1), (1.5, 1), (2.0, 10**6), (3.0, 1), (10.0, 1)):
-            assert len(_table(alpha, xmin).cdf) <= 2**16 == _GUIDE_CELLS
-        assert len(_table(1.5, 1).cdf) == 2**16
+    def test_table_holds_two_to_the_16_model_rows(self):
+        # 512 KiB of cumulative probabilities, one model row per guide cell,
+        # after the body's rows, whatever the exponent.
+        for alpha in (1.01, 1.5, 2.0, 3.0, 6.0, 10.0):
+            for xmin, body in ((1, None), (10**6, _BODY)):
+                table = _CdfTable(PowerLawModel(alpha, xmin), body)
+                assert len(table.cdf) - len(table.body) == 2**16 == _GUIDE_CELLS
+                assert table.last_level == xmin + 2**16 - 1
+
+    def test_far_draw_on_the_last_level_joins_its_row(self, monkeypatch):
+        # Float zeta may resolve a draw just beyond the table's last entry
+        # to the last level itself: it is counted with that row's draws,
+        # and the levels beyond the table follow it.
+        table = _table(2.0, 1)
+        last, calls = table.last_level, []
+
+        def far(self, uniforms):
+            calls.append(uniforms.tolist())
+            return np.array([last, last + 3])
+
+        monkeypatch.setattr(_CdfTable, "_beyond_table", far)
+        u = np.array([table.cdf[-1], np.nextafter(table.cdf[-1], 1.0), 1.0 - 1e-12])
+        assert _tally_of(table, u) == ([last, last + 3], [2, 1])
+        assert calls == [u[1:].tolist()]
 
     def test_guide_marks_exactly_the_cells_that_straddle_rows(self):
         table = _table(2.0, 1)
