@@ -222,19 +222,14 @@ def _cmd_plot(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="lotkafit",
-        description="Historical log-log and modern MLE power-law fitting for "
-        "author productivity distributions.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
+def _add_ingest(sub) -> None:
     p_ingest = sub.add_parser("ingest", help="build a distribution from author records")
     p_ingest.add_argument("--records", required=True, help="paper_id,position,author CSV")
     p_ingest.add_argument("--out", required=True, help="output level,count file")
     p_ingest.set_defaults(func=_cmd_ingest)
 
+
+def _add_fit(sub) -> None:
     p_fit = sub.add_parser("fit", help="fit a power-law exponent")
     fit_sub = p_fit.add_subparsers(dest="mode", required=True)
 
@@ -257,6 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_mle.add_argument("--seed", type=int, default=0)
     p_mle.set_defaults(func=_cmd_fit_mle)
 
+
+def _add_report(sub) -> None:
     p_report = sub.add_parser("report", help="text reports")
     report_sub = p_report.add_subparsers(dest="kind", required=True)
     p_trunc = report_sub.add_parser("truncation", help="what a right truncation removes")
@@ -264,6 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_trunc.add_argument("--cutoff", type=int, required=True)
     p_trunc.set_defaults(func=_cmd_report_truncation)
 
+
+def _add_simulate(sub) -> None:
     p_sim = sub.add_parser("simulate", help="sample a synthetic population")
     p_sim.add_argument("--alpha", type=float, required=True)
     p_sim.add_argument("--authors", type=int, required=True)
@@ -271,12 +270,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out", required=True)
     p_sim.set_defaults(func=_cmd_simulate)
 
+
+def _add_compare(sub) -> None:
     p_cmp = sub.add_parser("compare", help="historical vs modern estimates")
     p_cmp.add_argument("--dist", required=True)
     p_cmp.add_argument("--truncate", type=int, required=True)
     p_cmp.add_argument("--json", action="store_true")
     p_cmp.set_defaults(func=_cmd_compare)
 
+
+def _add_bias(sub) -> None:
     p_bias = sub.add_parser("bias", help="truncation bias experiment")
     p_bias.add_argument("--alpha", type=float, required=True)
     p_bias.add_argument("--authors", type=int, required=True)
@@ -285,6 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bias.add_argument("--seed", type=int, required=True)
     p_bias.set_defaults(func=_cmd_bias)
 
+
+def _add_plot(sub) -> None:
     p_plot = sub.add_parser("plot", help="emit an SVG figure plus coordinate sidecar")
     p_plot.add_argument("kind", choices=["histogram", "loglog"])
     p_plot.add_argument("--dist", required=True)
@@ -293,11 +298,46 @@ def build_parser() -> argparse.ArgumentParser:
     p_plot.add_argument("--out", required=True)
     p_plot.set_defaults(func=_cmd_plot)
 
+
+# Each subcommand's parser builder, in the order --help lists them.
+_COMMANDS = {
+    "ingest": _add_ingest,
+    "fit": _add_fit,
+    "report": _add_report,
+    "simulate": _add_simulate,
+    "compare": _add_compare,
+    "bias": _add_bias,
+    "plot": _add_plot,
+}
+
+
+def _parser(commands) -> _Parser:
+    """The top-level parser with the subcommands named in commands."""
+    parser = _Parser(
+        prog="lotkafit",
+        description="Historical log-log and modern MLE power-law fitting for "
+        "author productivity distributions.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command in commands:
+        _COMMANDS[command](sub)
     return parser
 
 
+def build_parser() -> argparse.ArgumentParser:
+    return _parser(_COMMANDS)
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
+    """Run one command line (sys.argv[1:] by default); return its exit code.
+
+    Only the named subcommand's parsers are built, which saves every
+    command a few ms. Any other argv, such as --help, an unknown
+    command or none, gets the full parser, so that its usage and errors
+    list every subcommand.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _parser(argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -13,7 +13,9 @@ MiB at a time, and ids and names are grouped from their byte spans
 makes no string per field and its temporaries do not grow with the file;
 csv.reader reads the whole file instead as soon as a block holds a row
 whose quoting or bytes the bulk pass cannot prove it would read the
-same way. Every operation is a pure function on immutable values.
+same way. A ``level,count`` file is likewise read in one vectorized pass
+when its rows are plain digits, and line by line otherwise. Every
+operation is a pure function on immutable values.
 """
 
 from __future__ import annotations
@@ -306,8 +308,66 @@ def parse_distribution(text: str, name: str = "dist") -> FrequencyDistribution:
     """Parse the ``level,count`` file format into a distribution.
 
     Duplicate levels are rejected; levels need not arrive sorted. Errors
-    report the offending 1-based line number.
+    report the offending 1-based line number. The text is encoded once
+    and read in bulk (see _bulk_rows); what the bulk pass does not take
+    is read line by line.
     """
+    return _distribution(text.encode("utf-8", "surrogatepass") + bytes(8), name)
+
+
+def _distribution(data: bytes, name: str) -> FrequencyDistribution:
+    """parse_distribution on a file's bytes, followed by 8 zero bytes."""
+    rows = _bulk_rows(data)
+    if rows is None:
+        return _parse_lines(_text(data), name)
+    return FrequencyDistribution.from_arrays(*rows, name=name)
+
+
+def _bulk_rows(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    """The levels and counts of a ``level,count`` file, sorted by level; None
+    if _parse_lines must read it.
+
+    data is the file's bytes followed by 8 zero bytes. Taken is only
+    input that _parse_lines reads the same way: the exact header line,
+    then rows of two runs of 1 to 18 ASCII digits split by one comma,
+    each ended by an LF (the last may end the file instead), every level
+    at least 1 and none repeated. Anything else, such as a sign, a CR, a
+    blank line or 19 digits, is left to the line loop, which words every
+    error.
+    """
+    size = len(data) - 8
+    head = len(DISTRIBUTION_HEADER) + 1
+    # With the digits, commas and LFs deleted, only the header's letters
+    # and the 8 zero bytes may remain.
+    if (
+        size <= head
+        or not data.startswith(b"level,count\n")
+        or data.translate(None, b"0123456789,\n") != b"levelcount" + bytes(8)
+    ):
+        return None
+    view = np.frombuffer(data, dtype=np.uint8)
+    marks = np.flatnonzero(view[head:size] < 48) + head  # the commas and LFs
+    if data[size - 1] != 10:
+        marks = np.append(marks, size)
+    # Each row holds one comma, then its LF: the marks alternate from a
+    # comma, and each ends a field that starts one past the mark before.
+    # The last mark, an LF or the end, is never a comma.
+    if (view[marks[0::2]] != 44).any() or (view[marks[1:-1:2]] != 10).any():
+        return None
+    fields, digits, _ = _parse_digits(view, np.concatenate(([head], marks[:-1] + 1)), marks)
+    if not digits.all():
+        return None
+    levels, counts = fields[0::2], fields[1::2]
+    order = np.argsort(levels)
+    levels, counts = levels[order], counts[order]
+    if levels[0] < 1 or (np.diff(levels) == 0).any():
+        return None
+    return levels, counts
+
+
+def _parse_lines(text: str, name: str) -> FrequencyDistribution:
+    """parse_distribution one line at a time: the reference reading, and
+    the only one that words an error."""
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -392,7 +452,7 @@ def _write_text(path: str | Path, text: str) -> None:
 
 
 def read_distribution(path: str | Path) -> FrequencyDistribution:
-    return _read(path, lambda data, path: parse_distribution(_text(data), name=path.stem))
+    return _read(path, lambda data, path: _distribution(data, path.stem))
 
 
 def write_distribution(dist: FrequencyDistribution, path: str | Path) -> None:
@@ -407,7 +467,7 @@ _IS_SPACE[list(_SPACES)] = True
 _UNICODE_SPACES = np.array(
     [0x85, 0xA0, 0x1680, *range(0x2000, 0x200B), 0x2028, 0x2029, 0x202F, 0x205F, 0x3000]
 )
-# Longest position the bulk pass parses: 18 digits stay below 10^18 < 2^62.
+# Longest position, level or count the bulk passes parse: 18 digits stay below 10^18 < 2^62.
 _BULK_DIGITS = 18
 # Bytes the bulk pass tokenizes at a time; its temporaries are a few times this.
 _BLOCK = 1 << 20

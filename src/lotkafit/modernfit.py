@@ -673,6 +673,8 @@ def gof_bootstrap(
         failures: dict[int, DegenerateFitError] = {}
         pending = list(rs)
         for attempt in range(10):
+            if not pending:
+                break
             drawn = {}
             for r in pending:
                 try:

@@ -26,6 +26,7 @@ from lotkafit import (
     to_percent_series,
     write_distribution,
 )
+from lotkafit import cli
 from lotkafit.cli import run
 from lotkafit.freqdata import MAX_LEVEL
 
@@ -56,6 +57,14 @@ def run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
+_USAGE_ERRORS = [
+    (["ingest"], "lotkafit ingest: error: the following arguments are required: --records, --out"),
+    (["fit", "loglog", "--dist", "d.csv", "--nope"], "lotkafit: error: unrecognized arguments: --nope"),
+    (["simulate", "--alpha", "x"], "lotkafit simulate: error: argument --alpha: invalid float value: 'x'"),
+    ([], "lotkafit: error: the following arguments are required: command"),
+]
+
+
 class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         code, out, _ = run_cli(capsys, ["--help"])
@@ -65,15 +74,7 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, ["fit", "loglog", "--nope"])
         assert code == 2
 
-    @pytest.mark.parametrize(
-        "argv, err",
-        [
-            (["ingest"], "lotkafit ingest: error: the following arguments are required: --records, --out"),
-            (["fit", "loglog", "--dist", "d.csv", "--nope"], "lotkafit: error: unrecognized arguments: --nope"),
-            (["simulate", "--alpha", "x"], "lotkafit simulate: error: argument --alpha: invalid float value: 'x'"),
-            ([], "lotkafit: error: the following arguments are required: command"),
-        ],
-    )
+    @pytest.mark.parametrize("argv, err", _USAGE_ERRORS)
     def test_usage_error_is_one_line(self, capsys, argv, err):
         # argparse's own error() prints the usage line above the error.
         code, out, stderr = run_cli(capsys, argv)
@@ -601,6 +602,20 @@ def _cli_argv(draw):
     return argv
 
 
+def _resolved_argv(argv, tmp):
+    """argv with its file tokens made paths under tmp, where DIST, RECORDS
+    and FIT are written and OUT is an empty directory."""
+    (tmp / "OUT").mkdir()
+    _write_counts(tmp / "DIST", {1: 60, 2: 15, 3: 7, 4: 4, 6: 2, 9: 1, 30: 1})
+    (tmp / "RECORDS").write_text("paper_id,position,author\nP1,1,A\nP1,2,B\nP2,1,A\n")
+    (tmp / "FIT").write_text(json.dumps(
+        {"slope": -2.0, "intercept": 1.8, "exponent": 2.0, "r_squared": 0.99,
+         "f_stat": None, "dof": 3, "n_points": 5, "denominator": 89, "cutoff": None}
+    ))
+    names = {"DIST", "RECORDS", "FIT", "MISSING"}
+    return [str(tmp / token) if token in names or token.startswith("OUT/") else token for token in argv]
+
+
 class TestRandomArgvFuzz:
     @given(_cli_argv())
     @settings(max_examples=200, deadline=None)
@@ -608,37 +623,89 @@ class TestRandomArgvFuzz:
         # A bare token can only land between flag/value pairs, so every
         # count flag keeps the bounded value drawn for it.
         with tempfile.TemporaryDirectory() as tmp:
-            tmp = Path(tmp)
-            out_dir = tmp / "OUT"
-            out_dir.mkdir()
-            _write_counts(tmp / "DIST", {1: 60, 2: 15, 3: 7, 4: 4, 6: 2, 9: 1, 30: 1})
-            (tmp / "RECORDS").write_text("paper_id,position,author\nP1,1,A\nP1,2,B\nP2,1,A\n")
-            (tmp / "FIT").write_text(json.dumps(
-                {"slope": -2.0, "intercept": 1.8, "exponent": 2.0, "r_squared": 0.99,
-                 "f_stat": None, "dof": 3, "n_points": 5, "denominator": 89, "cutoff": None}
-            ))
-            names = {"DIST", "RECORDS", "FIT", "MISSING"}
-            resolved = [
-                str(tmp / token) if token in names or token.startswith("OUT/") else token
-                for token in argv
-            ]
+            resolved = _resolved_argv(argv, Path(tmp))
             emits_json = argv[0] == "fit" or (argv[0] == "compare" and "--json" in argv)
-            _assert_contract(*_run_captured(resolved), out_dir, argv, emits_json)
+            _assert_contract(*_run_captured(resolved), Path(tmp) / "OUT", argv, emits_json)
+
+
+def _full_parser_run(argv):
+    """_run_captured(argv), with run given the parser of every subcommand."""
+    full = cli._parser
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_parser", lambda commands: full(cli._COMMANDS))
+        return _run_captured(argv)
+
+
+class TestNamedCommandParser:
+    """run builds only the named subcommand's parsers, and reads argv exactly as build_parser() does."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [[*command, "--help"] for command in [[], ["fit"], ["report"], *_COMMANDS]]
+        + [argv for argv, _ in _USAGE_ERRORS]
+        + [["bogus"], ["-h", "compare"], ["fit", "bogus"], ["compare", "--truncate", "3"]],
+    )
+    def test_same_as_full_parser(self, argv):
+        assert _run_captured(argv) == _full_parser_run(argv)
+
+    def test_unknown_command_lists_every_choice(self):
+        code, out, err = _run_captured(["bogus"])
+        assert (code, out) == (2, "")
+        assert err == (
+            "lotkafit: error: argument command: invalid choice: 'bogus' (choose from "
+            "'ingest', 'fit', 'report', 'simulate', 'compare', 'bias', 'plot')\n"
+        )
+
+    @given(_cli_argv())
+    @settings(max_examples=60, deadline=None)
+    def test_random_argv_same_as_full_parser(self, argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            resolved = _resolved_argv(argv, Path(tmp))
+            assert _run_captured(resolved) == _full_parser_run(resolved), argv
+
+    @pytest.mark.parametrize(
+        "argv, parsers",
+        [(["compare", "--truncate", "30"], 2), (["fit", "mle"], 4), (["--help"], 11)],
+    )
+    def test_parsers_built(self, monkeypatch, ca_file, argv, parsers):
+        built = []
+        init = cli._Parser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting)
+        if argv[0] != "--help":
+            argv = [*argv, "--dist", ca_file]
+        assert _run_captured(argv)[0] == 0
+        assert len(built) == parsers
 
 
 class TestIngest:
     def test_ingest_does_not_import_numpy_ma(self, tmp_path):
-        # numpy.ma takes about 12 ms to import, and nothing ingest does needs it.
+        # numpy.ma takes about 12 ms to import, and nothing ingest, compare
+        # or fit loglog does needs it, the bulk read of level,count files included.
         records = tmp_path / "records.csv"
         records.write_text("paper_id,position,author\nP1,1,A\nP1,2,B\nP2,1,A\n")
+        dist = tmp_path / "dist.csv"
+        _write_counts(dist, {1: 60, 2: 15, 3: 7, 4: 4, 6: 2, 9: 1, 30: 1})
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        script = "import sys; from lotkafit.cli import run; print(run(sys.argv[1:]), 'numpy.ma' in sys.modules)"
-        argv = ["ingest", "--records", str(records), "--out", str(tmp_path / "d.csv")]
-        done = subprocess.run(
-            [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=60
+        script = (
+            "import json, sys; from lotkafit.cli import run; "
+            "codes = [run(argv) for argv in json.loads(sys.argv[1])]; "
+            "print(codes, 'numpy.ma' in sys.modules)"
         )
-        assert done.stdout == "0 False\n"
+        argvs = [
+            ["ingest", "--records", str(records), "--out", str(tmp_path / "d.csv")],
+            ["compare", "--dist", str(dist), "--truncate", "30", "--json"],
+            ["fit", "loglog", "--dist", str(dist)],
+        ]
+        done = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(argvs)], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert done.stdout.splitlines()[-1] == "[0, 0, 0] False"
 
     @given(_RECORD_BYTES)
     @settings(max_examples=300, deadline=None)

@@ -29,7 +29,7 @@ from lotkafit import (
     truncate_right,
     truncation_report,
 )
-from lotkafit import freqdata, read_records
+from lotkafit import freqdata, read_distribution, read_records
 from lotkafit.cli import run
 from lotkafit.freqdata import MAX_BINS, MAX_LEVEL
 
@@ -142,6 +142,43 @@ class TestFrequencyDistribution:
             FrequencyDistribution.from_counts(counts)
 
 
+# Fields of level,count rows: digits, with leading zeros, level 0, 17 to
+# 20 digits and a small pool of levels so that levels repeat; and
+# signed, spaced and other fields that the bulk pass leaves to the loop.
+_DIGIT_FIELDS = st.one_of(
+    st.integers(1, 10**6).map(str),
+    st.integers(0, 99).map("{:03d}".format),
+    st.sampled_from(["1", "2", "0"]),
+    st.integers(17, 20).flatmap(lambda n: st.text("0123456789", min_size=n, max_size=n)),
+)
+_ODD_FIELDS = st.one_of(
+    st.sampled_from(["-0", "+1", " 2", "3 ", "1_0", "\u0663", "", "4,5"]),
+    st.text("0123456789,-+ _\r\u0663", max_size=5),
+)
+
+
+@st.composite
+def _distribution_texts(draw):
+    """level,count texts; in about half, every row is two digit fields ended by LF."""
+    plain = draw(st.booleans())
+    header = draw(st.sampled_from(["level,count"] * 6 + ["level,count\r", "level,count ", "count,level", ""]))
+    fields = _DIGIT_FIELDS if plain else st.one_of(_DIGIT_FIELDS, _ODD_FIELDS)
+    rows = draw(st.lists(st.tuples(fields, fields).map(",".join), max_size=8))
+    newlines = st.just("\n") if plain else st.sampled_from(["\n"] * 8 + ["\r\n", "\r"])
+    ends = draw(st.lists(newlines, min_size=len(rows) + 1, max_size=len(rows) + 1))
+    text = header + "".join(end + row for end, row in zip(ends, rows))
+    return text + ends[-1] if draw(st.booleans()) else text
+
+
+def _parse_outcome(parse):
+    """The levels, counts and name parse() gives, or its InputError's text."""
+    try:
+        dist = parse()
+    except InputError as exc:
+        return str(exc)
+    return dist.levels.tolist(), dist.counts.tolist(), dist.name
+
+
 class TestParseDistribution:
     def test_basic(self):
         d = parse_distribution("level,count\n1,600\n2,150")
@@ -184,6 +221,51 @@ class TestParseDistribution:
     @settings(max_examples=60, deadline=None)
     def test_round_trip(self, d):
         assert parse_distribution(serialize_distribution(d)) == d
+
+    def test_bulk_pass_takes_plain_rows_sorted(self):
+        levels, counts = freqdata._bulk_rows(b"level,count\n3,0\n1,007\n20,5" + bytes(8))
+        assert levels.tolist() == [1, 3, 20]
+        assert counts.tolist() == [7, 0, 5]
+
+    @pytest.mark.parametrize(
+        "rows",
+        ["", "1,-0\n", "+1,2\n", "1,2\r\n", "1,2\n\n", " 1,2\n", "1,2,3\n", "1,2,3,4\n", "1\n", "1,2\n3", "0,2\n",
+         "1,2\n1,3\n", f"{10**18},1\n", f"1,{'0' * 19}\n", "\u0663,1\n"],
+    )
+    def test_bulk_pass_leaves_the_rest_to_the_line_loop(self, rows):
+        assert freqdata._bulk_rows(f"level,count\n{rows}".encode() + bytes(8)) is None
+
+    def test_level_two_to_the_62_parses_through_the_line_loop(self):
+        text = f"level,count\n1,3\n{MAX_LEVEL},1\n"
+        assert freqdata._bulk_rows(text.encode() + bytes(8)) is None
+        assert parse_distribution(text).entries == ((1, 3), (MAX_LEVEL, 1))
+
+    @given(
+        st.dictionaries(st.integers(1, 10**16 - 1), st.integers(0, 10**16 - 1), min_size=1, max_size=20),
+        st.integers(0, 2),
+        st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_plain_rows_take_the_bulk_pass(self, counts, zeros, final_newline):
+        pad = "0" * zeros
+        text = "level,count" + "".join(f"\n{pad}{level},{pad}{n}" for level, n in counts.items())
+        text += "\n" if final_newline else ""
+        assert freqdata._bulk_rows(text.encode() + bytes(8)) is not None
+        expected = _parse_outcome(lambda: freqdata._parse_lines(text, "d"))
+        assert _parse_outcome(lambda: parse_distribution(text, "d")) == expected
+
+    @given(_distribution_texts())
+    @settings(max_examples=500, deadline=None)
+    def test_bulk_pass_matches_line_loop(self, text):
+        expected = _parse_outcome(lambda: freqdata._parse_lines(text, "d"))
+        assert _parse_outcome(lambda: parse_distribution(text, "d")) == expected
+        # read_distribution turns CRLF and a lone CR into LF before either pass.
+        lf = _parse_outcome(lambda: freqdata._parse_lines(text.replace("\r\n", "\n").replace("\r", "\n"), "d"))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.csv"
+            path.write_bytes(text.encode("utf-8"))
+            got = _parse_outcome(lambda: read_distribution(path))
+        assert got == (lf if isinstance(lf, tuple) else f"{path}: {lf}")
 
 
 class TestFromAuthorRecords:

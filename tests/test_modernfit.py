@@ -608,6 +608,24 @@ class TestGofBootstrap:
             assert replicate.levels.tobytes() == levels.tobytes()
             assert replicate.counts.tobytes() == counts.tobytes()
 
+    def test_no_refit_pass_once_every_replicate_is_refit(self, monkeypatch):
+        # Every replicate refits on its first draw here, so each chunk makes
+        # one pass, and no pass refits an empty batch.
+        d = sample(PowerLawModel(2.0, 1), 1000, 9)
+        fit = mle_alpha(d, 1)
+        batches = []
+        real_fit_batch = modernfit._fit_batch
+
+        def recording(dists, xmin):
+            batches.append(len(dists))
+            return real_fit_batch(dists, xmin)
+
+        monkeypatch.setattr(modernfit, "_cpu_count", lambda: 1)
+        monkeypatch.setattr(modernfit, "_fit_batch", recording)
+        gof_bootstrap(d, fit, 100, seed=5, reselect_xmin=False)
+        assert sum(batches) == 100
+        assert all(batches)
+
     def test_body_picks_hold_no_array_per_body_author(self, monkeypatch):
         # 7 x 150,000 authors below xmin 8: a pool of one int64 level index
         # per body author would hold 8.4 MB. The body is instead the first 7
