@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 from typing import NoReturn
@@ -20,7 +21,7 @@ from .freqdata import ingest_records, read_distribution, truncation_report, writ
 from .loglogfit import Denominator, FitResult, fit_historical, ols_loglog, to_percent_series
 from .lotkamodel import PowerLawModel, sample
 from .modernfit import bias_experiment, compare_methods, gof_bootstrap, mle_alpha, select_xmin
-from .svgplot import PlotKind, PlotSpec, emit_plot
+from .svgplot import PlotKind, PlotSpec, _sidecar_path, emit_plot
 
 __all__ = ["build_parser", "run", "main"]
 
@@ -205,12 +206,24 @@ def _load_fit(path: str) -> FitResult:
     return fit
 
 
+def _same_file(path: Path, other: str) -> bool:
+    try:
+        return os.path.samefile(path, other)
+    except OSError:  # path does not exist yet, so it is no input
+        return False
+
+
 def _cmd_plot(args) -> int:
     dist = read_distribution(args.dist)
     kind = PlotKind(args.kind)
     if kind is PlotKind.HISTOGRAM and args.fit is not None:
         raise InputError("--fit applies only to loglog plots")
     fit = _load_fit(args.fit) if args.fit is not None else None
+    out = Path(args.out)
+    for target in (out, _sidecar_path(out)):
+        for flag, source in (("dist", args.dist), ("fit", args.fit)):
+            if source is not None and _same_file(target, source):
+                raise InputError(f"{target} is the --{flag} file; plot would overwrite its input")
     spec = PlotSpec(
         kind=kind,
         out_path=args.out,

@@ -288,20 +288,75 @@ class TruncationReport:
         return asdict(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class HistogramBins:
     """Fixed-width author-count bins covering levels 1 through the top bin edge.
 
-    Bin k covers levels [(k-1)*width + 1, k*width]. Percentages are against
-    the distribution's full author total and are not rounded.
+    Bin k covers levels [(k-1)*width + 1, k*width]. ``counts`` (int64)
+    and ``percents`` (float64) are read-only arrays with one entry per
+    bin, empty bins included; percentages are against the distribution's
+    full author total and are not rounded. ``bins`` gives the
+    ``(start, end, authors, percent)`` rows back as Python numbers, and
+    ``total_authors`` is their exact sum of authors. Equality compares
+    the width and both arrays.
     """
 
     bin_width: int
-    bins: tuple[tuple[int, int, int, float], ...]
+    counts: np.ndarray
+    percents: np.ndarray
 
-    @property
+    def __init__(self, bin_width: int, bins: Iterable[tuple[int, int, int, float]]) -> None:
+        rows = tuple(bins)
+        try:
+            edges = [(start, end) for start, end, _, _ in rows]
+        except (TypeError, ValueError):  # a row that is no 4-tuple
+            raise InputError("bins must be (start, end, authors, percent) rows") from None
+        self.__post_init__(bin_width, [row[2] for row in rows], [row[3] for row in rows])
+        if edges != [row[:2] for row in self.bins]:
+            raise InputError(f"bins must tile the levels from 1 in steps of the bin width {bin_width}")
+
+    def __post_init__(self, bin_width: int, counts: ArrayLike, percents: ArrayLike) -> None:
+        """Check and store read-only copies of the per-bin arrays; every constructor ends here."""
+        try:
+            bin_width = operator.index(bin_width)
+            counts = np.array(_integers(counts), dtype=np.int64)
+            percents = np.array(percents, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError):
+            raise InputError("bin width and author counts must be integers, percents numbers") from None
+        if bin_width < 1:
+            raise InputError(f"bin width must be >= 1, got {bin_width}")
+        if counts.ndim != 1 or counts.shape != percents.shape:
+            raise InputError("bin author counts and percents must be 1-D arrays of equal length")
+        counts.flags.writeable = percents.flags.writeable = False
+        vars(self).update(bin_width=bin_width, counts=counts, percents=percents)
+
+    @classmethod
+    def from_arrays(cls, bin_width: int, counts: ArrayLike, percents: ArrayLike) -> "HistogramBins":
+        """Build from per-bin author counts and percents, bin 1 first; both are copied."""
+        bins = cls.__new__(cls)
+        bins.__post_init__(bin_width, counts, percents)
+        return bins
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, HistogramBins):
+            return NotImplemented
+        return (self.bin_width == other.bin_width and np.array_equal(self.counts, other.counts)
+                and np.array_equal(self.percents, other.percents))
+
+    def __hash__(self) -> int:
+        # Equal bins have equal counts; percents could differ in bytes alone (0.0 and -0.0).
+        return hash((self.bin_width, self.counts.tobytes()))
+
+    @cached_property
+    def bins(self) -> tuple[tuple[int, int, int, float], ...]:
+        """The ``(start, end, authors, percent)`` rows as Python numbers, empty bins included."""
+        width, top = self.bin_width, len(self.counts) * self.bin_width
+        return tuple(zip(range(1, top + 1, width), range(width, top + 1, width),
+                         self.counts.tolist(), self.percents.tolist()))
+
+    @cached_property
     def total_authors(self) -> int:
-        return sum(count for _, _, count, _ in self.bins)
+        return sum(self.counts.tolist())
 
 
 def parse_distribution(text: str, name: str = "dist") -> FrequencyDistribution:
@@ -1025,7 +1080,4 @@ def bin_histogram(dist: FrequencyDistribution, bin_width: int) -> HistogramBins:
     levels, counts = dist.populated_arrays
     tallies = np.zeros(n_bins, dtype=np.int64)
     np.add.at(tallies, (levels - 1) // width, counts)
-    percents = 100.0 * tallies / dist.total_authors
-    top = n_bins * bin_width
-    starts, ends = range(1, top + 1, bin_width), range(bin_width, top + 1, bin_width)
-    return HistogramBins(bin_width, tuple(zip(starts, ends, tallies.tolist(), percents.tolist())))
+    return HistogramBins.from_arrays(bin_width, tallies, 100.0 * tallies / dist.total_authors)

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .errors import InputError
 from .freqdata import FrequencyDistribution, _write_text, bin_histogram
 from .loglogfit import Denominator, FitResult, to_percent_series
@@ -138,26 +140,39 @@ def _emit_loglog(
 
 
 def _emit_histogram(dist: FrequencyDistribution, spec: PlotSpec) -> tuple[str, str]:
+    """One rect per populated bin; one sidecar row per bin, empty bins included.
+
+    The bins stay arrays: only populated bins are formatted one by one,
+    every empty bin shares one row tail, and the edge columns come from
+    Python ranges, so widths beyond int64 stay exact.
+    """
     bins = bin_histogram(dist, spec.bin_width)
-    top_count = max(count for _, _, count, _ in bins.bins)
-    frame = _Frame(0.5, bins.bins[-1][1] + 0.5, 0.0, float(top_count))
+    width, n_bins = bins.bin_width, len(bins.counts)
+    top = n_bins * width
+    populated = np.flatnonzero(bins.counts)
+    filled = list(zip(populated.tolist(), bins.counts[populated].tolist(), bins.percents[populated].tolist()))
+    try:
+        frame = _Frame(0.5, top + 0.5, 0.0, float(bins.counts.max()))
+    except OverflowError:  # the top bin edge, an int, has no float
+        raise InputError(f"bin width {width} is too large to plot: its top edge exceeds a float") from None
     xlabel = spec.xlabel or "works per author (binned)"
     ylabel = spec.ylabel or "authors"
     body = _axes(frame, xlabel, ylabel)
-    for start, end, count, _ in bins.bins:
-        if count == 0:
-            continue
-        x_left = frame.x(start - 0.5)
-        x_right = frame.x(end + 0.5)
+    y_base = frame.y(0.0)
+    for k, count, _ in filled:
+        x_left = frame.x(k * width + 1 - 0.5)
+        x_right = frame.x((k + 1) * width + 0.5)
         y_top = frame.y(float(count))
-        y_base = frame.y(0.0)
         body.append(
             f'<rect x="{x_left:.2f}" y="{y_top:.2f}" width="{x_right - x_left:.2f}" '
             f'height="{y_base - y_top:.2f}" fill="#1f77b4" stroke="white" stroke-width="0.5"/>'
         )
-    rows = ["range_start,range_end,author_count,author_percent"]
-    rows.extend(f"{s},{e},{c},{p!r}" for s, e, c, p in bins.bins)
-    return _svg_document(body), "\n".join(rows) + "\n"
+    tails = [",0,0.0\n"] * n_bins
+    for k, count, percent in filled:
+        tails[k] = f",{count},{percent!r}\n"
+    starts, ends = range(1, top + 1, width), range(width, top + 1, width)
+    rows = "".join([f"{start},{end}{tail}" for start, end, tail in zip(starts, ends, tails)])
+    return _svg_document(body), "range_start,range_end,author_count,author_percent\n" + rows
 
 
 def emit_plot(
@@ -166,7 +181,8 @@ def emit_plot(
     """Write the SVG and its sidecar; returns both paths.
 
     The sidecar sits next to the SVG with a .csv suffix and carries the
-    exact plotted values at full precision.
+    exact plotted values at full precision. If the sidecar cannot be
+    written, the SVG written just before it is removed again.
     """
     if spec.kind is PlotKind.LOGLOG and spec.include_trendline and fit is None:
         raise InputError("trendline requested without a fit")
@@ -175,9 +191,17 @@ def emit_plot(
     else:
         svg, sidecar = _emit_histogram(dist, spec)
     out = Path(spec.out_path)
-    sidecar_path = out.with_suffix(".csv")
-    if sidecar_path == out:
-        sidecar_path = out.with_suffix(".points.csv")
+    sidecar_path = _sidecar_path(out)
     _write_text(out, svg)
-    _write_text(sidecar_path, sidecar)
+    try:
+        _write_text(sidecar_path, sidecar)
+    except InputError:  # leave no SVG without its sidecar
+        out.unlink(missing_ok=True)
+        raise
     return out, sidecar_path
+
+
+def _sidecar_path(out: Path) -> Path:
+    """Where the sidecar of the SVG at out goes: beside it, with a .csv suffix."""
+    sidecar_path = out.with_suffix(".csv")
+    return out.with_suffix(".points.csv") if sidecar_path == out else sidecar_path

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,19 @@ from lotkafit import FrequencyDistribution
 # totals: 6891 authors / 22934 works / max 346, and 1325 / 3398 / 48.
 CA_COUNTS = {1: 6312, 2: 42, 30: 424, 31: 112, 346: 1}
 AUERBACH_COUNTS = {1: 493, 3: 818, 31: 13, 48: 1}
+
+
+def rescan_bins(dist, bin_width):
+    """Reference binning: rescan every entry for every bin."""
+    n_bins = math.ceil(dist.max_level / bin_width)
+    total = dist.total_authors
+    bins = []
+    for k in range(1, n_bins + 1):
+        start = (k - 1) * bin_width + 1
+        end = k * bin_width
+        count = sum(a for level, a in dist.entries if start <= level <= end)
+        bins.append((start, end, count, 100.0 * count / total))
+    return tuple(bins)
 
 
 def per_draw_levels(table, u: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -13,6 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import rescan_bins
+
 from lotkafit import (
     Denominator,
     FrequencyDistribution,
@@ -26,7 +29,7 @@ from lotkafit import (
     to_percent_series,
     write_distribution,
 )
-from lotkafit import cli
+from lotkafit import cli, svgplot
 from lotkafit.cli import run
 from lotkafit.freqdata import MAX_LEVEL
 
@@ -930,6 +933,81 @@ class TestPlot:
         rows = (tmp_path / "hist.csv").read_text().strip().split("\n")
         assert rows[1:] == [f"1,{width},6891,100.0"]
 
+    # Digests of the SVG and its sidecar for the CA fixture, as written
+    # before the bins became arrays.
+    @pytest.mark.parametrize("width,svg_sha256,sidecar_sha256", [
+        (1, "f816cc8323dbb46ff1428bcde11bb6e23c48ddd9b5bcf647cd681458f1b1f5cd",
+         "578e451f06749920a85d286042c68a32e35ce525242fcdd0071f596167cf7699"),
+        (15, "1f2790beaf5190a862e0822558907ecb0b22d0cf3534952302920cd51cfc2cf0",
+         "e877e44fa966a1380e513609699e319629f92749ccad4af62a1ffac6e351c1fe"),
+        (2**70, "17b9c8d24d2ac3c391bc5f7ce32577621950fa51ef56115e01190fec437a1dc6",
+         "8fd0af67972ce133ad0ce19673d9ad7e4c3ef7684616161fe2dc8f1e07926792"),
+    ])
+    def test_histogram_bytes_pinned(self, capsys, ca_file, tmp_path, width, svg_sha256, sidecar_sha256):
+        svg = tmp_path / "hist.svg"
+        code, _, _ = run_cli(
+            capsys, ["plot", "histogram", "--dist", ca_file, "--bin-width", str(width), "--out", str(svg)]
+        )
+        assert code == 0
+        assert hashlib.sha256(svg.read_bytes()).hexdigest() == svg_sha256
+        assert hashlib.sha256(svg.with_suffix(".csv").read_bytes()).hexdigest() == sidecar_sha256
+
+    @given(
+        st.dictionaries(st.integers(1, 400), st.integers(0, 1000), min_size=1)
+        .filter(lambda d: any(d.values())).map(FrequencyDistribution.from_counts),
+        st.one_of(st.integers(1, 50), st.integers(2**63, 2**80)),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_histogram_matches_reference_formatter(self, dist, width):
+        spec = PlotSpec(kind=PlotKind.HISTOGRAM, out_path="h.svg", bin_width=width)
+        assert svgplot._emit_histogram(dist, spec) == _reference_histogram(dist, width)
+
+    @pytest.mark.parametrize("out", ["ca.svg", "ca.csv", "link.svg"])
+    def test_plot_refuses_to_overwrite_dist(self, capsys, ca_file, tmp_path, out):
+        (tmp_path / "link.csv").symlink_to(ca_file)  # link.svg's sidecar is ca.csv by another name
+        before = sorted(tmp_path.iterdir())
+        text = Path(ca_file).read_bytes()
+        code, stdout, err = run_cli(capsys, ["plot", "histogram", "--dist", ca_file, "--out", str(tmp_path / out)])
+        assert code == 2
+        assert stdout == ""
+        assert err.endswith("is the --dist file; plot would overwrite its input\n")
+        assert len(err.splitlines()) == 1
+        assert sorted(tmp_path.iterdir()) == before and Path(ca_file).read_bytes() == text
+
+    @pytest.mark.parametrize("out", ["fit.json", "fit.svg"])
+    def test_plot_refuses_to_overwrite_fit(self, capsys, ca_file, tmp_path, out):
+        _, report, _ = run_cli(capsys, ["fit", "loglog", "--dist", ca_file, "--truncate", "30"])
+        fit_file = tmp_path / ("fit.json" if out == "fit.json" else "fit.csv")
+        fit_file.write_text(report)
+        before = sorted(tmp_path.iterdir())
+        code, stdout, err = run_cli(
+            capsys, ["plot", "loglog", "--dist", ca_file, "--fit", str(fit_file), "--out", str(tmp_path / out)]
+        )
+        assert code == 2
+        assert stdout == ""
+        assert err == f"error: {fit_file} is the --fit file; plot would overwrite its input\n"
+        assert sorted(tmp_path.iterdir()) == before and fit_file.read_text() == report
+
+    @pytest.mark.parametrize("kind", ["histogram", "loglog"])
+    def test_unwritable_sidecar_leaves_no_svg(self, capsys, ca_file, tmp_path, kind):
+        (tmp_path / "y.csv").mkdir()
+        code, stdout, err = run_cli(capsys, ["plot", kind, "--dist", ca_file, "--out", str(tmp_path / "y.svg")])
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith(f"error: {tmp_path / 'y.csv'}: ") and len(err.splitlines()) == 1
+        assert not (tmp_path / "y.svg").exists()
+
+    def test_histogram_width_beyond_float_exits_two(self, capsys, ca_file, tmp_path):
+        svg = tmp_path / "hist.svg"
+        code, out, err = run_cli(
+            capsys, ["plot", "histogram", "--dist", ca_file, "--bin-width", str(10**400), "--out", str(svg)]
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: bin width 1000")
+        assert err.endswith(" is too large to plot: its top edge exceeds a float\n")
+        assert not svg.exists() and not svg.with_suffix(".csv").exists()
+
     def test_fit_flag_rejected_for_histogram(self, capsys, ca_file, tmp_path):
         fit_file = tmp_path / "fit.json"
         fit_file.write_text("{}")
@@ -949,6 +1027,24 @@ class TestPlot:
         )
         with pytest.raises(InputError, match="without a fit"):
             emit_plot(ca_dist, None, spec)
+
+
+def _reference_histogram(dist, width):
+    """The histogram SVG and sidecar formatted row by row from rescanned bins."""
+    bins = rescan_bins(dist, width)
+    frame = svgplot._Frame(0.5, bins[-1][1] + 0.5, 0.0, float(max(count for _, _, count, _ in bins)))
+    body = svgplot._axes(frame, "works per author (binned)", "authors")
+    for start, end, count, _ in bins:
+        if count:
+            x_left, x_right = frame.x(start - 0.5), frame.x(end + 0.5)
+            y_top, y_base = frame.y(float(count)), frame.y(0.0)
+            body.append(
+                f'<rect x="{x_left:.2f}" y="{y_top:.2f}" width="{x_right - x_left:.2f}" '
+                f'height="{y_base - y_top:.2f}" fill="#1f77b4" stroke="white" stroke-width="0.5"/>'
+            )
+    rows = ["range_start,range_end,author_count,author_percent"]
+    rows.extend(f"{s},{e},{c},{p!r}" for s, e, c, p in bins)
+    return svgplot._svg_document(body), "\n".join(rows) + "\n"
 
 
 class TestDeterminism:

@@ -15,9 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import rescan_bins
+
 from lotkafit import (
     AuthorRecord,
     FrequencyDistribution,
+    HistogramBins,
     InputError,
     bin_histogram,
     from_author_records,
@@ -915,19 +918,6 @@ class TestTruncationReport:
         assert payload["removed_authors_physical"] == 113
 
 
-def _rescan_bins(dist, bin_width):
-    """Reference binning: rescan every entry for every bin."""
-    n_bins = math.ceil(dist.max_level / bin_width)
-    total = dist.total_authors
-    bins = []
-    for k in range(1, n_bins + 1):
-        start = (k - 1) * bin_width + 1
-        end = k * bin_width
-        count = sum(a for level, a in dist.entries if start <= level <= end)
-        bins.append((start, end, count, 100.0 * count / total))
-    return tuple(bins)
-
-
 class TestBinHistogram:
     @given(
         distributions,
@@ -936,7 +926,7 @@ class TestBinHistogram:
     @settings(max_examples=150, deadline=None)
     def test_matches_per_bin_rescan(self, d, width):
         width = d.max_level if width == "max_level" else width
-        assert bin_histogram(d, width).bins == _rescan_bins(d, width)
+        assert bin_histogram(d, width).bins == rescan_bins(d, width)
 
     def test_small_example(self):
         d = FrequencyDistribution.from_counts({1: 6, 2: 3, 16: 1})
@@ -965,12 +955,20 @@ class TestBinHistogram:
         "max_level,width", [(MAX_LEVEL, 1), (MAX_LEVEL, 2**42 - 1), (MAX_BINS + 1, 1), (3 * MAX_BINS + 1, 3)]
     )
     def test_bin_count_bound(self, max_level, width):
-        # Only rejected widths run here: an accepted one would build up to 2^20 bins.
+        # Rejected widths only; test_exactly_max_bins_accepted takes the largest accepted count.
         d = FrequencyDistribution.from_counts({1: 5, max_level: 1})
         with pytest.raises(InputError, match=r"more than 2\^20") as excinfo:
             bin_histogram(d, width)
         fits = int(str(excinfo.value).rsplit(" ", 1)[1])
         assert -(-max_level // fits) <= MAX_BINS < -(-max_level // (fits - 1))
+
+    def test_exactly_max_bins_accepted(self):
+        d = FrequencyDistribution.from_counts({1: 5, MAX_BINS: 1})
+        bins = bin_histogram(d, 1)
+        assert len(bins.counts) == len(bins.bins) == MAX_BINS
+        assert (bins.counts[0], bins.counts[-1], np.count_nonzero(bins.counts)) == (5, 1, 2)
+        assert bins.bins[-1] == (MAX_BINS, MAX_BINS, 1, 100.0 / 6)
+        assert bins.total_authors == 6
 
     @given(distributions, st.integers(min_value=1, max_value=50))
     @settings(max_examples=80, deadline=None)
@@ -982,6 +980,52 @@ class TestBinHistogram:
             assert start == prev_end + 1
         assert bins.bins[-1][1] >= d.max_level > bins.bins[-1][1] - width
         assert abs(sum(p for *_, p in bins.bins) - 100.0) < 1e-9
+
+
+class TestHistogramBinsApi:
+    def test_tuple_constructor_equals_binned(self, ca_dist):
+        binned = bin_histogram(ca_dist, 15)
+        rebuilt = HistogramBins(15, binned.bins)
+        assert rebuilt == binned and rebuilt.bins == binned.bins
+        assert HistogramBins(15, list(map(list, binned.bins))) == binned
+        assert rebuilt != bin_histogram(ca_dist, 16) and rebuilt != binned.bins
+
+    def test_bins_rows_unchanged(self):
+        d = FrequencyDistribution.from_counts({1: 4, 3: 2})
+        assert bin_histogram(d, 2).bins == ((1, 2, 4, 100.0 * 4 / 6), (3, 4, 2, 100.0 * 2 / 6))
+        wide = bin_histogram(d, 2**70)
+        assert wide.bins == ((1, 2**70, 6, 100.0),)
+        assert all(type(v) is int for v in wide.bins[0][:3]) and type(wide.bins[0][3]) is float
+
+    def test_arrays_read_only(self, ca_dist):
+        bins = bin_histogram(ca_dist, 1)
+        assert (bins.counts.dtype, bins.percents.dtype) == (np.int64, np.float64)
+        for array in (bins.counts, bins.percents):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        counts = np.array([1, 2])
+        built = HistogramBins.from_arrays(1, counts, [50.0, 50.0])
+        counts[0] = 9
+        assert built.counts.tolist() == [1, 2]
+
+    def test_total_authors_exact(self):
+        bins = HistogramBins.from_arrays(1, [MAX_LEVEL] * 3, [100.0 / 3] * 3)
+        assert bins.total_authors == 3 * MAX_LEVEL
+        assert type(bins.total_authors) is int
+
+    def test_equal_bins_hash_equal(self, ca_dist):
+        a, b = bin_histogram(ca_dist, 15), bin_histogram(ca_dist, 15)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, bin_histogram(ca_dist, 1)}) == 2
+
+    @pytest.mark.parametrize(
+        "width,rows",
+        [(0, []), (1.5, []), (2, [(1, 1, 1, 100.0)]), (1, [(2, 2, 1, 100.0)]), (1, [(1, 1, 1)]),
+         (1, [(1, 1, 1.5, 100.0)]), (1, [(1, 1, 2**63, 100.0)])],
+    )
+    def test_tuple_constructor_rejects_untiled_rows(self, width, rows):
+        with pytest.raises(InputError):
+            HistogramBins(width, rows)
 
 
 class TestRounding:
