@@ -76,6 +76,8 @@ def _print_json(payload: dict) -> None:
 
 
 def _cmd_ingest(args) -> int:
+    if _same_file(Path(args.out), args.records):
+        raise InputError(f"{args.out} is the --records file; ingest would overwrite its input")
     dist = ingest_records(args.records, name=Path(args.out).stem)
     write_distribution(dist, args.out)
     print(

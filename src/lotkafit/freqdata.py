@@ -7,15 +7,16 @@ exactly that many. Totals are exact Python ints computed once at
 construction; every consumer reads the arrays, and a tail is a slice of
 them. Ingestion from per-paper author records, right truncation,
 half-cutoff binning, and truncation reports all live here. A records
-file's bytes are read once and tokenized in bulk, one block of about a
-MiB at a time, and ids and names are grouped from their byte spans
-(only the first of each run of equal adjacent ids sorted), so ingesting
-makes no string per field and its temporaries do not grow with the file;
-csv.reader reads the whole file instead as soon as a block holds a row
-whose quoting or bytes the bulk pass cannot prove it would read the
-same way. A ``level,count`` file is likewise read in one vectorized pass
-when its rows are plain digits, and line by line otherwise. Every
-operation is a pure function on immutable values.
+file's bytes are read once and tokenized in bulk, one 64 KiB block at a
+time, into int32 columns allocated once, and ids and names are grouped
+from their byte spans (only the first of each run of byte-equal adjacent
+ids hashed and sorted), so ingesting holds the file, the columns' 24
+bytes a row and temporaries that do not grow with the file, and makes no
+string per field; csv.reader reads the whole file instead as soon as a
+block holds a row whose quoting or bytes the bulk pass cannot prove it
+would read the same way. A ``level,count`` file is likewise read in one
+vectorized pass when its rows are plain digits, and line by line
+otherwise. Every operation is a pure function on immutable values.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import csv
 import gc
 import io
 import operator
+import os
 from dataclasses import asdict, dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from functools import cached_property
@@ -466,13 +468,25 @@ def serialize_distribution(dist: FrequencyDistribution) -> str:
 def _read(path: str | Path, parse):
     """parse(data, path) on a UTF-8 file's bytes; errors name the file.
 
-    The bytes are read once and end in 8 zero bytes. CRLF and a lone CR
-    become LF, as text mode's universal newlines make them; a CR byte is
-    never part of a longer UTF-8 sequence.
+    data is one bytearray that holds the file and 8 zero bytes after it.
+    It is sized from the file's reported size and read into in place, so
+    the file is held once; what lies beyond that size, such as a pipe's
+    bytes, is appended, and a file shorter than it leaves no gap. CRLF
+    and a lone CR become LF, as text mode's universal newlines make them;
+    a CR byte is never part of a longer UTF-8 sequence.
     """
     path = Path(path)
     try:
-        data = path.read_bytes() + bytes(8)
+        with open(path, "rb") as file:
+            size = os.fstat(file.fileno()).st_size
+            data = bytearray(size + 8)
+            filled = 0
+            with memoryview(data) as view:
+                while filled < size and (got := file.readinto(view[filled:size])):
+                    filled += got
+            rest = file.read()
+        if filled < size or rest:
+            data[filled:] = rest + bytes(8)
         if not data.isascii():
             start, size = 0, len(data) - 8
             with memoryview(data) as view:
@@ -516,16 +530,26 @@ def write_distribution(dist: FrequencyDistribution, path: str | Path) -> None:
 
 # The characters str.strip() removes: the ASCII whitespace, with
 # \x1c-\x1f, which bytes.strip() keeps, and these code points beyond it.
+# Every byte of _SPACES is at most ord(" ").
 _SPACES = b"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f "
-_IS_SPACE = np.zeros(256, dtype=bool)
-_IS_SPACE[list(_SPACES)] = True
 _UNICODE_SPACES = np.array(
     [0x85, 0xA0, 0x1680, *range(0x2000, 0x200B), 0x2028, 0x2029, 0x202F, 0x205F, 0x3000]
 )
 # Longest position, level or count the bulk passes parse: 18 digits stay below 10^18 < 2^62.
 _BULK_DIGITS = 18
-# Bytes the bulk pass tokenizes at a time; its temporaries are a few times this.
-_BLOCK = 1 << 20
+# Bytes the bulk pass tokenizes at a time. Its largest temporaries, the
+# int64 offsets of a block's commas, newlines and quotes and the (3, 2,
+# rows) int64 spans of its fields, then stay under glibc's default 128 KiB
+# mmap threshold for rows of about 25 bytes, so every block reuses the
+# heap's pages: with 256 KiB blocks the tokenizer took 6,300 minor page
+# faults on a 7 MB file, and 24 with these.
+_BLOCK = 1 << 16
+# Rows grouped and checked at a time once tokenized; their int64
+# temporaries stay under the same threshold.
+_ROW_BLOCK = 1 << 13
+# Byte offsets, spans and row indices are int32 in a file read into fewer
+# bytes than this, 8 zero bytes included, and int64 in a larger one.
+_OFFSET_LIMIT = 1 << 31
 # Bytes _read checks as UTF-8 at a time; at least 4, the longest character.
 _UTF8_BLOCK = 1 << 16
 # _LOW_BYTES[k] keeps the first k bytes of a little-endian 8-byte word.
@@ -560,12 +584,15 @@ def _record_columns(data: bytes) -> tuple[bytes, np.ndarray, np.ndarray, np.ndar
     The header is csv.reader's either way. On the bulk route the ids and
     names are spans of data; on csv.reader's, of the bytes of its
     stripped ids and names, which also end in 8 zero bytes. Positions
-    come back as int64 and spans as (2, rows) arrays, rows in file order.
-    Each row's paper code is the index of the paper's first row, so codes
-    order papers as the file first lists them, and ``order`` sorts the
-    rows by (code, position). The rows are checked in bulk; when a check
-    fails, _record_fault rescans the file with csv.reader to word the
-    first fault.
+    come back as int64, spans as (start, end) pairs of (2, rows) arrays
+    and codes as (rows,) arrays, rows in file order; spans and codes are
+    int32 when the spanned bytes number fewer than _OFFSET_LIMIT, and
+    int64 otherwise. Each row's paper code is the index of the paper's
+    first row, so codes order papers as the file first lists them, and
+    ``order`` sorts the rows by (code, position), or is None when they
+    are sorted already. The rows are checked in bulk, _ROW_BLOCK at a
+    time; when a check fails, _record_fault rescans the file with
+    csv.reader to word the first fault.
     """
     if len(data) == 8:
         raise InputError(f"empty input: expected header {RECORDS_HEADER!r}")
@@ -601,18 +628,40 @@ def _record_columns(data: bytes) -> tuple[bytes, np.ndarray, np.ndarray, np.ndar
         raise InputError("empty input: no data rows")
     codes = _span_groups(spanned, papers)
     # Rows listed paper by paper, in position order, need no sort.
-    order = rows = np.arange(len(codes))
-    step, rise = np.diff(codes), np.diff(positions)
-    if ((step < 0) | (step == 0) & (rise < 0)).any():
+    order = None
+    ascending, repeated = _row_steps(codes, positions)
+    if not ascending:
         order = np.lexsort((positions, codes))
-        step, rise = np.diff(codes[order]), np.diff(positions[order])
-    repeated = (step == 0) & (rise == 0)
+        _, repeated = _row_steps(codes, positions, order)
     # With no (paper, position) repeated, every paper has a position-1 row
     # exactly when there are as many position-1 rows as papers.
-    seniors = np.count_nonzero(positions == 1)
-    if positions.min() < 1 or repeated.any() or seniors != np.count_nonzero(codes == rows):
+    seniors = firsts = 0
+    for start in range(0, len(codes), _ROW_BLOCK):
+        block = slice(start, start + _ROW_BLOCK)
+        seniors += np.count_nonzero(positions[block] == 1)
+        firsts += np.count_nonzero(codes[block] == np.arange(start, start + len(codes[block])))
+    if positions.min() < 1 or repeated or seniors != firsts:
         raise InputError(_record_fault(data))
     return spanned, positions, papers, authors, codes, order
+
+
+def _offsets(size: int) -> type:
+    """The dtype of offsets into, and row indices of, size bytes."""
+    return np.int32 if size < _OFFSET_LIMIT else np.int64
+
+
+def _row_steps(codes: np.ndarray, positions: np.ndarray, order: np.ndarray | None = None) -> tuple[bool, bool]:
+    """Whether the rows, taken in order (else as they stand), ascend by
+    (code, position), and whether two adjacent ones share both; read
+    _ROW_BLOCK rows at a time, each block from the last row of the one before."""
+    ascending, repeated = True, False
+    for start in range(0, max(len(codes) - 1, 0), _ROW_BLOCK):
+        block = slice(start, start + _ROW_BLOCK + 1)
+        rows = block if order is None else order[block]
+        step, rise = np.diff(codes[rows]), np.diff(positions[rows])
+        ascending = ascending and not ((step < 0) | (step == 0) & (rise < 0)).any()
+        repeated = repeated or ((step == 0) & (rise == 0)).any()
+    return ascending, repeated
 
 
 def _bulk_columns(data: bytes) -> tuple[bytes, tuple[np.ndarray, np.ndarray, np.ndarray] | None] | None:
@@ -622,11 +671,19 @@ def _bulk_columns(data: bytes) -> tuple[bytes, tuple[np.ndarray, np.ndarray, np.
     author spans of every row, or None for them if a block holds an
     invalid row, after which no further block is read. A block ends
     with the first newline at least _BLOCK bytes on from its start, so
-    it holds at most _BLOCK bytes and one line.
+    it holds at most _BLOCK bytes and one line. The columns, int64
+    positions and int32 spans (int64 in data of _OFFSET_LIMIT bytes or
+    more), are allocated once, for as many rows as data has lines, and
+    each block fills its rows of them in place.
     """
     size = len(data) - 8
-    columns: tuple[list, list, list] = ([], [], [])
-    start = 0
+    view = np.frombuffer(data, dtype=np.uint8)
+    # Rows are at most lines; their newlines are counted a block at a time, with no file-sized temporary.
+    count = 1 + sum(np.count_nonzero(view[start : start + _BLOCK] == 10) for start in range(0, size, _BLOCK))
+    offsets = _offsets(len(data))
+    positions = np.empty(count, dtype=np.int64)
+    papers, authors = np.empty((2, count), dtype=offsets), np.empty((2, count), dtype=offsets)
+    filled = start = 0
     while start < size:
         end = data.find(b"\n", min(start + _BLOCK, size) - 1, size) + 1 or size
         block = data[start : end + 8]
@@ -637,16 +694,18 @@ def _bulk_columns(data: bytes) -> tuple[bytes, tuple[np.ndarray, np.ndarray, np.
         if first:
             header = block[: lines[1, 0]]
         rows = np.flatnonzero(lines[3, first:] > 0) + first
-        positions, spans, valid, reroute = _split_fields(block, lines, rows, pairs)
+        position, spans, valid, reroute = _split_fields(block, lines, rows, pairs)
         if reroute.any():
             return None
         # A line outside quotes that does not split in three is an invalid row.
         if not valid.all() or len(rows) < lines.shape[1] - first:
             return header, None
-        for column, part in zip(columns, (positions, spans[0] + start, spans[2] + start)):
-            column.append(part)
-        start = end
-    return header, tuple(np.concatenate(parts, axis=-1) for parts in columns)
+        taken = slice(filled, filled + len(rows))
+        positions[taken] = position
+        np.add(spans[0], start, out=papers[:, taken])
+        np.add(spans[2], start, out=authors[:, taken])
+        filled, start = taken.stop, end
+    return header, (positions[:filled], papers[:, :filled], authors[:, :filled])
 
 
 def _scan_lines(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -666,11 +725,12 @@ def _scan_lines(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     size = len(data) - 8
     view = np.frombuffer(data, dtype=np.uint8)
-    # The bytes looked for, NUL, LF, CR, '"' and ',', are all <= ord(",").
-    marks = np.flatnonzero(view[:size] <= 44)
+    # The bytes looked for: ',', LF, '"', CR and NUL.
+    looked_for = view[:size] == 44
+    for byte in (10, 34, 13, 0):
+        looked_for |= view[:size] == byte
+    marks = np.flatnonzero(looked_for)
     kinds = view[marks]
-    keep = (kinds == 44) | (kinds == 10) | (kinds == 34) | (kinds == 13) | (kinds == 0)
-    marks, kinds = marks[keep], kinds[keep]
     newline = kinds == 10
     ends = marks[newline]
     if size and data[size - 1] != 10:
@@ -688,7 +748,7 @@ def _scan_lines(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     quotes = kinds == 34
     quotes, quote_lines = marks[quotes], at[quotes]
     quote_count = np.bincount(quote_lines, minlength=count)
-    odd = quote_count % 2 == 1
+    odd = (quote_count & 1) == 1
     routed |= odd
     routed[quote_lines[1:][np.diff(quotes) == 1]] = True  # a doubled quote, or an empty quoted field
     commas = kinds == 44
@@ -696,8 +756,9 @@ def _scan_lines(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # A comma is text when an odd number of its line's quotes come before it.
     near = np.flatnonzero(quote_count[at])
     before = np.searchsorted(quotes, commas[near]) - (np.cumsum(quote_count) - quote_count)[at[near]]
-    text = near[before % 2 == 1]
-    commas, at = np.delete(commas, text), np.delete(at, text)
+    outside = np.ones(len(commas), dtype=bool)
+    outside[near] = (before & 1) == 0
+    commas, at = commas[outside], at[outside]
     comma_count = np.bincount(at, minlength=count)
     routed |= (quote_count > 0) & (comma_count != 2)
     split = np.flatnonzero(comma_count == 2)
@@ -722,9 +783,7 @@ def _split_fields(
     """
     view = np.frombuffer(data, dtype=np.uint8)
     # Fields run from the line's start, or after a comma, to a comma or the line's end.
-    spans = np.empty((3, 2, len(rows)), dtype=np.int64)
-    for span, column in zip(spans.reshape(6, -1), (0, 2, 2, 3, 3, 1)):
-        lines[column].take(rows, out=span)
+    spans = lines.take(rows, axis=1).take((0, 2, 2, 3, 3, 1), axis=0).reshape(3, 2, -1)
     spans[1:, 0] += 1
     spans[2, 1] -= view[spans[2, 1] - 1] == 13
     # The quote pairs on these rows; each must enclose a whole field.
@@ -749,21 +808,27 @@ def _strip_spaces(data: bytes, spans: np.ndarray) -> np.ndarray:
     return whether a span left starts or ends with a space beyond ASCII, which it removes too."""
     view = np.frombuffer(data, dtype=np.uint8)
     starts, ends = spans
-    padded = np.flatnonzero((ends > starts) & (_IS_SPACE[view[starts]] | _IS_SPACE[view[ends - 1]]))
-    lefts: list[int] = []
-    rights: list[int] = []
-    for start, end in zip(starts[padded].tolist(), ends[padded].tolist()):
-        rest = data[start:end].lstrip(_SPACES)
-        lefts.append(end - len(rest))
-        rights.append(end - len(rest) + len(rest.rstrip(_SPACES)))
-    starts[padded], ends[padded] = lefts, rights
-    edges = np.flatnonzero((ends > starts) & ((view[starts] >= 128) | (view[ends - 1] >= 128)))
-    # The last character of a span starts at most three continuation bytes before its end.
-    last = ends[edges] - 1
-    for _ in range(3):
-        last -= (view[last] & 0xC0) == 0x80
+    filled, first, last = ends > starts, view[starts], view[ends - 1]
+    # A span is padded only if a byte at its edge is at most ord(" "); the strip decides.
+    padded = np.flatnonzero(filled & ((first <= 32) | (last <= 32)))
+    if len(padded):
+        lefts: list[int] = []
+        rights: list[int] = []
+        for start, end in zip(starts[padded].tolist(), ends[padded].tolist()):
+            rest = data[start:end].lstrip(_SPACES)
+            lefts.append(end - len(rest))
+            rights.append(end - len(rest) + len(rest.rstrip(_SPACES)))
+        starts[padded], ends[padded] = lefts, rights
+        filled[padded] = ends[padded] > starts[padded]
+        first[padded], last[padded] = view[starts[padded]], view[ends[padded] - 1]
     spaced = np.zeros(len(starts), dtype=bool)
-    spaced[edges] = _unicode_space_at(view, starts[edges]) | _unicode_space_at(view, last)
+    edges = np.flatnonzero(filled & ((first >= 128) | (last >= 128)))
+    if len(edges):
+        # The last character of a span starts at most three continuation bytes before its end.
+        last = ends[edges] - 1
+        for _ in range(3):
+            last -= (view[last] & 0xC0) == 0x80
+        spaced[edges] = _unicode_space_at(view, starts[edges]) | _unicode_space_at(view, last)
     return spaced
 
 
@@ -781,13 +846,14 @@ def _unicode_space_at(view: np.ndarray, at: np.ndarray) -> np.ndarray:
 def _parse_digits(
     view: np.ndarray, starts: np.ndarray, ends: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The value of each span of 1 to 18 ASCII digits; whether it is one; whether it is wider."""
+    """The value of each span of 1 to 18 ASCII digits, whether it is one, and whether it is wider;
+    the value of any other span is meaningless. The byte at each start must lie in view."""
     width = ends - starts
     wide = width > _BULK_DIGITS
-    value = np.zeros(len(width), dtype=np.int64)
-    digits = (width > 0) & ~wide
-    live = np.flatnonzero(digits)
-    for offset in range(_BULK_DIGITS):
+    value = view[starts].astype(np.int64) - 48
+    digits = (width > 0) & ~wide & (value >= 0) & (value <= 9)
+    live = np.flatnonzero(digits & (width > 1))
+    for offset in range(1, _BULK_DIGITS):
         live = live[width[live] > offset]
         if not len(live):
             break
@@ -823,7 +889,7 @@ def _routed_fields(
         sizes = map(len, fields)
     else:
         sizes = (len(field.encode("utf-8", "surrogatepass")) for field in fields)
-    bounds = np.zeros(2 * count + 1, dtype=np.int64)
+    bounds = np.zeros(2 * count + 1, dtype=_offsets(len(data) + 8))
     np.cumsum(np.fromiter(sizes, np.int64, 2 * count), out=bounds[1:])
     spans = np.stack((bounds[:-1], bounds[1:]))
     return values, spans[:, :count], spans[:, count:], data + bytes(8)
@@ -851,40 +917,71 @@ def _span_hash(words: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np
 def _span_groups(data: bytes, spans: np.ndarray) -> np.ndarray:
     """For each (start, end) span of data, the index of the first span with the same bytes.
 
-    Spans are grouped by _span_hash. A span whose hash equals the span
-    before it joins that span's run, and only the first span of each run
-    is sorted by hash: rows listed paper by paper repeat each id in a
-    run. Each span is then compared byte for byte with the first span of
-    its group, so a hash collision never merges two different byte
-    strings: if one would, the spans are grouped by their bytes instead.
-    data ends in 8 zero bytes.
+    A span with the same bytes as the span before it joins that span's
+    run: rows listed paper by paper repeat each id in a run. Only the
+    first span of each run is hashed with _span_hash and sorted by hash;
+    only those whose hash repeats are grouped, and each is compared byte
+    for byte with the earliest span of its hash group, so a hash
+    collision never merges two different byte strings: if one would, the
+    spans are grouped by their bytes instead. data ends in 8 zero bytes.
+    Spans are compared and hashed _ROW_BLOCK at a time, and the indices
+    come back in the spans' dtype.
     """
     starts, ends = spans
-    lengths = ends - starts
+    count = len(starts)
     words = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))
-    hashes = _span_hash(words, starts, lengths)
-    heads = np.flatnonzero(np.diff(hashes, prepend=~hashes[:1]))
-    hashes = hashes[heads]
+    heads = [np.zeros(1, dtype=starts.dtype)]
+    for start in range(1, count, _ROW_BLOCK):
+        stop = min(start + _ROW_BLOCK, count)
+        block, before = slice(start, stop), slice(start - 1, stop - 1)
+        runs = np.flatnonzero(~_same_bytes(words, starts[block], ends[block], starts[before], ends[before]))
+        heads.append((runs + start).astype(starts.dtype))
+    heads = np.concatenate(heads)
+    hashes = np.empty(len(heads), dtype=np.uint64)
+    for start in range(0, len(heads), _ROW_BLOCK):
+        rows = heads[start : start + _ROW_BLOCK]
+        hashes[start : start + len(rows)] = _span_hash(words, starts[rows], ends[rows] - starts[rows])
     by_hash = np.argsort(hashes)
-    runs = np.flatnonzero(np.diff(hashes[by_hash], prepend=~hashes[by_hash[:1]]))
-    groups = np.empty_like(by_hash)
-    groups[by_hash] = heads[np.repeat(np.minimum.reduceat(by_hash, runs), np.diff(runs, append=len(by_hash)))]
-    groups = np.repeat(groups, np.diff(heads, append=len(starts)))
-    rest = np.flatnonzero(groups != np.arange(len(groups)))
-    starts, heads = starts[rest], starts[groups[rest]]
-    lengths, same = lengths[rest], lengths[rest] == lengths[groups[rest]]
-    live = np.flatnonzero(same)
-    for offset in range(0, int(lengths.max(initial=0)), 8):
-        live = live[lengths[live] > offset]
-        differ = (words[starts[live] + offset] ^ words[heads[live] + offset]) & _LOW_BYTES[
-            np.minimum(lengths[live] - offset, 8)
-        ]
-        same[live[differ != 0]] = False
-    if same.all():
-        return groups
-    firsts: dict[bytes, int] = {}
+    hashes = hashes[by_hash]
+    # The places, in hash order, of heads whose hash repeats the one before.
+    repeats = np.flatnonzero(hashes[1:] == hashes[:-1]) + 1
+    del hashes  # each full-size array goes as soon as it is used, which lowers the peak
+    # A run of repeats follows its group's first place; the group takes its earliest head.
+    runs = np.flatnonzero(np.diff(repeats, prepend=-1) != 1)
+    leaders = by_hash[repeats[runs] - 1]
+    earliest = heads[np.minimum(leaders, np.minimum.reduceat(by_hash[repeats], runs))]
+    groups = heads.copy()
+    groups[leaders] = earliest
+    groups[by_hash[repeats]] = np.repeat(earliest, np.diff(runs, append=len(repeats)))
+    del by_hash
+    for start in range(0, len(heads), _ROW_BLOCK):
+        block = slice(start, start + _ROW_BLOCK)
+        moved = np.flatnonzero(groups[block] != heads[block])
+        rows, firsts = heads[block][moved], groups[block][moved]
+        if not _same_bytes(words, starts[rows], ends[rows], starts[firsts], ends[firsts]).all():
+            break
+    else:
+        return np.repeat(groups, np.diff(heads, append=count))
+    first_of: dict[bytes, int] = {}
     keys = [bytes(data[start:end]) for start, end in zip(*spans.tolist())]
-    return np.fromiter(map(firsts.setdefault, keys, range(len(keys))), np.intp, len(keys))
+    return np.fromiter(map(first_of.setdefault, keys, range(len(keys))), starts.dtype, len(keys))
+
+
+def _same_bytes(
+    words: np.ndarray, starts: np.ndarray, ends: np.ndarray, other_starts: np.ndarray, other_ends: np.ndarray
+) -> np.ndarray:
+    """Whether each span (starts, ends) holds the same bytes as the other span beside it."""
+    lengths = ends - starts
+    differ = words[starts] ^ words[other_starts]
+    differ &= _LOW_BYTES[np.minimum(lengths, 8)]
+    same = (differ == 0) & (lengths == other_ends - other_starts)
+    live = np.flatnonzero(same & (lengths > 8))
+    for offset in range(8, int(lengths.max(initial=0)), 8):
+        live = live[lengths[live] > offset]
+        differ = words[starts[live] + offset] ^ words[other_starts[live] + offset]
+        differ &= _LOW_BYTES[np.minimum(lengths[live] - offset, 8)]
+        same[live[differ != 0]] = False
+    return same
 
 
 def _span_text(data: bytes, spans: np.ndarray) -> list[str]:
@@ -950,9 +1047,11 @@ def parse_records(text: str) -> list[AuthorRecord]:
 def _records(data: bytes) -> list[AuthorRecord]:
     """parse_records on a file's bytes, followed by 8 zero bytes."""
     data, _, papers, authors, codes, order = _record_columns(data)
-    starts = np.flatnonzero(np.diff(codes[order], prepend=-1))
-    paper_ids = _span_text(data, papers[:, order[starts]])
-    names = _span_text(data, authors[:, order])
+    if order is not None:
+        papers, authors, codes = papers[:, order], authors[:, order], codes[order]
+    starts = np.flatnonzero(np.diff(codes, prepend=-1))
+    paper_ids = _span_text(data, papers[:, starts])
+    names = _span_text(data, authors)
     starts = starts.tolist()
     checked = AuthorRecord._checked
     # The records hold no reference cycles, and with the cyclic GC running,
@@ -962,7 +1061,7 @@ def _records(data: bytes) -> list[AuthorRecord]:
     try:
         return [
             checked(paper_id, tuple(names[start:end]))
-            for paper_id, start, end in zip(paper_ids, starts, starts[1:] + [len(order)])
+            for paper_id, start, end in zip(paper_ids, starts, starts[1:] + [len(codes)])
         ]
     finally:
         if collecting:

@@ -736,6 +736,20 @@ class TestIngest:
         assert read_distribution(out).as_dict() == {1: 1, 2: 1}
         assert "3 papers" in err
 
+    @pytest.mark.parametrize("out", ["records.csv", "link.csv", "sub/../records.csv"])
+    def test_ingest_refuses_to_overwrite_records(self, capsys, tmp_path, out):
+        records = tmp_path / "records.csv"
+        text = "paper_id,position,author\nP1,1,A\n"
+        records.write_text(text)
+        (tmp_path / "link.csv").symlink_to(records)
+        (tmp_path / "sub").mkdir()
+        before = sorted(tmp_path.iterdir())
+        code, stdout, err = run_cli(capsys, ["ingest", "--records", str(records), "--out", str(tmp_path / out)])
+        assert code == 2
+        assert stdout == ""
+        assert err == f"error: {tmp_path / out} is the --records file; ingest would overwrite its input\n"
+        assert sorted(tmp_path.iterdir()) == before and records.read_text() == text
+
 
 class TestFitLoglog:
     def test_json_fit_result(self, capsys, ca_file, ca_dist):

@@ -9,6 +9,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -455,7 +456,8 @@ def _records_text(rows, final_newline=True):
 
 def test_space_tables_match_str_strip():
     # The bulk pass strips or routes exactly the characters str.strip() removes.
-    assert np.flatnonzero(freqdata._IS_SPACE).tolist() == [b for b in range(128) if chr(b).isspace()]
+    assert sorted(freqdata._SPACES) == [b for b in range(128) if chr(b).isspace()]
+    assert max(freqdata._SPACES) == ord(" ")
     beyond = [c for c in range(128, 0x110000) if chr(c).isspace()]
     assert freqdata._UNICODE_SPACES.tolist() == beyond
 
@@ -567,16 +569,18 @@ class TestParseRecords:
         (900, 'P5002,1,ab"c'),
         (1200, 'P5004,1,"Three\nP5005,1,Z\nlines"'),
         (1500, "P5003,1,\u00a0Author 3"),
+        (1600, "P5008,1, \u00a0Author 8\u3000 "),
         (1999, "P5007," + "0" * 24 + "1,B"),
     ], ids=["none", "doubled-quote", "doubled-quote-2", "two-lines", "stray-quote", "three-lines", "nbsp-edge",
-            "25-digits"])
+            "nbsp-under-padding", "25-digits"])
     def test_csv_reader_reads_all_rows_or_none(self, monkeypatch, newline, irregular):
         # 2,000 rows, some with a name or every field wholly inside a pair
         # of quotes, which the bulk pass reads: csv.reader reads only the
         # header. With one row it cannot prove csv.reader reads alike (a
         # doubled quote, a name spanning two lines, a stray quote, a name
         # spanning three lines whose middle one reads as a row, a U+00A0 at
-        # a name's edge, a 25-digit position), csv.reader reads every row.
+        # a name's edge, or under its ASCII padding, a 25-digit position),
+        # csv.reader reads every row.
         lines = []
         for i in range(1000):
             lines.append(f'"P{i}","1","Author {i % 97}"' if i % 11 == 0 else f"P{i},1,Author {i % 97}")
@@ -635,13 +639,34 @@ class TestParseRecords:
 
 class TestParseRecordsInBlocks(TestParseRecords):
     """Every records test again, with blocks of a few bytes: a block of 1
-    or 7 bytes holds one line, and a block of 37 a line or three."""
+    or 7 bytes holds one line, and a block of 37 a line or three; rows are
+    grouped and checked 1, 2 or 3 at a time along with them."""
 
     @pytest.fixture(autouse=True, scope="class", params=[1, 7, 37])
     def tiny_blocks(self, request):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(freqdata, "_BLOCK", request.param)
+            patch.setattr(freqdata, "_ROW_BLOCK", {1: 1, 7: 2, 37: 3}[request.param])
             yield
+
+
+class TestParseRecordsInt64Offsets(TestParseRecords):
+    """Every records test again, with offsets held as int64 as in a file of 2 GiB or more."""
+
+    @pytest.fixture(autouse=True, scope="class")
+    def int64_offsets(self):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(freqdata, "_OFFSET_LIMIT", 0)
+            yield
+
+
+@pytest.mark.parametrize("routed", [False, True], ids=["bulk", "csv-reader"])
+@pytest.mark.parametrize("limit, dtype", [(1 << 31, np.int32), (0, np.int64)])
+def test_offsets_are_int32_below_the_limit(monkeypatch, routed, limit, dtype):
+    monkeypatch.setattr(freqdata, "_OFFSET_LIMIT", limit)
+    text = _ROWS.replace("C, D", 'C ""D""') if routed else _ROWS
+    _, papers, authors, codes, _ = freqdata._record_columns(text.encode() + bytes(8))[1:]
+    assert papers.dtype == authors.dtype == codes.dtype == dtype
 
 
 def _paper_rows(papers, seed=0):
@@ -738,8 +763,8 @@ class TestRecordBlocks:
 _ROWS = "paper_id,position,author\nP1,1,A\nP1,2,B\nP2,1,A\nP3,1,\"C, D\"\n"
 
 
-@pytest.mark.parametrize("block", [1 << 20, 7])
-@pytest.mark.parametrize("data", [
+_TEXT_MODE_BLOCKS = pytest.mark.parametrize("block", [1 << 20, 7])
+_TEXT_MODE_FILES = pytest.mark.parametrize("data", [
     _ROWS.replace("\n", "\r\n").encode(),
     _ROWS.replace("\n", "\r").encode(),
     _ROWS.replace("\n", "\r", 2).encode(),
@@ -754,6 +779,10 @@ _ROWS = "paper_id,position,author\nP1,1,A\nP1,2,B\nP2,1,A\nP3,1,\"C, D\"\n"
     b"\r\n",
 ], ids=["crlf", "cr", "cr-and-lf", "cr-in-quotes", "crlf-in-quotes", "bom", "utf8", "invalid-utf8", "truncated-utf8",
         "surrogate", "empty", "blank"])
+
+
+@_TEXT_MODE_BLOCKS
+@_TEXT_MODE_FILES
 def test_bytes_read_as_text_mode_read(monkeypatch, capsys, tmp_path, block, data):
     # Records read as bytes give what reading them as text gave: text mode
     # made CRLF and CR into LF, kept a BOM, and refused invalid UTF-8.
@@ -779,6 +808,14 @@ def test_bytes_read_as_text_mode_read(monkeypatch, capsys, tmp_path, block, data
     assert capsys.readouterr().err == f"error: {expected}\n"
 
 
+@_TEXT_MODE_BLOCKS
+@_TEXT_MODE_FILES
+def test_bytes_read_as_text_mode_read_with_int64_offsets(monkeypatch, capsys, tmp_path, block, data):
+    # The same reads, results and messages with offsets held as int64, as in a file of 2 GiB or more.
+    monkeypatch.setattr(freqdata, "_OFFSET_LIMIT", 0)
+    test_bytes_read_as_text_mode_read(monkeypatch, capsys, tmp_path, block, data)
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
 def test_records_read_whole_from_a_named_pipe(tmp_path):
     # A pipe reports size 0, and its writer's bytes arrive in pieces.
@@ -798,6 +835,22 @@ def test_records_read_whole_from_a_named_pipe(tmp_path):
     assert read_records(path) == _row_loop_parse_records(_ROWS)
     writer.join(timeout=10)
     assert not writer.is_alive()
+
+
+@pytest.mark.parametrize("misreport", [-5, 5])
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_records_read_whole_whatever_size_is_reported(monkeypatch, tmp_path, newline, misreport):
+    # _read sizes its buffer from the reported size; one that is off either
+    # way neither cuts the file short nor leaves a gap in it.
+    path = tmp_path / "records.csv"
+    path.write_bytes(_ROWS.replace("\n", newline).encode())
+    expected = path.read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n") + bytes(8)
+    fstat = os.fstat
+    monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(st_size=fstat(fd).st_size + misreport))
+    assert freqdata._read(path, lambda data, path: bytes(data)) == expected
+    records = _row_loop_parse_records(_ROWS)
+    assert read_records(path) == records
+    assert ingest_records(path) == from_author_records(records)
 
 
 _GRIN = "\U0001f600"  # 4 bytes in UTF-8
@@ -844,6 +897,31 @@ def test_non_ascii_records_checked_in_bounded_memory(tmp_path):
                 tracemalloc.stop()
     assert abs(peaks[2] - peaks[0]) < 2**20
     assert abs(peaks[3] - peaks[1]) < 2**20
+
+
+def test_records_ingested_within_the_file_and_64_bytes_a_row(tmp_path):
+    # Ingesting holds the file once, a few int32 and int64 values a row,
+    # and temporaries that a block bounds, not the file.
+    rng = random.Random(3)
+    lines = ["paper_id,position,author"]
+    for paper in rng.sample(range(10**6), 32_000):
+        for position in range(1, rng.randint(1, 4) + 1):
+            author = rng.randrange(8000)
+            name = f'"Author{author}, J."' if author % 8 == 0 else f"Author {author}"
+            lines.append(f"P{paper:07d},{position},{name}")
+    text = "\n".join(lines) + "\n"
+    path = tmp_path / "records.csv"
+    path.write_text(text, encoding="utf-8")
+    size, rows = path.stat().st_size, len(lines) - 1
+    assert 1.5e6 < size < 2.5e6
+    tracemalloc.start()
+    try:
+        dist = ingest_records(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dist == from_author_records(_row_loop_parse_records(text))
+    assert peak <= size + 64 * rows + 2**20
 
 
 class TestTruncateRight:
