@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Iterable
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .errors import DegenerateFitError, InputError
-from .freqdata import MAX_AUTHORS, FrequencyDistribution, truncate_right
+from .freqdata import MAX_AUTHORS, FrequencyDistribution, _integers, truncate_right
 
 __all__ = [
     "Denominator",
@@ -27,6 +28,8 @@ __all__ = [
     "ols_loglog",
     "fit_historical",
 ]
+
+_NOT_POINTS = "points must be (level, percent) pairs of an int64 integer and a real number"
 
 
 class Denominator(enum.Enum):
@@ -42,31 +45,77 @@ class Denominator(enum.Enum):
     TRUNCATED = "truncated"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class PercentSeries:
-    """Strictly increasing levels with positive author percentages."""
+    """Author percentages per level as two read-only arrays, plus their author total.
 
-    points: tuple[tuple[int, float], ...]
+    ``levels`` (int64) strictly increases from 1 up and
+    ``percents`` (float64) are positive and finite, one per level.
+    ``denominator`` is the integer author total in [1, 2^62] they are
+    percentages of. The constructor is the one check of a series: it
+    refuses anything else with the first fault in point order. ``points``
+    gives the ``(level, percent)`` pairs back. Equality and the hash
+    compare the arrays and the denominator.
+    """
+
+    levels: np.ndarray
+    percents: np.ndarray
     denominator: int
 
-    def __post_init__(self) -> None:
-        if self.denominator <= 0:
-            raise InputError(f"denominator must be positive, got {self.denominator}")
-        previous = 0
-        for level, percent in self.points:
-            if level <= previous:
-                raise InputError(f"levels must be strictly increasing (level {level} out of order)")
-            if percent <= 0:
-                raise InputError(f"percent must be positive at level {level}, got {percent}")
-            previous = level
+    def __init__(self, points: Iterable[tuple[int, float]], denominator: int) -> None:
+        try:  # zip refuses points of unequal lengths, the unpacking points of any length but 2
+            levels, percents = tuple(zip(*points, strict=True)) or ((), ())
+        except (TypeError, ValueError):
+            raise InputError(_NOT_POINTS) from None
+        self.__post_init__(levels, percents, denominator)
+
+    def __post_init__(self, levels: Iterable[int], percents: Iterable[float], denominator: int) -> None:
+        """Check and store read-only copies of the arrays; every constructor ends here."""
+        denominator = _denominator(denominator)
+        try:
+            levels = np.array(_integers(levels), dtype=np.int64)
+            percents = np.asarray(percents).astype(np.float64, casting="same_kind")  # no str, no object
+        except (TypeError, ValueError, OverflowError):  # a level beyond int64, or ragged points
+            raise InputError(_NOT_POINTS) from None
+        if levels.ndim != 1 or levels.shape != percents.shape:
+            raise InputError(_NOT_POINTS)
+        # The first level must exceed 0, so a level below 1 is out of order.
+        bad_level = levels <= np.concatenate(([0], levels[:-1]))
+        faults = np.flatnonzero(bad_level | ~(percents > 0) | (percents == np.inf))
+        if len(faults):
+            i = faults[0]
+            if bad_level[i]:
+                raise InputError(f"levels must be strictly increasing (level {levels[i]} out of order)")
+            raise InputError(f"percent must be positive and finite at level {levels[i]}, got {percents[i]}")
+        levels.flags.writeable = percents.flags.writeable = False
+        vars(self).update(levels=levels, percents=percents, denominator=denominator)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PercentSeries):
+            return NotImplemented
+        return (self.denominator == other.denominator and np.array_equal(self.levels, other.levels)
+                and np.array_equal(self.percents, other.percents))
+
+    def __hash__(self) -> int:
+        return hash((self.denominator, self.levels.tobytes(), self.percents.tobytes()))
 
     @property
-    def levels(self) -> tuple[int, ...]:
-        return tuple(level for level, _ in self.points)
+    def points(self) -> tuple[tuple[int, float], ...]:
+        """The ``(level, percent)`` pairs as Python numbers."""
+        return tuple(zip(self.levels.tolist(), self.percents.tolist()))
 
-    @property
-    def percents(self) -> tuple[float, ...]:
-        return tuple(percent for _, percent in self.points)
+
+def _denominator(value: int) -> int:
+    """value as an int in [1, 2^62]: an integer, or a float that is one (100.0)."""
+    try:
+        (denominator,) = _integers(np.array([value], dtype=object))
+    except (TypeError, ValueError):
+        raise InputError(f"denominator must be an integer, got {value!r}") from None
+    if denominator <= 0:
+        raise InputError(f"denominator must be positive, got {denominator}")
+    if denominator > MAX_AUTHORS:
+        raise InputError(f"denominator must be <= 2^62, got {denominator}")
+    return denominator
 
 
 @dataclass(frozen=True)
@@ -91,17 +140,8 @@ class FitResult:
     cutoff: int | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "exponent": self.exponent,
-            "r_squared": self.r_squared,
-            "f_stat": self.f_stat if math.isfinite(self.f_stat) else None,
-            "dof": self.dof,
-            "n_points": self.n_points,
-            "denominator": self.denominator,
-            "cutoff": self.cutoff,
-        }
+        # Replacing a key keeps its place, so the keys stay in field order.
+        return {**asdict(self), "f_stat": self.f_stat if math.isfinite(self.f_stat) else None}
 
 
 def to_percent_series(
@@ -113,19 +153,14 @@ def to_percent_series(
     Zero-count levels are dropped: they have no log. Both enum choices
     resolve to the given distribution's own total here; the FULL versus
     TRUNCATED distinction takes effect in :func:`fit_historical`, which
-    knows the pre-truncation total.
+    knows the pre-truncation total. An explicit denominator must be an
+    integer in [1, 2^62]; 100.0 counts as one.
     """
-    if isinstance(denominator, Denominator):
-        denom = dist.total_authors
-    else:
-        denom = int(denominator)
-        if denom <= 0:
-            raise InputError(f"denominator must be positive, got {denom}")
-        if denom > MAX_AUTHORS:
-            raise InputError(f"denominator must be <= 2^62, got {denom}")
+    denom = dist.total_authors if isinstance(denominator, Denominator) else _denominator(denominator)
     levels, counts = dist.populated_arrays
-    points = tuple(zip(levels.tolist(), (100.0 * counts / denom).tolist()))
-    return PercentSeries(points=points, denominator=denom)
+    series = PercentSeries.__new__(PercentSeries)
+    series.__post_init__(levels, 100.0 * counts / denom, denom)
+    return series
 
 
 def ols_loglog(series: PercentSeries) -> FitResult:
@@ -135,11 +170,10 @@ def ols_loglog(series: PercentSeries) -> FitResult:
     on it. Needs at least 3 points so the F statistic has a degree of
     freedom.
     """
-    n = len(series.points)
+    n = len(series.levels)
     if n < 3:
         raise DegenerateFitError(f"need at least 3 points to fit, got {n}")
-    x = np.log10(np.array(series.levels, dtype=float))
-    y = np.log10(np.array(series.percents, dtype=float))
+    x, y = np.log10(series.levels), np.log10(series.percents)
     x_centered = x - x.mean()
     s_xx = float(np.dot(x_centered, x_centered))
     if s_xx == 0.0:
@@ -177,12 +211,7 @@ def fit_historical(
     The default denominator is the Lotka convention, the author total of
     the distribution before truncation.
     """
-    full_total = dist.total_authors
+    if denominator is Denominator.FULL:  # to_percent_series resolves the rest against truncated
+        denominator = dist.total_authors
     truncated = truncate_right(dist, cutoff)
-    if denominator is Denominator.FULL:
-        denom: int = full_total
-    elif denominator is Denominator.TRUNCATED:
-        denom = truncated.total_authors
-    else:
-        denom = int(denominator)
-    return replace(ols_loglog(to_percent_series(truncated, denom)), cutoff=cutoff)
+    return replace(ols_loglog(to_percent_series(truncated, denominator)), cutoff=cutoff)

@@ -104,8 +104,8 @@ def _emit_loglog(
     dist: FrequencyDistribution, fit: FitResult | None, spec: PlotSpec
 ) -> tuple[str, str]:
     series = to_percent_series(dist, Denominator.FULL)
-    xs = [math.log10(level) for level, _ in series.points]
-    ys = [math.log10(percent) for _, percent in series.points]
+    levels, percents = series.levels.tolist(), series.percents.tolist()
+    xs, ys = list(map(math.log10, levels)), list(map(math.log10, percents))
     frame = _Frame(min(xs), max(xs), min(ys), max(ys))
     xlabel = spec.xlabel or "log10 works per author"
     ylabel = spec.ylabel or "log10 percent of authors"
@@ -130,7 +130,7 @@ def _emit_loglog(
     if spec.include_trendline:
         header += ",fit_log10_percent,residual"
     rows = [header]
-    for (level, percent), x, y in zip(series.points, xs, ys):
+    for level, percent, x, y in zip(levels, percents, xs, ys):
         row = f"{level},{percent!r},{x!r},{y!r}"
         if spec.include_trendline:
             fitted = fit.intercept + fit.slope * x

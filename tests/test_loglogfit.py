@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -46,6 +47,21 @@ class TestToPercentSeries:
         series = to_percent_series(d, 100)
         assert series.points == ((1, 60.0), (2, 15.0))
 
+    @pytest.mark.parametrize("denominator", [Denominator.FULL, Denominator.TRUNCATED, 100, 6891, 2**62])
+    def test_read_only_arrays(self, denominator):
+        d = FrequencyDistribution.from_counts({1: 3991, 2: 1059, 3: 493, 5: 0, 9: 17, 2**40: 1})
+        series = to_percent_series(d, denominator)
+        assert (series.levels.dtype, series.percents.dtype) == (np.int64, np.float64)
+        for array in (series.levels, series.percents):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+        levels, counts = d.populated_arrays
+        assert series.levels.tolist() == levels.tolist()
+        assert series.percents.tobytes() == (100.0 * counts / series.denominator).tobytes()
+        again = PercentSeries(points=series.points, denominator=series.denominator)
+        assert again == series and hash(again) == hash(series)
+        assert again != PercentSeries(points=series.points, denominator=series.denominator - 1)
+
     def test_truncated_self_normalizes(self):
         d = FrequencyDistribution.from_counts({1: 50, 2: 50})
         series = to_percent_series(d, Denominator.TRUNCATED)
@@ -58,17 +74,90 @@ class TestToPercentSeries:
             to_percent_series(d, 0)
         with pytest.raises(InputError):
             to_percent_series(d, -3)
+        for fraction in (100.9, "100", 1.5, math.nan, math.inf, None):
+            with pytest.raises(InputError, match=rf"^denominator must be an integer, got {re.escape(repr(fraction))}$"):
+                to_percent_series(d, fraction)
+        with pytest.raises(InputError, match=r"^denominator must be an integer, got 6891.9$"):
+            fit_historical(FrequencyDistribution.from_counts({1: 5, 2: 3, 3: 1}), 3, 6891.9)
+        series = to_percent_series(d, 100.0)
+        assert series.denominator == 100 and type(series.denominator) is int
+        assert series.points == ((1, 5.0),)
 
     def test_denominator_bound(self):
         d = FrequencyDistribution.from_counts({1: 5})
         assert to_percent_series(d, 2**62).denominator == 2**62
         with pytest.raises(InputError, match=r"^denominator must be positive, got 0$"):
             to_percent_series(d, 0)
-        for big in (2**62 + 1, 10**400):
+        for big in (2**62 + 1, 2**70, 10**400):
             with pytest.raises(InputError, match=rf"^denominator must be <= 2\^62, got {big}$"):
                 to_percent_series(d, big)
         with pytest.raises(InputError, match=r"2\^62"):
             fit_historical(FrequencyDistribution.from_counts({1: 5, 2: 3, 3: 1}), 3, 10**400)
+
+
+_NOT_POINTS = r"^points must be \(level, percent\) pairs of an int64 integer and a real number$"
+
+
+class TestPercentSeries:
+    @pytest.mark.parametrize(
+        ("points", "denominator", "message"),
+        [
+            pytest.param(((1, math.nan), (2, 5.0), (4, 1.0)), 100,
+                         r"^percent must be positive and finite at level 1, got nan$", id="nan-percent"),
+            pytest.param(((1, 3.0), (2, math.inf), (4, 1.0)), 100,
+                         r"^percent must be positive and finite at level 2, got inf$", id="inf-percent"),
+            pytest.param(((1, 3.0), (1.5, 2.0), (4, 1.0)), 100, _NOT_POINTS, id="fractional-level"),
+            pytest.param(((1, 3.0), (2**63, 2.0)), 100, _NOT_POINTS, id="level-beyond-int64"),
+            pytest.param(((1, 3.0), (2, 2.0), (4, 1.0)), 1.5,
+                         r"^denominator must be an integer, got 1.5$", id="fractional-denominator"),
+            pytest.param(((1, 3.0), (2, 2.0), (4, 1.0)), 2**70,
+                         rf"^denominator must be <= 2\^62, got {2**70}$", id="huge-denominator"),
+            pytest.param(((1, "3"),), 100, _NOT_POINTS, id="str-percent"),
+            pytest.param(((1,),), 100, _NOT_POINTS, id="one-item-point"),
+        ],
+    )
+    def test_refuses_what_it_cannot_fit(self, points, denominator, message):
+        with pytest.raises(InputError, match=message):
+            PercentSeries(points=points, denominator=denominator)
+
+    @pytest.mark.parametrize(
+        ("points", "message"),
+        [
+            (((2, 1.0), (1, -1.0)), r"^levels must be strictly increasing \(level 1 out of order\)$"),
+            (((0, 1.0), (1, -1.0)), r"^levels must be strictly increasing \(level 0 out of order\)$"),
+            (((1, -1.0), (0, 1.0)), r"^percent must be positive and finite at level 1, got -1.0$"),
+            (((1, 1.0), (3, math.nan), (2, 1.0)), r"^percent must be positive and finite at level 3, got nan$"),
+            (((1, 1.0), (3, 0.0), (3, 1.0)), r"^percent must be positive and finite at level 3, got 0.0$"),
+        ],
+    )
+    def test_first_fault_in_point_order(self, points, message):
+        with pytest.raises(InputError, match=message):
+            PercentSeries(points=points, denominator=100)
+
+    def test_first_fault_matches_a_loop_over_the_points(self):
+        def first_fault(points):
+            previous = 0
+            for level, percent in points:
+                if level <= previous:
+                    return f"levels must be strictly increasing (level {level} out of order)"
+                if not 0 < percent < math.inf:
+                    return f"percent must be positive and finite at level {level}, got {percent}"
+                previous = level
+            return None
+
+        rng = np.random.default_rng(3)
+        percents = (-1.0, 0.0, math.nan, math.inf, 0.5, 2.0, 7.0)
+        for _ in range(2000):
+            n = int(rng.integers(0, 6))
+            points = tuple(
+                (int(rng.integers(-1, 8)), percents[int(rng.integers(0, len(percents)))]) for _ in range(n)
+            )
+            expected = first_fault(points)
+            if expected is None:
+                assert PercentSeries(points=points, denominator=100).points == points
+            else:
+                with pytest.raises(InputError, match=rf"^{re.escape(expected)}$"):
+                    PercentSeries(points=points, denominator=100)
 
 
 class TestOlsLoglog:
