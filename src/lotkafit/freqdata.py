@@ -125,7 +125,7 @@ class FrequencyDistribution:
         The name is the dataclass hook's: bench/tracer.py times construction through it.
         """
         try:
-            levels, counts = np.asarray(levels), np.asarray(counts)
+            levels, counts = _exact(levels), _exact(counts)
         except ValueError:  # ragged nesting
             raise InputError(_NOT_PARALLEL) from None
         if levels.ndim != 1 or levels.shape != counts.shape:
@@ -223,13 +223,28 @@ def _first_fault(rows: Iterable[tuple[int, int]]) -> str:
     return _NOT_INTEGERS
 
 
-def _integers(values: ArrayLike) -> ArrayLike:
-    """values if they are an int array, else a list of their ints; a
-    TypeError for any that is no integer, such as 1.5 or "1" (2.0 is one)."""
+def _exact(values: ArrayLike) -> np.ndarray:
+    """values as an array that holds each value exactly.
+
+    Where np.asarray would pick float64 for a list of Python numbers, as
+    for ints beside a float or an int in [2^63, 2^64) beside others, the
+    values are kept as the objects they are, so that no int is rounded
+    before it is checked.
+    """
     array = np.asarray(values)
+    if array.dtype.kind == "f" and not isinstance(values, np.ndarray):
+        return np.array(values, dtype=object)
+    return array
+
+
+def _integers(values: ArrayLike) -> ArrayLike:
+    """values if they are an int array, else a list of their exact ints; a
+    TypeError for any that is no integer, such as 1.5 or "1" (2.0 is one)."""
+    array = _exact(values)
     if array.dtype.kind == "i":
         return array
-    return [int(v) if isinstance(v, float) and v.is_integer() else operator.index(v) for v in array.tolist()]
+    return [int(v) if isinstance(v, (float, np.floating)) and v.is_integer() else operator.index(v)
+            for v in array.tolist()]
 
 
 def _exact_totals(levels: np.ndarray, counts: np.ndarray) -> tuple[int, int]:
@@ -460,9 +475,8 @@ def _parse_lines(text: str, name: str) -> FrequencyDistribution:
 
 def serialize_distribution(dist: FrequencyDistribution) -> str:
     """Inverse of :func:`parse_distribution`; levels come out sorted."""
-    rows = [DISTRIBUTION_HEADER]
-    rows.extend(f"{level},{count}" for level, count in dist.entries)
-    return "\n".join(rows) + "\n"
+    pairs = np.stack((dist.levels, dist.counts), axis=1).ravel().tolist()
+    return f"{DISTRIBUTION_HEADER}\n" + "%d,%d\n" * len(dist.levels) % tuple(pairs)
 
 
 def _read(path: str | Path, parse):

@@ -23,6 +23,9 @@ __all__ = ["PlotKind", "PlotSpec", "emit_plot"]
 
 _WIDTH, _HEIGHT = 640, 480
 _MARGIN_LEFT, _MARGIN_RIGHT, _MARGIN_TOP, _MARGIN_BOTTOM = 75, 20, 20, 55
+# 10^1 to 10^18: an int64 x >= 0 has one digit more than the powers up to x.
+_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
+_EMPTY_TAIL = np.frombuffer(b",0,0.0\n", dtype=np.uint8)
 
 
 class PlotKind(enum.Enum):
@@ -142,9 +145,14 @@ def _emit_loglog(
 def _emit_histogram(dist: FrequencyDistribution, spec: PlotSpec) -> tuple[str, str]:
     """One rect per populated bin; one sidecar row per bin, empty bins included.
 
-    The bins stay arrays: only populated bins are formatted one by one,
-    every empty bin shares one row tail, and the edge columns come from
-    Python ranges, so widths beyond int64 stay exact.
+    Only the populated bins are formatted one by one, from Python ints,
+    and their rows are spliced between slices of the ASCII bytes that
+    :func:`_empty_rows` writes for every other bin in one digit pass.
+    The top bin holds ``max_level``, so it is always populated, and the
+    digit pass covers the bins below it alone. Its int64 edges cannot
+    wrap: with two bins or more the width is below ``max_level`` <= 2^62,
+    and a wider bin is the one bin, whose row is a populated one. So
+    widths beyond int64 are only ever formatted as Python ints.
     """
     bins = bin_histogram(dist, spec.bin_width)
     width, n_bins = bins.bin_width, len(bins.counts)
@@ -167,12 +175,48 @@ def _emit_histogram(dist: FrequencyDistribution, spec: PlotSpec) -> tuple[str, s
             f'<rect x="{x_left:.2f}" y="{y_top:.2f}" width="{x_right - x_left:.2f}" '
             f'height="{y_base - y_top:.2f}" fill="#1f77b4" stroke="white" stroke-width="0.5"/>'
         )
-    tails = [",0,0.0\n"] * n_bins
-    for k, count, percent in filled:
-        tails[k] = f",{count},{percent!r}\n"
-    starts, ends = range(1, top + 1, width), range(width, top + 1, width)
-    rows = "".join([f"{start},{end}{tail}" for start, end, tail in zip(starts, ends, tails)])
-    return _svg_document(body), "range_start,range_end,author_count,author_percent\n" + rows
+    # A width of max_level or more leaves no empty row; clamping it keeps the edges in int64.
+    empty, offsets = _empty_rows(min(width, dist.max_level), n_bins - 1)
+    cuts = offsets[populated].tolist()
+    resumes = [0, *offsets[populated[:-1] + 1].tolist()]
+    rows = [b"range_start,range_end,author_count,author_percent\n"]
+    for resume, cut, (k, count, percent) in zip(resumes, cuts, filled):
+        rows += empty[resume:cut], f"{k * width + 1},{(k + 1) * width},{count},{percent!r}\n".encode()
+    return _svg_document(body), b"".join(rows).decode("ascii")
+
+
+def _empty_rows(width: int, n: int) -> tuple[memoryview, np.ndarray]:
+    """The sidecar rows ``start,end,0,0.0`` of bins 1 to n as ASCII bytes, and the offset of each.
+
+    Row k starts at ``offsets[k]``; ``offsets[n]`` is the length of the bytes.
+    Both edges rise with k, so the rows whose start and end have the same
+    numbers of digits are runs of consecutive bins, a few in all. Each run
+    is written as a uint8 matrix with one row per bin, a column at a time.
+    """
+    ends = width * np.arange(1, n + 1, dtype=np.int64)
+    starts = ends - (width - 1)
+    start_digits = np.searchsorted(_POWERS_OF_TEN, starts, side="right") + 1
+    end_digits = np.searchsorted(_POWERS_OF_TEN, ends, side="right") + 1
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(start_digits + end_digits + (1 + len(_EMPTY_TAIL)), out=offsets[1:])
+    text = np.empty(offsets[-1], dtype=np.uint8)
+    runs = np.flatnonzero(np.diff(start_digits, prepend=0) | np.diff(end_digits, prepend=0)).tolist()
+    for a, b in zip(runs, [*runs[1:], n]):
+        s, e = int(start_digits[a]), int(end_digits[a])
+        matrix = text[offsets[a]:offsets[b]].reshape(b - a, s + 1 + e + len(_EMPTY_TAIL))
+        _write_digits(matrix[:, :s], starts[a:b])
+        matrix[:, s] = ord(",")
+        _write_digits(matrix[:, s + 1:s + 1 + e], ends[a:b])
+        matrix[:, s + 1 + e:] = _EMPTY_TAIL
+    return text.data, offsets
+
+
+def _write_digits(columns: np.ndarray, values: np.ndarray) -> None:
+    """Write each value's decimal digits into its row of the uint8 columns, one per column."""
+    for j in range(columns.shape[1] - 1, -1, -1):
+        quotient = values // 10
+        columns[:, j] = values - 10 * quotient + ord("0")
+        values = quotient
 
 
 def emit_plot(

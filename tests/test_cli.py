@@ -976,6 +976,75 @@ class TestPlot:
         spec = PlotSpec(kind=PlotKind.HISTOGRAM, out_path="h.svg", bin_width=width)
         assert svgplot._emit_histogram(dist, spec) == _reference_histogram(dist, width)
 
+    # Sidecar rows change their digit counts at each power of ten, and
+    # with a width of 3, 7 or 10 a row's start and end can differ in
+    # digit count (9991,10000). Levels 1, 2, the two middle ones and the
+    # maximum are populated, so populated bins come first, last and side
+    # by side.
+    @pytest.mark.parametrize("max_level", [9, 10, 99, 100, 9_999, 10_000, 99_999, 100_000])
+    @pytest.mark.parametrize("width", [1, 3, 7, 10])
+    def test_histogram_where_digit_counts_change(self, max_level, width):
+        dist = FrequencyDistribution.from_counts(
+            {1: 40, 2: 9, max_level // 2: 3, max_level // 2 + 1: 2, max_level: 1}
+        )
+        spec = PlotSpec(kind=PlotKind.HISTOGRAM, out_path="h.svg", bin_width=width)
+        assert svgplot._emit_histogram(dist, spec) == _reference_histogram(dist, width)
+
+    # Widths near max_level give two bins or one; at max_level 2^62 a
+    # width of 2^62 - 1 gives edges up to 2^63 - 2, the largest below
+    # int64's end, and wider ones give one bin whose edge is beyond it.
+    @pytest.mark.parametrize("max_level", [2, 10, 30_396, MAX_LEVEL])
+    @pytest.mark.parametrize("width", [
+        pytest.param(lambda top: top - 1, id="max_level-1"),
+        pytest.param(lambda top: top, id="max_level"),
+        pytest.param(lambda top: top + 1, id="max_level+1"),
+        pytest.param(lambda top: 2**62, id="2^62"),
+        pytest.param(lambda top: 2**63, id="2^63"),
+        pytest.param(lambda top: 2**80, id="2^80"),
+    ])
+    @pytest.mark.parametrize("counts", [{}, {1: 5}], ids=["top-only", "first-and-top"])
+    def test_histogram_width_near_max_level_and_beyond_int64(self, max_level, width, counts):
+        dist = FrequencyDistribution.from_counts({**counts, max_level: 1})
+        spec = PlotSpec(kind=PlotKind.HISTOGRAM, out_path="h.svg", bin_width=width(max_level))
+        assert svgplot._emit_histogram(dist, spec) == _reference_histogram(dist, width(max_level))
+
+    @pytest.mark.parametrize("populated", [
+        pytest.param(lambda top: {top: 1}, id="last-only"),
+        pytest.param(lambda top: {1: 2, top: 1}, id="first-and-last"),
+        pytest.param(lambda top: {level: level for level in range(1, top + 1)}, id="every-level"),
+        pytest.param(lambda top: {level: 1 for level in range(top - 30, top + 1)}, id="adjacent-at-the-top"),
+        pytest.param(lambda top: {level: 1 for level in (*range(1, 20), *range(500, 520), top)}, id="adjacent-runs"),
+    ])
+    @pytest.mark.parametrize("width", [1, 2, 7, 10])
+    def test_histogram_populated_bins_first_last_and_adjacent(self, populated, width):
+        dist = FrequencyDistribution.from_counts(populated(1_000))
+        spec = PlotSpec(kind=PlotKind.HISTOGRAM, out_path="h.svg", bin_width=width)
+        assert svgplot._emit_histogram(dist, spec) == _reference_histogram(dist, width)
+
+    def test_histogram_at_the_bin_cap(self):
+        # 2^62 / 2^42 is 2^20 bins, the most bin_histogram builds; the
+        # edges run from 1 digit to 19.
+        dist = FrequencyDistribution.from_counts({1: 4, 2**61: 2, MAX_LEVEL: 1})
+        spec = PlotSpec(kind=PlotKind.HISTOGRAM, out_path="h.svg", bin_width=2**42)
+        svg, sidecar = svgplot._emit_histogram(dist, spec)
+        assert sidecar.count("\n") == 2**20 + 1
+        assert (svg, sidecar) == _reference_histogram(dist, 2**42)
+
+    def test_benchmark_histogram_bytes_pinned(self, capsys, tmp_path):
+        # The benchmark's ingest-plot histogram input at seed 1: 100,000
+        # authors on 407 levels up to 30,396. The digests are of the
+        # width-1 figure as written before its empty rows were a digit pass.
+        svg = tmp_path / "hist.svg"
+        dist_file = Path(__file__).parent / "data" / "h1e5_seed1.csv"
+        code, out, _ = run_cli(
+            capsys, ["plot", "histogram", "--dist", str(dist_file), "--bin-width", "1", "--out", str(svg)]
+        )
+        assert code == 0
+        assert hashlib.sha256(svg.read_bytes()).hexdigest() == (
+            "30cfe7f1425a493e116f77614d6154be2d2a601ce414b65f6adba59bb4e0770a")
+        assert hashlib.sha256(svg.with_suffix(".csv").read_bytes()).hexdigest() == (
+            "56bcd607ebc710f8d71c81061bd366d94c4f7643cf3b23e9187d6ede9854b0db")
+
     @pytest.mark.parametrize("out", ["ca.svg", "ca.csv", "link.svg"])
     def test_plot_refuses_to_overwrite_dist(self, capsys, ca_file, tmp_path, out):
         (tmp_path / "link.csv").symlink_to(ca_file)  # link.svg's sidecar is ca.csv by another name

@@ -90,6 +90,22 @@ class TestFrequencyDistribution:
             FrequencyDistribution.from_counts([(1, 2, 3)])
         assert FrequencyDistribution.from_counts({3: 1, 1: 2.0, 2.0: 4}).entries == ((1, 2), (2, 4), (3, 1))
 
+    # A list that mixes a float with ints, or holds an int in [2^63, 2^64)
+    # beside another, is one numpy would make float64; each value stays exact.
+    def test_int_beside_a_float_stays_exact(self):
+        assert FrequencyDistribution([(1.0, 1), (2**60 + 1, 1)]).levels.tolist() == [1, 2**60 + 1]
+
+    def test_count_beside_a_float_stays_exact(self):
+        assert FrequencyDistribution([(1, 1.0), (2, 2**60 + 1)]).counts.tolist() == [1, 2**60 + 1]
+
+    def test_level_beyond_int64_is_the_fault_reported(self):
+        with pytest.raises(InputError, match=rf"^level must lie in \[1, 2\^62\], got {2**63}$"):
+            FrequencyDistribution([(2**62 - 1, 1), (2**62, 1), (2**63, 1)])
+
+    def test_numpy_float_scalars_are_integers_when_whole(self):
+        d = FrequencyDistribution([(np.float32(1.0), 2), (np.float64(3.0), np.float32(1.0))])
+        assert d.entries == ((1, 2), (3, 1))
+
     def test_rejects_arrays_that_are_not_parallel_and_1d(self):
         for levels, counts in [([1, 2], [1]), (5, 1), ([[1, 2]], [[1, 1]]), ([[1], [1, 2]], [1, 2])]:
             with pytest.raises(InputError, match="^levels and author counts must be 1-D arrays of equal length$"):
@@ -225,6 +241,12 @@ class TestParseDistribution:
     @settings(max_examples=60, deadline=None)
     def test_round_trip(self, d):
         assert parse_distribution(serialize_distribution(d)) == d
+
+    @given(st.dictionaries(st.integers(1, MAX_LEVEL), st.integers(0, 2**60), min_size=1, max_size=40)
+           .filter(lambda d: 0 < sum(d.values()) <= 2**62).map(FrequencyDistribution.from_counts))
+    @settings(max_examples=60, deadline=None)
+    def test_serialize_matches_a_row_per_entry(self, d):
+        assert serialize_distribution(d) == "level,count\n" + "".join(f"{v},{c}\n" for v, c in d.entries)
 
     def test_bulk_pass_takes_plain_rows_sorted(self):
         levels, counts = freqdata._bulk_rows(b"level,count\n3,0\n1,007\n20,5" + bytes(8))

@@ -134,6 +134,10 @@ class TestPercentSeries:
         with pytest.raises(InputError, match=message):
             PercentSeries(points=points, denominator=100)
 
+    def test_level_beside_a_float_stays_exact(self):
+        # numpy would make (1.0, 2^62 + 1) float64 and round the level to 2^62.
+        assert PercentSeries(((1.0, 1.0), (2**62 + 1, 1.0)), 100).levels.tolist() == [1, 2**62 + 1]
+
     def test_first_fault_matches_a_loop_over_the_points(self):
         def first_fault(points):
             previous = 0
