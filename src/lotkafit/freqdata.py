@@ -14,9 +14,12 @@ ids hashed and sorted), so ingesting holds the file, the columns' 24
 bytes a row and temporaries that do not grow with the file, and makes no
 string per field; csv.reader reads the whole file instead as soon as a
 block holds a row whose quoting or bytes the bulk pass cannot prove it
-would read the same way. A ``level,count`` file is likewise read in one
-vectorized pass when its rows are plain digits, and line by line
-otherwise. Every operation is a pure function on immutable values.
+would read the same way, so the tokenizer judges each block whole. A
+``level,count`` file is likewise read in one vectorized pass when its
+rows are plain digits, and line by line otherwise. Every reader, of a
+file or of a str, first makes CRLF and a lone CR into LF, in one place
+(_newlines), so a str reads exactly as the same bytes in a file do.
+Every operation is a pure function on immutable values.
 """
 
 from __future__ import annotations
@@ -380,11 +383,12 @@ def parse_distribution(text: str, name: str = "dist") -> FrequencyDistribution:
     """Parse the ``level,count`` file format into a distribution.
 
     Duplicate levels are rejected; levels need not arrive sorted. Errors
-    report the offending 1-based line number. The text is encoded once
-    and read in bulk (see _bulk_rows); what the bulk pass does not take
-    is read line by line.
+    report the offending 1-based line number. The text is encoded once,
+    its newlines made LF as a file's are (see _newlines), and read in
+    bulk (see _bulk_rows); what the bulk pass does not take is read line
+    by line.
     """
-    return _distribution(text.encode("utf-8", "surrogatepass") + bytes(8), name)
+    return _distribution(_newlines(text.encode("utf-8", "surrogatepass") + bytes(8)), name)
 
 
 def _distribution(data: bytes, name: str) -> FrequencyDistribution:
@@ -403,9 +407,8 @@ def _bulk_rows(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     input that _parse_lines reads the same way: the exact header line,
     then rows of two runs of 1 to 18 ASCII digits split by one comma,
     each ended by an LF (the last may end the file instead), every level
-    at least 1 and none repeated. Anything else, such as a sign, a CR, a
-    blank line or 19 digits, is left to the line loop, which words every
-    error.
+    at least 1 and none repeated. Anything else, such as a sign, a blank
+    line or 19 digits, is left to the line loop, which words every error.
     """
     size = len(data) - 8
     head = len(DISTRIBUTION_HEADER) + 1
@@ -427,7 +430,7 @@ def _bulk_rows(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     if (view[marks[0::2]] != 44).any() or (view[marks[1:-1:2]] != 10).any():
         return None
     fields, digits, _ = _parse_digits(view, np.concatenate(([head], marks[:-1] + 1)), marks)
-    if not digits.all():
+    if not digits:
         return None
     levels, counts = fields[0::2], fields[1::2]
     order = np.argsort(levels)
@@ -439,18 +442,18 @@ def _bulk_rows(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
 
 def _parse_lines(text: str, name: str) -> FrequencyDistribution:
     """parse_distribution one line at a time: the reference reading, and
-    the only one that words an error."""
+    the only one that words an error. Lines end in LF alone, as
+    _newlines leaves them."""
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     if not lines:
         raise InputError("empty input: expected header 'level,count'")
-    header = lines[0].rstrip("\r")
+    header = lines[0]
     if header != DISTRIBUTION_HEADER:
         raise InputError(f"line 1: expected header {DISTRIBUTION_HEADER!r}, got {header!r}")
     counts: dict[int, int] = {}
-    for lineno, raw in enumerate(lines[1:], start=2):
-        line = raw.rstrip("\r")
+    for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             raise InputError(f"line {lineno}: blank line")
         parts = line.split(",")
@@ -485,9 +488,8 @@ def _read(path: str | Path, parse):
     data is one bytearray that holds the file and 8 zero bytes after it.
     It is sized from the file's reported size and read into in place, so
     the file is held once; what lies beyond that size, such as a pipe's
-    bytes, is appended, and a file shorter than it leaves no gap. CRLF
-    and a lone CR become LF, as text mode's universal newlines make them;
-    a CR byte is never part of a longer UTF-8 sequence.
+    bytes, is appended, and a file shorter than it leaves no gap. Once
+    checked as UTF-8, its newlines are made LF (see _newlines).
     """
     path = Path(path)
     try:
@@ -511,13 +513,23 @@ def _read(path: str | Path, parse):
         raise InputError(f"{path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 ({exc.reason} at byte {start + exc.start})") from None
-    if b"\r" in data:
-        data = data.replace(b"\r\n", b"\n")
-        data = data.replace(b"\r", b"\n")
+    data = _newlines(data)
     try:
         return parse(data, path)
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from None
+
+
+def _newlines(data: bytes) -> bytes:
+    """data with each CRLF and each lone CR made LF, as text mode's universal newlines make them.
+
+    Every reader, of a file or of a str, takes its bytes through here, so
+    no tokenizer sees a CR. A CR byte is never part of a longer UTF-8
+    sequence, and surrogatepass-encoded text holds none either.
+    """
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return data
 
 
 def _text(data: bytes) -> str:
@@ -578,19 +590,19 @@ def _record_columns(data: bytes) -> tuple[bytes, np.ndarray, np.ndarray, np.ndar
     every paper must have exactly one position-1 row. The bytes are
     tokenized in bulk, one newline-aligned block of about _BLOCK bytes at
     a time, so the tokenizer's temporaries never grow with the file:
-    newlines end lines, the two commas of a line that lie outside quotes
-    end its fields, a field wholly inside a pair of quotes is read
-    without them, the ASCII spaces str.strip() removes are stripped from
-    ids and names, and positions are parsed from their digits. Each block
-    keeps only its rows' positions and id and name spans. The whole file
-    goes to csv.reader instead, as soon as a block holds a row the bulk
-    pass cannot prove that csv.reader would read the same way:
+    LFs end lines (_newlines made every newline one), the two commas of a
+    line that lie outside quotes end its fields, a field wholly inside a
+    pair of quotes is read without them, the ASCII spaces str.strip()
+    removes are stripped from ids and names, and positions are parsed
+    from their digits. Each block keeps only its rows' positions and id
+    and name spans. The whole file goes to csv.reader instead, as soon as
+    a block holds a row the bulk pass cannot prove that csv.reader would
+    read the same way:
 
     * its line holds a quote that does not open or close a whole field:
       a quote that opens a field spanning lines, a doubled quote, or a
       stray quote, which csv.reader keeps (``ab"c``, ``"a"b``);
-    * its line holds a NUL, a CR that does not end a CRLF, or more bytes
-      than csv.field_size_limit();
+    * its line holds a NUL or more bytes than csv.field_size_limit();
     * a stripped id or name starts or ends with a space beyond ASCII,
       such as U+00A0 or U+3000, which str.strip() also removes;
     * its position has more than 18 digits.
@@ -701,18 +713,20 @@ def _bulk_columns(data: bytes) -> tuple[bytes, tuple[np.ndarray, np.ndarray, np.
     while start < size:
         end = data.find(b"\n", min(start + _BLOCK, size) - 1, size) + 1 or size
         block = data[start : end + 8]
-        lines, routed, pairs = _scan_lines(block)
-        if routed.any():
+        scanned = _scan_lines(block)
+        if scanned is None:
             return None
+        lines, pairs = scanned
         first = int(start == 0)  # the first block's first line is the header
         if first:
             header = block[: lines[1, 0]]
+            pairs = pairs[:, pairs[0] > 0]  # the header's quotes are csv.reader's
         rows = np.flatnonzero(lines[3, first:] > 0) + first
-        position, spans, valid, reroute = _split_fields(block, lines, rows, pairs)
-        if reroute.any():
+        position, spans, valid, routed = _split_fields(block, lines, rows, pairs)
+        if routed:
             return None
         # A line outside quotes that does not split in three is an invalid row.
-        if not valid.all() or len(rows) < lines.shape[1] - first:
+        if not valid or len(rows) < lines.shape[1] - first:
             return header, None
         taken = slice(filled, filled + len(rows))
         positions[taken] = position
@@ -722,102 +736,91 @@ def _bulk_columns(data: bytes) -> tuple[bytes, tuple[np.ndarray, np.ndarray, np.
     return header, (positions[:filled], papers[:, :filled], authors[:, :filled])
 
 
-def _scan_lines(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Where each line of data lies, whether the bulk pass must leave it to csv.reader, and its quotes.
+def _scan_lines(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    """Where each line of a block lies, and its quote pairs; None if csv.reader must read the file.
 
-    data is a block of whole lines and 8 bytes after it, zeros after a
-    file's last block. Returns a (4, lines) array of each line's
-    start, end (its newline, or the end of the block) and two
-    field-ending commas; whether each line is routed; and the quote
-    pairs as a (3, pairs) array of line, opening and closing quote. A
-    line's quotes pair up in order, and a comma between a pair's quotes
-    is text; its commas are (0, 0) unless exactly two lie outside its
-    pairs. Routed are the lines holding a NUL, a CR that does not end a
-    CRLF, more bytes than csv.field_size_limit(), an odd number of
-    quotes, two quotes side by side, or quotes and other than two commas
-    outside them.
+    data is a block of whole lines, each ended by an LF (the last may
+    end the block instead), and 8 bytes after it, zeros after a file's
+    last block. The verdict is the block's, since one line the bulk pass
+    cannot read sends the whole file to csv.reader: None if any line
+    holds a NUL, more bytes than csv.field_size_limit(), an odd number
+    of quotes, two quotes side by side, or quotes and other than two
+    commas outside them. Otherwise returns a (4, lines) array of each
+    line's start, end (its LF, or the end of the block) and two
+    field-ending commas, and the quote pairs as a (3, pairs) array of
+    line, opening and closing quote. A line's quotes pair up in order,
+    and a comma between a pair's quotes is text; a line's commas are
+    (0, 0) unless exactly two lie outside its pairs.
     """
     size = len(data) - 8
     view = np.frombuffer(data, dtype=np.uint8)
-    # The bytes looked for: ',', LF, '"', CR and NUL.
+    # The bytes looked for: ',', LF, '"' and NUL.
     looked_for = view[:size] == 44
-    for byte in (10, 34, 13, 0):
+    for byte in (10, 34, 0):
         looked_for |= view[:size] == byte
     marks = np.flatnonzero(looked_for)
     kinds = view[marks]
-    newline = kinds == 10
-    ends = marks[newline]
+    ends = marks[kinds == 10]
     if size and data[size - 1] != 10:
         ends = np.append(ends, size)
-    count = len(ends)
-    lines = np.zeros((4, count), dtype=np.int64)
+    lines = np.zeros((4, len(ends)), dtype=np.int64)
     lines[0, 1:] = ends[:-1] + 1
     lines[1] = ends
-    at = np.cumsum(newline)
-    at -= newline  # the line each mark lies on
-    routed = lines[1] - lines[0] > csv.field_size_limit()
-    routed[at[kinds == 0]] = True
-    crs = kinds == 13
-    routed[at[crs][view[marks[crs] + 1] != 10]] = True
-    quotes = kinds == 34
-    quotes, quote_lines = marks[quotes], at[quotes]
-    quote_count = np.bincount(quote_lines, minlength=count)
-    odd = (quote_count & 1) == 1
-    routed |= odd
-    routed[quote_lines[1:][np.diff(quotes) == 1]] = True  # a doubled quote, or an empty quoted field
-    commas = kinds == 44
-    commas, at = marks[commas], at[commas]
-    # A comma is text when an odd number of its line's quotes come before it.
-    near = np.flatnonzero(quote_count[at])
-    before = np.searchsorted(quotes, commas[near]) - (np.cumsum(quote_count) - quote_count)[at[near]]
-    outside = np.ones(len(commas), dtype=bool)
-    outside[near] = (before & 1) == 0
-    commas, at = commas[outside], at[outside]
-    comma_count = np.bincount(at, minlength=count)
-    routed |= (quote_count > 0) & (comma_count != 2)
+    quotes = marks[kinds == 34]
+    # Every line holds an even number of quotes exactly when an even number come before each line's end.
+    quotes_before = np.searchsorted(quotes, ends)
+    if (
+        (kinds == 0).any()
+        or (lines[1] - lines[0] > csv.field_size_limit()).any()
+        or (quotes_before & 1).any()
+        or (np.diff(quotes) == 1).any()  # a doubled quote, or an empty quoted field
+    ):
+        return None
+    # No line's quotes are odd, so a comma is text when an odd number of the block's quotes come before it.
+    commas = marks[kinds == 44]
+    commas = commas[(np.searchsorted(quotes, commas) & 1) == 0]
+    firsts = np.searchsorted(commas, lines[0])  # the first comma outside quotes on each line
+    comma_count = np.searchsorted(commas, ends) - firsts
+    # A line that holds quotes must split in three.
+    if ((np.diff(quotes_before, prepend=0) > 0) & (comma_count != 2)).any():
+        return None
     split = np.flatnonzero(comma_count == 2)
-    first = (np.cumsum(comma_count) - comma_count)[split]
-    lines[2, split], lines[3, split] = commas[first], commas[first + 1]
-    paired = ~odd[quote_lines]
-    quotes, quote_lines = quotes[paired], quote_lines[paired]
-    return lines, routed, np.stack((quote_lines[::2], quotes[::2], quotes[1::2]))
+    lines[2, split], lines[3, split] = commas[firsts[split]], commas[firsts[split] + 1]
+    opening = quotes[::2]
+    return lines, np.stack((np.searchsorted(ends, opening), opening, quotes[1::2]))
 
 
 def _split_fields(
     data: bytes, lines: np.ndarray, rows: np.ndarray, pairs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, bool, bool]:
     """The fields of the given rows of lines, which _scan_lines found split in three.
 
-    Returns each line's position; a (3, 2, rows) array of its field
-    spans, the id and name stripped, a field wholly inside a quote pair
-    without its quotes; whether it is a valid row, with a non-empty id
-    and name and a position of 1 to 18 digits; and whether csv.reader
-    must read it instead, as _record_columns lists. A CRLF's CR ends the
-    author field. data is as _scan_lines takes it.
+    pairs are the quote pairs _scan_lines found, but for the header's;
+    each lies on one of rows, since _scan_lines refuses a block with a
+    quoted line that does not split in three. Returns each row's
+    position; a (3, 2, rows) array of its field spans, the id and name
+    stripped, a field wholly inside a quote pair without its quotes;
+    whether every row is valid, with a non-empty id and name and a
+    position of 1 to 18 digits; and whether csv.reader must read the
+    file instead, as _record_columns lists. data is as _scan_lines takes
+    it.
     """
     view = np.frombuffer(data, dtype=np.uint8)
     # Fields run from the line's start, or after a comma, to a comma or the line's end.
     spans = lines.take(rows, axis=1).take((0, 2, 2, 3, 3, 1), axis=0).reshape(3, 2, -1)
     spans[1:, 0] += 1
-    spans[2, 1] -= view[spans[2, 1] - 1] == 13
-    # The quote pairs on these rows; each must enclose a whole field.
-    at = np.searchsorted(rows, pairs[0])
-    on = at < len(rows)
-    on[on] = rows[at[on]] == pairs[0, on]
-    at, open_at, close_at = at[on], pairs[1, on], pairs[2, on]
+    # Each quote pair must enclose a whole field.
+    at, open_at, close_at = np.searchsorted(rows, pairs[0]), pairs[1], pairs[2]
     field = (open_at > spans[0, 1, at]).astype(np.intp) + (open_at > spans[1, 1, at])
-    whole = (spans[field, 0, at] == open_at) & (spans[field, 1, at] == close_at + 1)
+    whole = ((spans[field, 0, at] == open_at) & (spans[field, 1, at] == close_at + 1)).all()
     spans[field, 0, at], spans[field, 1, at] = open_at + 1, close_at
     position, digits, wide = _parse_digits(view, *spans[1])
-    paper_spaced = _strip_spaces(data, spans[0])
-    author_spaced = _strip_spaces(data, spans[2])
-    valid = digits & (spans[0, 1] > spans[0, 0]) & (spans[2, 1] > spans[2, 0])
-    reroute = wide | paper_spaced | author_spaced
-    reroute[at[~whole]] = True
-    return position, spans, valid, reroute
+    spaced = _strip_spaces(data, spans[0]) | _strip_spaces(data, spans[2])
+    valid = digits and (spans[0, 1] > spans[0, 0]).all() and (spans[2, 1] > spans[2, 0]).all()
+    return position, spans, bool(valid), wide or spaced or not whole
 
 
-def _strip_spaces(data: bytes, spans: np.ndarray) -> np.ndarray:
+def _strip_spaces(data: bytes, spans: np.ndarray) -> bool:
     """Strip the (start, end) spans of data in place of the ASCII spaces str.strip() removes;
     return whether a span left starts or ends with a space beyond ASCII, which it removes too."""
     view = np.frombuffer(data, dtype=np.uint8)
@@ -835,15 +838,14 @@ def _strip_spaces(data: bytes, spans: np.ndarray) -> np.ndarray:
         starts[padded], ends[padded] = lefts, rights
         filled[padded] = ends[padded] > starts[padded]
         first[padded], last[padded] = view[starts[padded]], view[ends[padded] - 1]
-    spaced = np.zeros(len(starts), dtype=bool)
     edges = np.flatnonzero(filled & ((first >= 128) | (last >= 128)))
-    if len(edges):
-        # The last character of a span starts at most three continuation bytes before its end.
-        last = ends[edges] - 1
-        for _ in range(3):
-            last -= (view[last] & 0xC0) == 0x80
-        spaced[edges] = _unicode_space_at(view, starts[edges]) | _unicode_space_at(view, last)
-    return spaced
+    if not len(edges):
+        return False
+    # The last character of a span starts at most three continuation bytes before its end.
+    last = ends[edges] - 1
+    for _ in range(3):
+        last -= (view[last] & 0xC0) == 0x80
+    return bool(_unicode_space_at(view, starts[edges]).any() or _unicode_space_at(view, last).any())
 
 
 def _unicode_space_at(view: np.ndarray, at: np.ndarray) -> np.ndarray:
@@ -859,9 +861,9 @@ def _unicode_space_at(view: np.ndarray, at: np.ndarray) -> np.ndarray:
 
 def _parse_digits(
     view: np.ndarray, starts: np.ndarray, ends: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The value of each span of 1 to 18 ASCII digits, whether it is one, and whether it is wider;
-    the value of any other span is meaningless. The byte at each start must lie in view."""
+) -> tuple[np.ndarray, bool, bool]:
+    """The value of each span of 1 to 18 ASCII digits, whether every span is one, and whether one is
+    wider; the value of any other span is meaningless. The byte at each start must lie in view."""
     width = ends - starts
     wide = width > _BULK_DIGITS
     value = view[starts].astype(np.int64) - 48
@@ -874,7 +876,7 @@ def _parse_digits(
         digit = view[starts[live] + offset].astype(np.int64) - 48
         digits[live] &= (digit >= 0) & (digit <= 9)
         value[live] = value[live] * 10 + digit
-    return value, digits, wide
+    return value, bool(digits.all()), bool(wide.any())
 
 
 def _routed_fields(
@@ -1053,9 +1055,10 @@ def parse_records(text: str) -> list[AuthorRecord]:
 
     One record per paper, in the order the file first lists them, with
     its authors in position order. Fields containing commas may be
-    quoted as in ordinary CSV. See _record_columns for the checks.
+    quoted as in ordinary CSV. Newlines are made LF as a file's are (see
+    _newlines). See _record_columns for the checks.
     """
-    return _records(text.encode("utf-8", "surrogatepass") + bytes(8))
+    return _records(_newlines(text.encode("utf-8", "surrogatepass") + bytes(8)))
 
 
 def _records(data: bytes) -> list[AuthorRecord]:

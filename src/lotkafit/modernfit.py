@@ -38,7 +38,7 @@ from typing import Callable, NoReturn, Sequence, TypeVar
 import numpy as np
 
 from .errors import DegenerateFitError, InputError
-from .freqdata import MAX_AUTHORS, FrequencyDistribution, truncate_right, truncation_report
+from .freqdata import MAX_AUTHORS, MAX_LEVEL, FrequencyDistribution, truncate_right, truncation_report
 from .loglogfit import Denominator, FitResult, fit_historical
 from .lotkamodel import ALPHA_DOMAIN, PowerLawModel, _CdfTable, _zeta
 
@@ -399,8 +399,13 @@ def _fit_batch(
     Entry b is dataset b's fit, or the DegenerateFitError its own
     select_xmin or mle_alpha call raises. Each fit is the same as in a
     batch of its dataset alone (see _fit_tails), so the results do not
-    depend on how datasets are grouped into batches.
+    depend on how datasets are grouped into batches. An xmin outside
+    [1, 2^62], the range of a level, is an InputError for the whole batch.
     """
+    if xmin is not None and xmin < 1:
+        raise InputError(f"xmin must be >= 1, got {xmin}")
+    if xmin is not None and xmin > MAX_LEVEL:
+        raise InputError(f"xmin must be <= 2^62, got {xmin}")
     if not dists:
         return []
     arrays = [dist.populated_arrays for dist in dists]
@@ -460,9 +465,8 @@ def mle_alpha(dist: FrequencyDistribution, xmin: int) -> MleResult:
     ALPHA_DOMAIN; the exponent is exact to well under 1e-6. This is the
     one-candidate, one-dataset case of the batch fit (_fit_batch). A tail
     whose likelihood still rises at the domain's upper end is degenerate.
+    xmin must lie in [1, 2^62], the range of a level.
     """
-    if xmin < 1:
-        raise InputError(f"xmin must be >= 1, got {xmin}")
     return _unwrap(_fit_batch([dist], xmin)[0])
 
 

@@ -108,7 +108,9 @@ def _emit_loglog(
 ) -> tuple[str, str]:
     series = to_percent_series(dist, Denominator.FULL)
     levels, percents = series.levels.tolist(), series.percents.tolist()
-    xs, ys = list(map(math.log10, levels)), list(map(math.log10, percents))
+    # The logs ols_loglog fits, so each residual is the fit's own to the last bit.
+    log_levels, log_percents = np.log10(series.levels), np.log10(series.percents)
+    xs, ys = log_levels.tolist(), log_percents.tolist()
     frame = _Frame(min(xs), max(xs), min(ys), max(ys))
     xlabel = spec.xlabel or "log10 works per author"
     ylabel = spec.ylabel or "log10 percent of authors"
@@ -130,15 +132,12 @@ def _emit_loglog(
     for x, y in zip(xs, ys):
         body.append(f'<circle cx="{frame.x(x):.2f}" cy="{frame.y(y):.2f}" r="3" fill="#1f77b4"/>')
     header = "level,percent,log10_level,log10_percent"
+    columns = [levels, percents, xs, ys]
     if spec.include_trendline:
         header += ",fit_log10_percent,residual"
-    rows = [header]
-    for level, percent, x, y in zip(levels, percents, xs, ys):
-        row = f"{level},{percent!r},{x!r},{y!r}"
-        if spec.include_trendline:
-            fitted = fit.intercept + fit.slope * x
-            row += f",{fitted!r},{y - fitted!r}"
-        rows.append(row)
+        fitted = fit.intercept + fit.slope * log_levels
+        columns += [fitted.tolist(), (log_percents - fitted).tolist()]
+    rows = [header, *(",".join(map(repr, row)) for row in zip(*columns))]
     return _svg_document(body), "\n".join(rows) + "\n"
 
 

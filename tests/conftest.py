@@ -1,7 +1,22 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.errors import InvalidArgument
 
 from lotkafit import FrequencyDistribution
+
+# On CI (GitHub Actions sets CI), a failing example also prints the
+# @reproduce_failure line that replays it. Hypothesis versions that load
+# a "ci" profile of their own there keep its other settings.
+try:
+    _ci = settings.get_profile("ci")
+except InvalidArgument:
+    _ci = settings.get_profile("default")
+settings.register_profile("ci", _ci, print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 # Distributions whose marginals match the published full-distribution
 # totals: 6891 authors / 22934 works / max 346, and 1325 / 3398 / 48.

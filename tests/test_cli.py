@@ -10,6 +10,7 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -256,13 +257,21 @@ class TestExitCodes:
         assert err == f"error: {message}, got {huge}\n"
         assert not out_file.exists()
 
-    @pytest.mark.parametrize("xmin", [2**63, 10**400])
+    @pytest.mark.parametrize("xmin", [347, MAX_LEVEL])
     def test_xmin_beyond_every_level_exits_three(self, capsys, ca_file, xmin):
-        # No level lies above 2^62, so the tail is empty: a degenerate fit.
+        # The data's top level is 346, so the tail is empty: a degenerate fit.
         code, out, err = run_cli(capsys, ["fit", "mle", "--dist", ca_file, "--xmin", str(xmin)])
         assert code == 3
         assert out == ""
         assert err == f"error: degenerate tail: need >= 2 distinct populated levels >= xmin {xmin}\n"
+
+    @pytest.mark.parametrize("xmin", [MAX_LEVEL + 1, 2**63, 2**80, 10**400])
+    def test_xmin_beyond_the_level_range_exits_two(self, capsys, ca_file, xmin):
+        # A flag outside the range of a level, as PowerLawModel words it.
+        code, out, err = run_cli(capsys, ["fit", "mle", "--dist", ca_file, "--xmin", str(xmin)])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: xmin must be <= 2^62, got {xmin}\n"
 
     def test_deeply_nested_fit_report_exits_two(self, capsys, ca_file, tmp_path):
         # Nesting deeper than the JSON decoder's stack is bad input, not a crash.
@@ -850,13 +859,41 @@ class TestPlot:
         sidecar = (tmp_path / "fig.csv").read_text().strip().split("\n")
         series = to_percent_series(ca_dist, Denominator.FULL)
         assert len(sidecar) == 1 + len(series.points)
-        for line, (level, percent) in zip(sidecar[1:], series.points):
+        # The logs ols_loglog fits.
+        xs, ys = np.log10(series.levels), np.log10(series.percents)
+        for line, (level, percent), x, y in zip(sidecar[1:], series.points, xs, ys):
             fields = line.split(",")
             assert int(fields[0]) == level
             assert float(fields[1]) == percent
-            assert float(fields[2]) == math.log10(level)
-            assert float(fields[3]) == math.log10(percent)
+            assert float(fields[2]) == x
+            assert float(fields[3]) == y
         assert out.read_text().startswith("<svg")
+
+    def test_loglog_residuals_are_the_fits_to_the_bit(self, capsys, tmp_path):
+        # Percents whose math.log10 and np.log10 differ in the last bit; the
+        # sidecar's residuals are the ones ols_loglog minimizes, bit for bit.
+        d = FrequencyDistribution.from_counts({level: 7 * level % 997 + 1 for level in range(1, 300)})
+        dist_file = tmp_path / "d.csv"
+        write_distribution(d, dist_file)
+        code, out, _ = run_cli(capsys, ["fit", "loglog", "--dist", str(dist_file)])
+        assert code == 0
+        fit_file = tmp_path / "fit.json"
+        fit_file.write_text(out)
+        fit = json.loads(out)
+        svg = tmp_path / "fig.svg"
+        code, _, _ = run_cli(capsys, ["plot", "loglog", "--dist", str(dist_file), "--fit", str(fit_file),
+                                      "--out", str(svg)])
+        assert code == 0
+        series = to_percent_series(d, Denominator.FULL)
+        assert ols_loglog(series).slope == fit["slope"]
+        x, y = np.log10(series.levels), np.log10(series.percents)
+        assert (x != list(map(math.log10, series.levels.tolist()))).any() or (
+            y != list(map(math.log10, series.percents.tolist()))).any()
+        fitted = fit["intercept"] + fit["slope"] * x
+        rows = np.loadtxt(tmp_path / "fig.csv", delimiter=",", skiprows=1)
+        assert rows[:, 2].tolist() == x.tolist() and rows[:, 3].tolist() == y.tolist()
+        assert rows[:, 4].tolist() == fitted.tolist()
+        assert rows[:, 5].tolist() == (y - fitted).tolist()
 
     def test_trendline_residuals_on_exact_law(self, capsys, tmp_path):
         # Integer counts proportional to 1/n^2 exactly: lcm(1..10)^2 / n^2.

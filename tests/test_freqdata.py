@@ -199,6 +199,28 @@ def _parse_outcome(parse):
     return dist.levels.tolist(), dist.counts.tolist(), dist.name
 
 
+def _lf(text):
+    """text with CRLF and a lone CR made LF, as every reader makes them."""
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _outcome(call):
+    """What call() returns, or its InputError's text."""
+    try:
+        return call()
+    except InputError as exc:
+        return str(exc)
+
+
+def _str_reads_as_file(parse, read, text, directory):
+    """parse(text), or its InputError's text, once read of a file holding text's UTF-8 bytes gives the same."""
+    path = Path(directory) / "input.csv"
+    path.write_bytes(text.encode("utf-8"))
+    expected = _outcome(lambda: parse(text))
+    assert _outcome(lambda: read(path)) == (f"{path}: {expected}" if isinstance(expected, str) else expected)
+    return expected
+
+
 class TestParseDistribution:
     def test_basic(self):
         d = parse_distribution("level,count\n1,600\n2,150")
@@ -283,10 +305,9 @@ class TestParseDistribution:
     @given(_distribution_texts())
     @settings(max_examples=500, deadline=None)
     def test_bulk_pass_matches_line_loop(self, text):
-        expected = _parse_outcome(lambda: freqdata._parse_lines(text, "d"))
-        assert _parse_outcome(lambda: parse_distribution(text, "d")) == expected
-        # read_distribution turns CRLF and a lone CR into LF before either pass.
-        lf = _parse_outcome(lambda: freqdata._parse_lines(text.replace("\r\n", "\n").replace("\r", "\n"), "d"))
+        # parse_distribution and read_distribution both turn CRLF and a lone CR into LF before either pass.
+        lf = _parse_outcome(lambda: freqdata._parse_lines(_lf(text), "d"))
+        assert _parse_outcome(lambda: parse_distribution(text, "d")) == lf
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "d.csv"
             path.write_bytes(text.encode("utf-8"))
@@ -423,8 +444,8 @@ def _valid_rows(draw):
     a name may span two lines, a row may end in a CR (a CRLF once
     joined), and the rows of all papers are shuffled together, so one
     paper's rows need not be adjacent. In about half the draws every
-    id, position and name is one the bulk pass reads, so unless the file
-    ends in a lone CR it is not sent to csv.reader."""
+    id, position and name is one the bulk pass reads, so the file is not
+    sent to csv.reader."""
     bulk = draw(st.booleans())
     sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=6))
     names = st.sampled_from(_BULK_NAMES if bulk else _NAMES)
@@ -528,16 +549,17 @@ class TestParseRecords:
             with pytest.raises(InputError, match=f"^line 3: position must be <= 2\\^62, got {big}$"):
                 parse_records(f"{head}P1,{big},B\n")
 
-    def test_csv_error_names_its_row(self):
+    def test_csv_error_names_its_row(self, tmp_path):
         long_field = '"' + "x" * (csv.field_size_limit() + 1) + '"'
         with pytest.raises(InputError, match=r"^line 3: field larger than field limit"):
             parse_records(f"paper_id,position,author\nP1,1,A\nP1,2,{long_field}\n")
-        with pytest.raises(InputError, match=r"^line 2: new-line character"):
-            parse_records("paper_id,position,author\nP1,1,A\rB\n")
-        with pytest.raises(InputError, match=r"^line 1: new-line character"):
-            parse_records("paper_id\r,position,author\n")
+        # A lone CR ends a line of a str as it ends one of a file.
+        assert _str_reads_as_file(parse_records, read_records, "paper_id,position,author\nP1,1,A\rB\n", tmp_path) == (
+            "line 3: expected 'paper_id,position,author', got ['B']")
+        assert _str_reads_as_file(parse_records, read_records, "paper_id\r,position,author\n", tmp_path) == (
+            "line 1: expected header 'paper_id,position,author', got 'paper_id'")
 
-    def test_faults_name_physical_lines(self):
+    def test_faults_name_physical_lines(self, tmp_path):
         # The quoted name on lines 2-3 makes rows and lines differ: each
         # fault names the line its row starts on, not the row's number.
         head = 'paper_id,position,author\nP1,1,"A\nB"\n'
@@ -547,8 +569,8 @@ class TestParseRecords:
             parse_records(head + "P1,1,C\n")
         with pytest.raises(InputError, match=r"^line 4: empty author name$"):
             parse_records(head + 'P1,2," \n "\n')
-        with pytest.raises(InputError, match=r"^line 4: new-line character"):
-            parse_records(head + "P1,2,B\rC\n")
+        assert _str_reads_as_file(parse_records, read_records, head + "P1,2,B\rC\n", tmp_path) == (
+            "line 5: expected 'paper_id,position,author', got ['C']")
         long_field = '"' + "x\n" * (csv.field_size_limit() // 2 + 1) + '"'
         with pytest.raises(InputError, match=r"^line 4: field larger than field limit"):
             parse_records(f"{head}P1,2,{long_field}\n")
@@ -762,6 +784,30 @@ class TestRecordBlocks:
         assert sorts and set(sorts) == {len(rows)}
         assert from_author_records(records) == from_author_records(ordered)
 
+    def test_odd_quote_line_after_a_quoted_comma_in_its_block(self, tmp_path):
+        # A comma lies outside quotes when an even number of its block's
+        # quotes come before it, which holds only while no line's quotes
+        # are odd; a stray quote after a quoted comma sends the file to
+        # csv.reader, even where a second one makes the block's quotes even.
+        rows = _paper_rows(6)
+        rows[1][2] = '"Smith, J."'
+        rows[3][2] = 'ab"c'
+        rows[5][2] = 'd"e'
+        text = _records_text(rows)
+        assert freqdata._bulk_columns(text.encode() + bytes(8)) is None
+        assert len(_same_as_row_loop(text, tmp_path)) == 6
+
+    def test_odd_quote_line_in_a_later_block(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(freqdata, "_BLOCK", 64)
+        rows = _paper_rows(40)
+        for row in rows[::4]:
+            row[2] = f'"{row[2]}, J."'
+        rows[-4][2] = 'ab"c'
+        text = _records_text(rows)
+        assert text.index('ab"c') > 4 * 64
+        assert freqdata._bulk_columns(text.encode() + bytes(8)) is None
+        assert len(_same_as_row_loop(text, tmp_path)) == 40
+
     def test_tokenizer_sees_one_block_and_one_line_at_most(self, monkeypatch, tmp_path):
         # The bulk pass's temporaries are bounded by its blocks, not the file.
         block = 4096
@@ -873,6 +919,53 @@ def test_records_read_whole_whatever_size_is_reported(monkeypatch, tmp_path, new
     records = _row_loop_parse_records(_ROWS)
     assert read_records(path) == records
     assert ingest_records(path) == from_author_records(records)
+
+
+# Newlines of every spelling: LF, CRLF, a lone CR, and CRs doubled or after an LF.
+_NEWLINES = st.sampled_from(["\n", "\r\n", "\r", "\r\r\n", "\r\r", "\n\r"])
+# Records lines, some with CRs inside quotes.
+_CR_RECORD_LINES = st.sampled_from([
+    "P1,1,A", "P1,2,B", "P2,1,C", 'P2,2,"Smith, J."', 'P3,1,"X\rY"', 'P4,1,"X\r\nY"', 'P5,1,"X\r\rY"',
+    'P6,1,"X\n\rY"', "P7,1,D", "",
+])
+
+
+@st.composite
+def _mixed_newline_texts(draw, head, lines):
+    """head, then lines, each ended by one of _NEWLINES, the last perhaps by none."""
+    parts = [head, *draw(st.lists(lines, max_size=6))]
+    ends = draw(st.lists(_NEWLINES, min_size=len(parts), max_size=len(parts)))
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(part + end for part, end in zip(parts, ends))
+
+
+@given(_mixed_newline_texts("level,count", st.tuples(_DIGIT_FIELDS, _DIGIT_FIELDS).map(",".join)))
+@settings(max_examples=200, deadline=None)
+def test_distribution_str_reads_as_its_file_whatever_the_newlines(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        got = _str_reads_as_file(parse_distribution, read_distribution, text, tmp)
+    assert got == _outcome(lambda: freqdata._parse_lines(_lf(text), "d"))
+
+
+@given(_mixed_newline_texts("paper_id,position,author", _CR_RECORD_LINES))
+@settings(max_examples=200, deadline=None)
+def test_records_str_read_as_their_file_whatever_the_newlines(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        got = _str_reads_as_file(parse_records, read_records, text, tmp)
+    assert got == _outcome(lambda: _row_loop_parse_records(_lf(text)))
+
+
+@pytest.mark.parametrize("parse, read, text, expected", [
+    (parse_distribution, read_distribution, "level,count\r\n1,2\r\r\n3,1\r\n", "line 3: blank line"),
+    (parse_distribution, read_distribution, "level,count\r1,2\r3,1\r", FrequencyDistribution.from_counts({1: 2, 3: 1})),
+    (parse_records, read_records, 'paper_id,position,author\r\nP1,1,"A\r\nB"\r\nP2,1,C\r\n',
+     [AuthorRecord("P1", ("A\nB",)), AuthorRecord("P2", ("C",))]),
+    (parse_records, read_records, "paper_id,position,author\rP1,1,A\rP2,1,B\r",
+     [AuthorRecord("P1", ("A",)), AuthorRecord("P2", ("B",))]),
+], ids=["doubled-cr", "lone-cr-rows", "crlf-in-quotes", "lone-cr-records"])
+def test_str_reads_as_its_file(tmp_path, parse, read, text, expected):
+    assert _str_reads_as_file(parse, read, text, tmp_path) == expected
 
 
 _GRIN = "\U0001f600"  # 4 bytes in UTF-8

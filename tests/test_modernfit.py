@@ -31,7 +31,7 @@ from lotkafit import (
     sample,
     select_xmin,
 )
-from lotkafit.freqdata import truncate_right
+from lotkafit.freqdata import MAX_LEVEL, truncate_right
 from lotkafit.loglogfit import Denominator, fit_historical
 from lotkafit.lotkamodel import _DRAW_BLOCK, ALPHA_DOMAIN, _CdfTable, _zeta
 from lotkafit.modernfit import (
@@ -389,6 +389,12 @@ class TestFitBatch:
         # Every dataset's entry is exactly its own select_xmin or mle_alpha
         # result, or the same DegenerateFitError message, and no reordering
         # or split of the list changes it.
+        if xmin is not None and xmin > MAX_LEVEL:
+            # An xmin beyond the range of a level: the batch refuses it as each fit alone does.
+            for fit in [lambda: _fit_batch(dists, xmin), *(lambda d=d: mle_alpha(d, xmin) for d in dists)]:
+                with pytest.raises(InputError, match=f"^xmin must be <= 2\\^62, got {xmin}$"):
+                    fit()
+            return
         alone = [
             fit_outcome(select_xmin, d) if xmin is None else fit_outcome(mle_alpha, d, xmin)
             for d in dists
